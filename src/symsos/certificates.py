@@ -159,8 +159,7 @@ def _sos_poly_from_gram(block: CertBlock, pres: InvariantPresentation,
     total = Polynomial.zero(nvars)
     for a, (k, alpha) in enumerate(pairs):
         for b, (l, beta) in enumerate(pairs):
-            g = block.gram[a][b] if not isinstance(block.gram, np.ndarray) else \
-                block.gram[a][b]
+            g = block.gram[a][b]
             if g == 0:
                 continue
             entry = block.pi.entries[k][l]

@@ -39,17 +39,6 @@ def mat_vec(a: Matrix, v: Sequence[Scalar]) -> list[Scalar]:
     return [exact(sum((x * y for x, y in zip(row, v)), Fraction(0))) for row in a]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[exact(x + y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: Scalar) -> Matrix:
-    return [[exact(x * c) for x in row] for row in a]
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[exact(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -107,20 +96,6 @@ def rank_exact(rows: list[list[Scalar]]) -> int:
     return len(rref(rows)[1])
 
 
-def independent_rows(rows: list[list[Scalar]]) -> list[int]:
-    """Indices of a maximal linearly independent subset, scanning in order."""
-    if not rows:
-        return []
-    kept: list[list[Scalar]] = []
-    out = []
-    for i, row in enumerate(rows):
-        trial = kept + [row]
-        if rank_exact(trial) > len(kept):
-            kept = rref(trial)[0][: len(kept) + 1]
-            out.append(i)
-    return out
-
-
 class RowBasis:
     """Incremental exact row space: add rows, track rank cheaply."""
 
@@ -169,22 +144,6 @@ def solve_exact(a: Matrix, b: Sequence[Scalar]):
     for r, c in enumerate(pivots):
         x[c] = red[r][ncols]
     return x
-
-
-def nullspace(a: Matrix) -> list[list[Scalar]]:
-    if not a:
-        return []
-    red, pivots = rref([list(row) for row in a])
-    ncols = len(a[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v: list[Scalar] = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = exact(-red[r][fc])
-        basis.append(v)
-    return basis
 
 
 def ldl_psd(a: Matrix) -> tuple[bool, str]:

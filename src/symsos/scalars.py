@@ -257,14 +257,6 @@ def exact(x: Scalar) -> Union[Fraction, Quad]:
     return Fraction(x)
 
 
-def exact_eq(a: Scalar, b: Scalar) -> bool:
-    return Quad.of(a) == Quad.of(b)
-
-
-def to_float(x: Scalar) -> float:
-    return float(x)
-
-
 def continued_fraction_convergents(x: Fraction, max_den: int) -> list[Fraction]:
     """Convergents of x (best rational approximations) with denominator <= max_den."""
     out: list[Fraction] = []

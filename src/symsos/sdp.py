@@ -69,19 +69,26 @@ class BlockSDP:
     def entry_count(self) -> int:
         return sum(b.size * (b.size + 1) // 2 for b in self.blocks)
 
-    def functional_matrices(self, coeffs: dict[VarKey, Scalar]) -> list[np.ndarray]:
-        """Per-block symmetric matrices A with <A, X> = sum coeffs * entries."""
-        mats = [np.zeros((b.size, b.size)) for b in self.blocks]
-        for key, v in coeffs.items():
-            if key[0] != "blk":
-                continue
-            _, bi, r, c = key
-            x = float(v)
-            if r == c:
-                mats[bi][r, r] += x
-            else:
-                mats[bi][r, c] += x / 2
-                mats[bi][c, r] += x / 2
+    def functional_matrices(self, rows: Sequence[dict[VarKey, Scalar]]
+                            ) -> list[np.ndarray]:
+        """Stacked symmetric block matrices of a list of linear functionals.
+
+        Block b gets one float array A_b of shape (len(rows), s_b, s_b) with
+        sum_b <A_b[j], X_b> = sum of rows[j]'s entry coefficients * entries;
+        free-variable coefficients are ignored.
+        """
+        mats = [np.zeros((len(rows), b.size, b.size)) for b in self.blocks]
+        for j, coeffs in enumerate(rows):
+            for key, v in coeffs.items():
+                if key[0] != "blk":
+                    continue
+                _, bi, r, c = key
+                x = float(v)
+                if r == c:
+                    mats[bi][j, r, r] += x
+                else:
+                    mats[bi][j, r, c] += x / 2
+                    mats[bi][j, c, r] += x / 2
         return mats
 
     def free_coeff_vector(self, coeffs: dict[VarKey, Scalar]) -> np.ndarray:

@@ -3,14 +3,24 @@
 Free scalar variables are eliminated exactly (rational row reduction) before
 the cone solve, avoiding the ill-conditioned positive/negative split.  The
 cone iteration is a standard Nesterov-Todd scaled path-following method with
-a Mehrotra predictor-corrector step and dense per-block linear algebra, which
-is robust at the block sizes this package produces (tens of rows).
+a Mehrotra predictor-corrector step, robust at the block sizes this package
+produces (tens of rows).
+
+The constraint matrices are built once per solve as float stacks: blocks of
+equal size share one (m, k, s, s) array, and their iterates one (k, s, s)
+array.  The Schur complement M = sum_b A_b vec(W_b A_b W_b)^T (Todd, Toh and
+Tutuncu 1998), the residuals A(X) and C - Z - A^T y and the Newton right-hand
+sides are batched matrix products over these stacks, so an iteration costs a
+fixed number of numpy calls per distinct block size, whatever m is.  The
+rank-face polish evaluates its residual and Gauss-Newton Jacobian from the
+same stacks.
 
 Infeasibility and unboundedness are reported heuristically, never certified.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,16 +154,56 @@ def _eliminate_free(sdp: BlockSDP) -> _Eliminated:
     return _Eliminated(entry_keys, cone_rows, cone_rhs, c, const, subs)
 
 
-def _chol(a: np.ndarray) -> np.ndarray:
-    return np.linalg.cholesky(a)
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return a.swapaxes(-1, -2)
 
 
-def _max_step(l_factor: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with X + alpha*Delta staying PSD, X = L L^T."""
-    li = np.linalg.inv(l_factor)
-    m = li @ delta @ li.T
-    m = (m + m.T) / 2
-    lam = np.linalg.eigvalsh(m)[0]
+def _sym(a: np.ndarray) -> np.ndarray:
+    return (a + _t(a)) / 2
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """Stack of diagonal matrices from a stack of vectors."""
+    return v[..., :, None] * np.eye(v.shape[-1])
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """(m, ...) stack as an (m, p) matrix, also when m or p is 0."""
+    return a.reshape(a.shape[0], math.prod(a.shape[1:]))
+
+
+def constraint_values(amats: list[np.ndarray], xs: list[np.ndarray],
+                      m: int) -> np.ndarray:
+    """A(X): the vector of sum_b <A_b[j], X_b> over constraints j.
+
+    Each entry of ``amats`` stacks the constraint matrices of one block, or
+    of a stack of blocks, along a leading axis of length m; the matching
+    entry of ``xs`` has the trailing shape.
+    """
+    out = np.zeros(m)
+    for a, x in zip(amats, xs):
+        out += _flat(a) @ x.reshape(-1)
+    return out
+
+
+def adjoint(amats: list[np.ndarray], y: np.ndarray) -> list[np.ndarray]:
+    """A^T y: the block matrices sum_j y_j A_b[j]."""
+    return [(y @ _flat(a)).reshape(a.shape[1:]) for a in amats]
+
+
+def schur_complement(amats: list[np.ndarray], ws: list[np.ndarray],
+                     m: int) -> np.ndarray:
+    """M[j, k] = sum_b <A_b[j], W_b A_b[k] W_b>, one batched product per stack."""
+    schur = np.zeros((m, m))
+    for a, w in zip(amats, ws):
+        schur += _flat(a) @ _flat(w @ a @ w).T
+    return (schur + schur.T) / 2
+
+
+def _max_step(li: np.ndarray, delta: np.ndarray) -> float:
+    """Largest alpha <= 1 with X + alpha*Delta PSD, X = L L^T and li = L^-1."""
+    lam = float(np.linalg.eigvalsh(_sym(li @ delta @ _t(li))).min())
     if lam >= -1e-14:
         return 1.0
     return min(1.0, -1.0 / lam)
@@ -163,73 +213,79 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER, verbose: bool = False) -> SDPSolution:
     """Minimize the cost over the PSD blocks subject to the exact equations."""
     elim = _eliminate_free(sdp)
+    names = [b.name for b in sdp.blocks]
     if elim.status == "infeasible":
         return SDPSolution("infeasible-suspect", float("nan"), float("nan"),
-                           float("nan"), [], [b.name for b in sdp.blocks], {},
+                           float("nan"), [], names, {},
                            np.zeros(0), 0, float("inf"), float("inf"))
     if elim.status == "unbounded":
         return SDPSolution("unbounded", float("-inf"), float("-inf"), float("nan"),
-                           [], [b.name for b in sdp.blocks], {}, np.zeros(0), 0,
+                           [], names, {}, np.zeros(0), 0,
                            float("inf"), float("inf"))
     sizes = [b.size for b in sdp.blocks]
-    nb = len(sizes)
     m = len(elim.a_rows)
-    # dense per-block constraint matrices
     entry_of = elim.entry_keys
-
-    def as_blocks(coeffs: dict[int, Scalar]) -> list[np.ndarray]:
-        mats = [np.zeros((s, s)) for s in sizes]
-        for idx, v in coeffs.items():
-            _, bi, r, c = entry_of[idx]
-            x = float(v)
-            if r == c:
-                mats[bi][r, r] += x
-            else:
-                mats[bi][r, c] += x / 2
-                mats[bi][c, r] += x / 2
-        return mats
-
-    amats = [as_blocks(row) for row in elim.a_rows]
-    cmats = as_blocks(elim.c)
+    # blocks of equal size share one (k, s, s) stack, so every step below is
+    # one batched call per distinct size; size-0 blocks carry no variables
+    members: dict[int, list[int]] = {}
+    for bi, size in enumerate(sizes):
+        if size:
+            members.setdefault(size, []).append(bi)
+    dims, groups = list(members), list(members.values())
+    per_block = sdp.functional_matrices(
+        [{entry_of[idx]: v for idx, v in row.items()} for row in elim.a_rows])
+    cost_blocks = sdp.functional_matrices(
+        [{entry_of[idx]: v for idx, v in elim.c.items()}])
+    amats = [np.stack([per_block[b] for b in g], axis=1) for g in groups]
+    cmats = [np.stack([cost_blocks[b][0] for b in g]) for g in groups]
     bvec = np.array([float(v) for v in elim.b])
     const = float(elim.const)
 
+    def unstack(stacks):
+        out = [np.zeros((size, size)) for size in sizes]
+        for g, st in zip(groups, stacks):
+            for pos, b in enumerate(g):
+                out[b] = st[pos]
+        return out
+
+    def inner(us, vs):
+        return sum(float(np.vdot(u, v)) for u, v in zip(us, vs))
+
+    def dual_residual(zs, y):
+        return [c - z - aty for c, z, aty in zip(cmats, zs, adjoint(amats, y))]
+
     def finish(status, xs, zs, y, it):
-        pobj = sum(float(np.tensordot(cmats[i], xs[i])) for i in range(nb)) + const
+        pobj = inner(cmats, xs) + const
         dobj = float(bvec @ y) + const if m else const
         gap = abs(pobj - dobj) / (1 + abs(pobj))
+        blocks = unstack(xs)
         frees = {}
         for name, (rhs, coeffs) in elim.subs.items():
             val = float(rhs)
             for idx, v in coeffs.items():
                 _, bi, r, c = entry_of[idx]
-                val += float(v) * xs[bi][r, c]
+                val += float(v) * blocks[bi][r, c]
             frees[name] = val
-        rp = np.linalg.norm(bvec - np.array(
-            [sum(float(np.tensordot(amats[j][i], xs[i])) for i in range(nb))
-             for j in range(m)])) if m else 0.0
-        rd = 0.0
-        for i in range(nb):
-            resid = cmats[i] - zs[i] - sum(y[j] * amats[j][i] for j in range(m))
-            rd = max(rd, float(np.max(np.abs(resid))) if resid.size else 0.0)
-        return SDPSolution(status, pobj, dobj, gap, xs, [b.name for b in sdp.blocks],
+        rp = float(np.linalg.norm(bvec - constraint_values(amats, xs, m)))
+        rd = max((float(np.max(np.abs(r))) for r in dual_residual(zs, y)),
+                 default=0.0)
+        return SDPSolution(status, pobj, dobj, gap, blocks, names,
                            frees, y, it, rp, rd)
 
     if m == 0:
         # unconstrained: the optimum sits at the cone vertex when C is PSD
-        xs = [np.zeros((s, s)) for s in sizes]
+        xs = [np.zeros_like(c) for c in cmats]
         zs = [c.copy() for c in cmats]
-        if all(np.linalg.eigvalsh((c + c.T) / 2)[0] >= -1e-12 if c.size else True
-               for c in cmats):
+        if all(np.linalg.eigvalsh(_sym(c)).min() >= -1e-12 for c in cmats):
             return finish("optimal", xs, zs, np.zeros(0), 0)
         return SDPSolution("unbounded", float("-inf"), float("-inf"), float("nan"),
-                           xs, [b.name for b in sdp.blocks], {}, np.zeros(0), 0,
-                           0.0, 0.0)
+                           unstack(xs), names, {}, np.zeros(0), 0, 0.0, 0.0)
 
     scale = max(1.0, float(np.max(np.abs(bvec))),
-                max((float(np.max(np.abs(c))) if c.size else 0.0) for c in cmats))
-    xs = [np.eye(s) * scale for s in sizes]
-    zs = [np.eye(s) * scale for s in sizes]
+                max((float(np.max(np.abs(c))) for c in cmats), default=0.0))
+    xs = [np.tile(np.eye(size) * scale, (len(g), 1, 1))
+          for size, g in zip(dims, groups)]
+    zs = [x.copy() for x in xs]
     y = np.zeros(m)
     total_dim = sum(sizes)
     best = None          # (score, xs, zs, y, it)
@@ -237,19 +293,17 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
     stall_window = max(25, max_iter // 8)
 
     for it in range(1, max_iter + 1):
-        rp = bvec - np.array([sum(float(np.tensordot(amats[j][i], xs[i]))
-                                  for i in range(nb)) for j in range(m)])
-        rds = [cmats[i] - zs[i] - sum(y[j] * amats[j][i] for j in range(m))
-               for i in range(nb)]
-        gap = sum(float(np.tensordot(xs[i], zs[i])) for i in range(nb))
+        rp = bvec - constraint_values(amats, xs, m)
+        rds = dual_residual(zs, y)
+        gap = inner(xs, zs)
         mu = gap / total_dim
-        pobj = sum(float(np.tensordot(cmats[i], xs[i])) for i in range(nb)) + const
+        pobj = inner(cmats, xs) + const
         dobj = float(bvec @ y) + const
         # complementarity-based gap: |pobj - dobj| can floor at ||y||*||rp||
         # on problems without a strictly feasible primal point
         relgap = gap / (1 + abs(pobj) + abs(dobj))
         nrp = np.linalg.norm(rp) / (1 + np.linalg.norm(bvec))
-        nrd = max((np.max(np.abs(r)) if r.size else 0) for r in rds) / (1 + scale)
+        nrd = max((np.max(np.abs(r)) for r in rds), default=0) / (1 + scale)
         if verbose:
             print(f"  it {it:3d} mu {mu:.3e} relgap {relgap:.3e} "
                   f"rp {nrp:.2e} rd {nrd:.2e}")
@@ -271,35 +325,31 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
             return finish("infeasible-suspect", xs, zs, y, it)
 
         try:
-            lx = [_chol(x) for x in xs]
-            lz = [_chol(z) for z in zs]
+            lx = [np.linalg.cholesky(x) for x in xs]
+            lz = [np.linalg.cholesky(z) for z in zs]
         except np.linalg.LinAlgError:
             raise SolverBreakdown("iterate left the cone",
                                   {"iteration": it, "mu": mu})
+        lxi = [np.linalg.inv(x_l) for x_l in lx]
+        lzi = [np.linalg.inv(z_l) for z_l in lz]
+        # Nesterov-Todd scaling W = R R^T with R^T Z R = R^-1 X R^-T = diag(d)
         rs, rinvs, dvecs, ws = [], [], [], []
-        for i in range(nb):
-            u, sv, vt = np.linalg.svd(lz[i].T @ lx[i])
+        for x_l, z_l in zip(lx, lz):
+            u, sv, vt = np.linalg.svd(_t(z_l) @ x_l)
             sv = np.maximum(sv, 1e-300)
-            r = lx[i] @ vt.T @ np.diag(sv ** -0.5)
-            rinv = np.diag(sv ** -0.5) @ u.T @ lz[i].T
+            isq = sv ** -0.5
+            r = x_l @ _t(vt) * isq[..., None, :]
             rs.append(r)
-            rinvs.append(rinv)
+            rinvs.append(isq[..., :, None] * (_t(u) @ _t(z_l)))
             dvecs.append(sv)
-            ws.append(r @ r.T)
+            ws.append(r @ _t(r))
 
         def hadamard(i, mscaled):
             d = dvecs[i]
-            denom = (d[:, None] + d[None, :]) / 2
+            denom = (d[..., :, None] + d[..., None, :]) / 2
             return mscaled / denom
 
-        # Schur complement M[j,k] = sum_i <A_j, W A_k W>
-        waw = [[ws[i] @ amats[k][i] @ ws[i] for i in range(nb)] for k in range(m)]
-        schur = np.empty((m, m))
-        for j in range(m):
-            for k in range(j, m):
-                v = sum(float(np.tensordot(amats[j][i], waw[k][i]))
-                        for i in range(nb))
-                schur[j, k] = schur[k, j] = v
+        schur = schur_complement(amats, ws, m)
         try:
             schur_l = np.linalg.cholesky(schur + np.eye(m) * 1e-14 *
                                          max(1.0, np.trace(schur) / m))
@@ -316,51 +366,44 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
 
         def newton(rc_scaled, rp_vec, rd_mats):
             # rhs for M dy = rp - A(R H(Rc) R^T) + A(W Rd W)
-            rhs = rp_vec.copy()
-            rhrt = []
-            for i in range(nb):
-                hm = hadamard(i, rc_scaled[i])
-                rhrt.append(rs[i] @ hm @ rs[i].T)
-            for j in range(m):
-                acc = 0.0
-                for i in range(nb):
-                    acc += float(np.tensordot(amats[j][i],
-                                              rhrt[i] - ws[i] @ rd_mats[i] @ ws[i]))
-                rhs[j] -= acc
+            rhrt = [r @ hadamard(i, rc) @ _t(r)
+                    for i, (r, rc) in enumerate(zip(rs, rc_scaled))]
+            rhs = rp_vec - constraint_values(
+                amats, [h - w @ rd @ w for h, w, rd in zip(rhrt, ws, rd_mats)], m)
             dy = schur_solve(rhs)
-            dz = [rd_mats[i] - sum(dy[j] * amats[j][i] for j in range(m))
-                  for i in range(nb)]
-            dx = [rhrt[i] - ws[i] @ dz[i] @ ws[i] for i in range(nb)]
-            dx = [(d + d.T) / 2 for d in dx]
-            dz = [(d + d.T) / 2 for d in dz]
-            return dx, dy, dz
+            dz = [rd - aty for rd, aty in zip(rd_mats, adjoint(amats, dy))]
+            dx = [h - w @ d @ w for h, w, d in zip(rhrt, ws, dz)]
+            return [_sym(d) for d in dx], dy, [_sym(d) for d in dz]
+
+        def max_step(inverses, deltas):
+            return min((_max_step(li, d) for li, d in zip(inverses, deltas)),
+                       default=1.0)
 
         # predictor
-        rc_aff = [-np.diag(dvecs[i] ** 2) for i in range(nb)]
+        rc_aff = [-_diag(d ** 2) for d in dvecs]
         dxa, dya, dza = newton(rc_aff, rp, rds)
-        ap = min(_max_step(lx[i], dxa[i]) for i in range(nb)) if nb else 1.0
-        ad = min(_max_step(lz[i], dza[i]) for i in range(nb)) if nb else 1.0
-        gap_aff = sum(float(np.tensordot(xs[i] + 0.98 * ap * dxa[i],
-                                         zs[i] + 0.98 * ad * dza[i]))
-                      for i in range(nb))
+        ap = max_step(lxi, dxa)
+        ad = max_step(lzi, dza)
+        gap_aff = inner([x + 0.98 * ap * d for x, d in zip(xs, dxa)],
+                        [z + 0.98 * ad * d for z, d in zip(zs, dza)])
         sigma = min(1.0, max(0.0, (gap_aff / gap))) ** 3 if gap > 0 else 0.1
         # corrector
         rc = []
-        for i in range(nb):
-            dxs = rinvs[i] @ dxa[i] @ rinvs[i].T
-            dzs = rs[i].T @ dza[i] @ rs[i]
+        for i, size in enumerate(dims):
+            dxs = rinvs[i] @ dxa[i] @ _t(rinvs[i])
+            dzs = _t(rs[i]) @ dza[i] @ rs[i]
             cross = (dxs @ dzs + dzs @ dxs) / 2
-            rc.append(sigma * mu * np.eye(sizes[i]) - np.diag(dvecs[i] ** 2) - cross)
+            rc.append(sigma * mu * np.eye(size) - _diag(dvecs[i] ** 2) - cross)
         dx, dy, dz = newton(rc, rp, rds)
         gamma = 0.99
-        ap = gamma * min(_max_step(lx[i], dx[i]) for i in range(nb))
-        ad = gamma * min(_max_step(lz[i], dz[i]) for i in range(nb))
+        ap = gamma * max_step(lxi, dx)
+        ad = gamma * max_step(lzi, dz)
 
         def backtrack(mats, deltas, alpha):
             for _ in range(50):
                 if alpha < 1e-12:
                     return None, 0.0
-                trial = [mats[i] + alpha * deltas[i] for i in range(nb)]
+                trial = [a + alpha * d for a, d in zip(mats, deltas)]
                 try:
                     for t in trial:
                         np.linalg.cholesky(t)
@@ -382,6 +425,24 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
     if best is not None and best[0] <= tol:
         return finish("optimal", best[1], best[2], best[3], max_iter)
     return finish("max-iterations", xs, zs, y, max_iter)
+
+
+def face_residual_and_jacobian(amats: list[np.ndarray], fmat: np.ndarray,
+                               rhs: np.ndarray, frees: np.ndarray,
+                               ls: list[np.ndarray]
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """Residual A(L L^T) + F u - b on a rank face and its Jacobian in (u, L).
+
+    Columns are the free variables u first, then each block factor L_b
+    flattened row-major; d<A_j, L L^T>/dL = 2 A_j L for symmetric A_j.
+    """
+    res = fmat @ frees - rhs
+    cols = [fmat]
+    for a, l in zip(amats, ls):
+        al = _flat(a @ l)
+        res += al @ l.reshape(-1)
+        cols.append(2 * al)
+    return res, np.hstack(cols)
 
 
 def polish_solution(sdp: BlockSDP, sol: SDPSolution, rank_tol: float = 1e-4,
@@ -423,35 +484,17 @@ def polish_solution(sdp: BlockSDP, sol: SDPSolution, rank_tol: float = 1e-4,
 
     cons = sdp.constraints
     m = len(cons)
+    amats = sdp.functional_matrices([con.coeffs for con in cons])
+    fmat = np.array([sdp.free_coeff_vector(con.coeffs) for con in cons]
+                    ).reshape(m, nf)
+    rhs = np.array([float(con.rhs) for con in cons])
 
     def unpack(u):
         return [u[offsets[bi]:offsets[bi] + sizes[bi] * ranks[bi]]
                 .reshape(sizes[bi], ranks[bi]) for bi in range(len(sizes))]
 
     def residual_and_jac(u):
-        ls = unpack(u)
-        xs = [l @ l.T for l in ls]
-        res = np.zeros(m)
-        jac = np.zeros((m, nu))
-        for j, con in enumerate(cons):
-            acc = -float(con.rhs)
-            for key, v in con.coeffs.items():
-                coef = float(v)
-                if key[0] == "free":
-                    fi = sdp.free_vars.index(key[1])
-                    acc += coef * u[fi]
-                    jac[j, fi] += coef
-                else:
-                    _, bi, r, c = key
-                    acc += coef * xs[bi][r, c]
-                    # d(L L^T)[r,c] = sum_k (dL[r,k] L[c,k] + L[r,k] dL[c,k])
-                    o = offsets[bi]
-                    rk = ranks[bi]
-                    for k in range(rk):
-                        jac[j, o + r * rk + k] += coef * ls[bi][c, k]
-                        jac[j, o + c * rk + k] += coef * ls[bi][r, k]
-            res[j] = acc
-        return res, jac
+        return face_residual_and_jacobian(amats, fmat, rhs, u[:nf], unpack(u))
 
     u = u0
     for _ in range(iterations):
@@ -472,13 +515,9 @@ def polish_solution(sdp: BlockSDP, sol: SDPSolution, rank_tol: float = 1e-4,
     ls = unpack(u)
     mats = [l @ l.T for l in ls]
     frees = {name: float(u[fi]) for fi, name in enumerate(sdp.free_vars)}
-    keysum = 0.0
-    for k, v in sdp.cost.items():
-        if k[0] == "free":
-            keysum += float(v) * frees[k[1]]
-        else:
-            _, bi, r, c = k
-            keysum += float(v) * mats[bi][r, c]
+    cmats = [c[0] for c in sdp.functional_matrices([sdp.cost])]
+    keysum = float(sdp.free_coeff_vector(sdp.cost) @ u[:nf]) + \
+        sum(float(np.tensordot(c, x)) for c, x in zip(cmats, mats))
     return SDPSolution(sol.status, keysum, sol.dual_objective, sol.gap, mats,
                        sol.block_names, frees, sol.y, sol.iterations,
                        float(np.linalg.norm(residual_and_jac(u)[0])),

@@ -31,6 +31,24 @@ class TestBound:
         assert rc == 0
         assert "lambda (float) 1" in capsys.readouterr().out
 
+    def test_status_line(self, d4_poly_file, capsys):
+        rc = main(["bound", "--group", "trivial:1", "--poly", "x^2 + 1",
+                   "--vars", "x"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        heads = [ln[:15] for ln in lines]
+        at = heads.index("status         ")
+        assert heads[at - 1] == "block sizes    "
+        assert heads[at + 1] == "lambda (float) "
+        assert lines[at].split()[1] == "optimal"
+        # the Robinson headline is a degenerate optimum, so its status is the
+        # solver's own verdict, whichever of the known ones it is
+        rc = main(["bound", "--group", "dihedral:4", "--poly", d4_poly_file])
+        status = [ln.split()[1] for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("status ")]
+        assert rc == 0
+        assert status and status[0] in ("optimal", "max-iterations")
+
     def test_no_certificate_exit_code(self, capsys):
         # the float stage can report a spurious finite bound on this famously
         # SOS-infeasible instance; exact rounding refuses, and that is the

@@ -119,6 +119,23 @@ class TestVerifyRepresentation:
         assert not report.ok
         assert any("homomorphism" in v for v in report.violations)
 
+    def test_corrupted_non_generator_detected(self):
+        # an orthogonal but wrong image of the last element of the closure,
+        # the farthest from the identity in generator steps
+        cat = catalog("symmetric:5")
+        irrep = max(cat.irreps, key=lambda r: r.dim)
+        target = cat.action.order - 1
+        assert target not in cat.action.generators
+
+        def corrupted(i):
+            m = irrep.matrix(i)
+            return [[-x for x in row] for row in m] if i == target else m
+
+        assert verify_representation(irrep, cat.action).ok
+        report = verify_representation(corrupted, cat.action)
+        assert not report.ok
+        assert all("homomorphism" in v for v in report.violations)
+
 
 class TestRealify:
     def test_c4_pair_gives_quarter_turn(self):

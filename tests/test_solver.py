@@ -5,7 +5,8 @@ import pytest
 
 from symsos.poly import parse_polynomial
 from symsos.sdp import BlockSDP, BlockSpec, LinearConstraint, assemble_gram
-from symsos.solver import polish_solution, solve
+from symsos.solver import (adjoint, constraint_values, face_residual_and_jacobian,
+                           polish_solution, schur_complement, solve)
 
 
 def mat_coeffs(bi, mat, n):
@@ -102,3 +103,99 @@ class TestPolish:
         sol = solve(sdp)
         polished = polish_solution(sdp, sol)
         assert abs(polished.free_values["lambda"] - sol.free_values["lambda"]) < 1e-5
+
+
+def _random_stack(rng, sizes, m):
+    """Symmetric per-block stacks (m, s, s) plus PSD scalings and iterates."""
+    amats, ws, xs = [], [], []
+    for s in sizes:
+        a = rng.normal(size=(m, s, s))
+        amats.append((a + a.transpose(0, 2, 1)) / 2)
+        g = rng.normal(size=(s, s))
+        ws.append(g @ g.T + np.eye(s))
+        x = rng.normal(size=(s, s))
+        xs.append((x + x.T) / 2)
+    return amats, ws, xs
+
+
+def _close(got, want):
+    scale = max(1.0, float(np.max(np.abs(want)))) if np.size(want) else 1.0
+    return np.size(got) == np.size(want) and \
+        float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+
+
+class TestBatchedKernels:
+    # several blocks with a 1x1 and a size-0 block, plus the m = 0 program
+    @pytest.mark.parametrize("sizes,m", [([4, 1, 0, 3], 5), ([1, 0], 3),
+                                         ([4, 1, 0, 3], 0), ([2], 1)])
+    def test_match_per_pair_definition(self, sizes, m):
+        rng = np.random.default_rng(11 + m)
+        amats, ws, xs = _random_stack(rng, sizes, m)
+        y = rng.normal(size=m)
+        nb = len(sizes)
+        schur = np.array([[sum(float(np.tensordot(amats[i][j],
+                                                  ws[i] @ amats[i][k] @ ws[i]))
+                               for i in range(nb)) for k in range(m)]
+                          for j in range(m)]).reshape(m, m)
+        values = np.array([sum(float(np.tensordot(amats[i][j], xs[i]))
+                               for i in range(nb)) for j in range(m)])
+        adj = [sum((y[j] * amats[i][j] for j in range(m)),
+                   np.zeros((s, s))) for i, s in enumerate(sizes)]
+        got = schur_complement(amats, ws, m)
+        assert got.shape == (m, m) and _close(got, schur)
+        assert _close(constraint_values(amats, xs, m), values)
+        for got, want in zip(adjoint(amats, y), adj):
+            assert got.shape == want.shape and _close(got, want)
+
+    def test_equal_size_stack_matches_separate_blocks(self):
+        # the solver stacks equal-size blocks as (m, k, s, s) and (k, s, s)
+        rng = np.random.default_rng(3)
+        m = 4
+        amats, ws, xs = _random_stack(rng, [3, 3, 3], m)
+        y = rng.normal(size=m)
+        stacked = [np.stack(amats, axis=1)]
+        assert _close(schur_complement(stacked, [np.stack(ws)], m),
+                      schur_complement(amats, ws, m))
+        assert _close(constraint_values(stacked, [np.stack(xs)], m),
+                      constraint_values(amats, xs, m))
+        assert _close(adjoint(stacked, y)[0], np.stack(adjoint(amats, y)))
+
+    def test_face_jacobian_matches_central_difference(self):
+        rng = np.random.default_rng(5)
+        sizes, rank, m, nf = [4, 1, 3], 2, 6, 2
+        amats, _, _ = _random_stack(rng, sizes, m)
+        fmat = rng.normal(size=(m, nf))
+        rhs = rng.normal(size=m)
+        shapes = [(s, min(rank, s)) for s in sizes]
+        u = rng.normal(size=nf + sum(s * r for s, r in shapes))
+
+        def unpack(v):
+            ls, o = [], nf
+            for s, r in shapes:
+                ls.append(v[o:o + s * r].reshape(s, r))
+                o += s * r
+            return ls
+
+        def evaluate(v):
+            return face_residual_and_jacobian(amats, fmat, rhs, v[:nf], unpack(v))
+
+        res, jac = evaluate(u)
+        ls = unpack(u)
+        direct = fmat @ u[:nf] - rhs + sum(
+            np.array([np.tensordot(a[j], l @ l.T) for j in range(m)])
+            for a, l in zip(amats, ls))
+        assert _close(res, direct)
+        h = 1e-6
+        fd = np.column_stack([(evaluate(u + h * e)[0] - evaluate(u - h * e)[0])
+                              / (2 * h) for e in np.eye(len(u))])
+        assert jac.shape == (m, len(u))
+        assert np.max(np.abs(jac - fd)) <= 1e-7 * max(1.0, np.max(np.abs(jac)))
+
+    def test_solve_with_size_zero_block(self):
+        sdp = BlockSDP([BlockSpec("e", 0, 1), BlockSpec("b", 1, 1)], [],
+                       {("blk", 1, 0, 0): Fraction(1)},
+                       [LinearConstraint({("blk", 1, 0, 0): Fraction(1)},
+                                         Fraction(3))])
+        sol = solve(sdp)
+        assert sol.ok and abs(sol.objective - 3) < 1e-7
+        assert sol.blocks[0].shape == (0, 0)
