@@ -6,14 +6,14 @@ cone iteration is a standard Nesterov-Todd scaled path-following method with
 a Mehrotra predictor-corrector step, robust at the block sizes this package
 produces (tens of rows).
 
-The constraint matrices are built once per solve as float stacks: blocks of
-equal size share one (m, k, s, s) array, and their iterates one (k, s, s)
-array.  The Schur complement M = sum_b A_b vec(W_b A_b W_b)^T (Todd, Toh and
-Tutuncu 1998), the residuals A(X) and C - Z - A^T y and the Newton right-hand
-sides are batched matrix products over these stacks, so an iteration costs a
-fixed number of numpy calls per distinct block size, whatever m is.  The
-rank-face polish evaluates its residual and Gauss-Newton Jacobian from the
-same stacks.
+The constraint matrices are built once per solve as one float stack of shape
+(m, s, s) per block.  The Schur complement M = sum_b A_b vec(W_b A_b W_b)^T
+(Todd, Toh and Tutuncu 1998), the residuals A(X) and C - Z - A^T y and the
+Newton right-hand sides are batched matrix products over these stacks, so an
+iteration costs a fixed number of numpy calls per block, whatever m is: one
+SVD for the scaling, one eigvalsh per step length and the Cholesky factors
+of the accepted iterates, which the next iteration reuses.  The rank-face
+polish evaluates its residual and Gauss-Newton Jacobian from the same stacks.
 
 Infeasibility and unboundedness are reported heuristically, never certified.
 """
@@ -154,22 +154,12 @@ def _eliminate_free(sdp: BlockSDP) -> _Eliminated:
     return _Eliminated(entry_keys, cone_rows, cone_rhs, c, const, subs)
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose of every matrix in a stack."""
-    return a.swapaxes(-1, -2)
-
-
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + _t(a)) / 2
-
-
-def _diag(v: np.ndarray) -> np.ndarray:
-    """Stack of diagonal matrices from a stack of vectors."""
-    return v[..., :, None] * np.eye(v.shape[-1])
+    return (a + a.T) / 2
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
-    """(m, ...) stack as an (m, p) matrix, also when m or p is 0."""
+    """(m, s, s) stack as an (m, s*s) matrix, also when m or s is 0."""
     return a.reshape(a.shape[0], math.prod(a.shape[1:]))
 
 
@@ -177,9 +167,8 @@ def constraint_values(amats: list[np.ndarray], xs: list[np.ndarray],
                       m: int) -> np.ndarray:
     """A(X): the vector of sum_b <A_b[j], X_b> over constraints j.
 
-    Each entry of ``amats`` stacks the constraint matrices of one block, or
-    of a stack of blocks, along a leading axis of length m; the matching
-    entry of ``xs`` has the trailing shape.
+    Each entry of ``amats`` stacks the m constraint matrices of one block
+    along a leading axis; the matching entry of ``xs`` is that block's matrix.
     """
     out = np.zeros(m)
     for a, x in zip(amats, xs):
@@ -194,19 +183,16 @@ def adjoint(amats: list[np.ndarray], y: np.ndarray) -> list[np.ndarray]:
 
 def schur_complement(amats: list[np.ndarray], ws: list[np.ndarray],
                      m: int) -> np.ndarray:
-    """M[j, k] = sum_b <A_b[j], W_b A_b[k] W_b>, one batched product per stack."""
+    """M[j, k] = sum_b <A_b[j], W_b A_b[k] W_b>, one batched product per block."""
     schur = np.zeros((m, m))
     for a, w in zip(amats, ws):
         schur += _flat(a) @ _flat(w @ a @ w).T
     return (schur + schur.T) / 2
 
 
-def _max_step(li: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha <= 1 with X + alpha*Delta PSD, X = L L^T and li = L^-1."""
-    lam = float(np.linalg.eigvalsh(_sym(li @ delta @ _t(li))).min())
-    if lam >= -1e-14:
-        return 1.0
-    return min(1.0, -1.0 / lam)
+def _step_to_boundary(lam: float) -> float:
+    """Largest alpha <= 1 with I + alpha*Delta PSD, lam = lambda_min(Delta)."""
+    return 1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam)
 
 
 def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
@@ -225,27 +211,21 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
     sizes = [b.size for b in sdp.blocks]
     m = len(elim.a_rows)
     entry_of = elim.entry_keys
-    # blocks of equal size share one (k, s, s) stack, so every step below is
-    # one batched call per distinct size; size-0 blocks carry no variables
-    members: dict[int, list[int]] = {}
-    for bi, size in enumerate(sizes):
-        if size:
-            members.setdefault(size, []).append(bi)
-    dims, groups = list(members), list(members.values())
+    # size-0 blocks carry no variables and take no part in the iteration
+    live = [bi for bi, size in enumerate(sizes) if size]
     per_block = sdp.functional_matrices(
         [{entry_of[idx]: v for idx, v in row.items()} for row in elim.a_rows])
     cost_blocks = sdp.functional_matrices(
         [{entry_of[idx]: v for idx, v in elim.c.items()}])
-    amats = [np.stack([per_block[b] for b in g], axis=1) for g in groups]
-    cmats = [np.stack([cost_blocks[b][0] for b in g]) for g in groups]
+    amats = [per_block[bi] for bi in live]
+    cmats = [cost_blocks[bi][0] for bi in live]
     bvec = np.array([float(v) for v in elim.b])
     const = float(elim.const)
 
-    def unstack(stacks):
+    def all_blocks(xs):
         out = [np.zeros((size, size)) for size in sizes]
-        for g, st in zip(groups, stacks):
-            for pos, b in enumerate(g):
-                out[b] = st[pos]
+        for bi, x in zip(live, xs):
+            out[bi] = x
         return out
 
     def inner(us, vs):
@@ -258,7 +238,7 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
         pobj = inner(cmats, xs) + const
         dobj = float(bvec @ y) + const if m else const
         gap = abs(pobj - dobj) / (1 + abs(pobj))
-        blocks = unstack(xs)
+        blocks = all_blocks(xs)
         frees = {}
         for name, (rhs, coeffs) in elim.subs.items():
             val = float(rhs)
@@ -279,13 +259,16 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
         if all(np.linalg.eigvalsh(_sym(c)).min() >= -1e-12 for c in cmats):
             return finish("optimal", xs, zs, np.zeros(0), 0)
         return SDPSolution("unbounded", float("-inf"), float("-inf"), float("nan"),
-                           unstack(xs), names, {}, np.zeros(0), 0, 0.0, 0.0)
+                           all_blocks(xs), names, {}, np.zeros(0), 0, 0.0, 0.0)
 
     scale = max(1.0, float(np.max(np.abs(bvec))),
                 max((float(np.max(np.abs(c))) for c in cmats), default=0.0))
-    xs = [np.tile(np.eye(size) * scale, (len(g), 1, 1))
-          for size, g in zip(dims, groups)]
+    xs = [np.eye(sizes[bi]) * scale for bi in live]
     zs = [x.copy() for x in xs]
+    # Cholesky factors of the iterates, X = Lx Lx^T and Z = Lz Lz^T; after
+    # the first iteration they come from the line search that accepted them
+    lx = [np.eye(sizes[bi]) * math.sqrt(scale) for bi in live]
+    lz = [fac.copy() for fac in lx]
     y = np.zeros(m)
     total_dim = sum(sizes)
     best = None          # (score, xs, zs, y, it)
@@ -324,30 +307,18 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
         if abs(dobj) > 1e9 * scale or np.linalg.norm(y) > 1e11:
             return finish("infeasible-suspect", xs, zs, y, it)
 
-        try:
-            lx = [np.linalg.cholesky(x) for x in xs]
-            lz = [np.linalg.cholesky(z) for z in zs]
-        except np.linalg.LinAlgError:
-            raise SolverBreakdown("iterate left the cone",
-                                  {"iteration": it, "mu": mu})
-        lxi = [np.linalg.inv(x_l) for x_l in lx]
-        lzi = [np.linalg.inv(z_l) for z_l in lz]
         # Nesterov-Todd scaling W = R R^T with R^T Z R = R^-1 X R^-T = diag(d)
-        rs, rinvs, dvecs, ws = [], [], [], []
+        rs, rinvs, dvecs, ws, dscales = [], [], [], [], []
         for x_l, z_l in zip(lx, lz):
-            u, sv, vt = np.linalg.svd(_t(z_l) @ x_l)
+            u, sv, vt = np.linalg.svd(z_l.T @ x_l)
             sv = np.maximum(sv, 1e-300)
             isq = sv ** -0.5
-            r = x_l @ _t(vt) * isq[..., None, :]
+            r = x_l @ vt.T * isq
             rs.append(r)
-            rinvs.append(isq[..., :, None] * (_t(u) @ _t(z_l)))
+            rinvs.append(isq[:, None] * (u.T @ z_l.T))
             dvecs.append(sv)
-            ws.append(r @ _t(r))
-
-        def hadamard(i, mscaled):
-            d = dvecs[i]
-            denom = (d[..., :, None] + d[..., None, :]) / 2
-            return mscaled / denom
+            ws.append(r @ r.T)
+            dscales.append(np.outer(isq, isq))
 
         schur = schur_complement(amats, ws, m)
         try:
@@ -357,70 +328,79 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
             raise SolverBreakdown("Schur complement not positive definite",
                                   {"iteration": it, "mu": mu})
 
+        # M^-1 = Li^T Li with Li = L^-1, one inverse for all six solves below
+        schur_li = np.linalg.inv(schur_l)
+
         def schur_solve(rhs):
-            dy = np.linalg.solve(schur_l.T, np.linalg.solve(schur_l, rhs))
+            dy = schur_li.T @ (schur_li @ rhs)
             for _ in range(2):  # iterative refinement against conditioning
-                resid = rhs - schur @ dy
-                dy = dy + np.linalg.solve(schur_l.T, np.linalg.solve(schur_l, resid))
+                dy = dy + schur_li.T @ (schur_li @ (rhs - schur @ dy))
             return dy
 
-        def newton(rc_scaled, rp_vec, rd_mats):
-            # rhs for M dy = rp - A(R H(Rc) R^T) + A(W Rd W)
-            rhrt = [r @ hadamard(i, rc) @ _t(r)
-                    for i, (r, rc) in enumerate(zip(rs, rc_scaled))]
-            rhs = rp_vec - constraint_values(
-                amats, [h - w @ rd @ w for h, w, rd in zip(rhrt, ws, rd_mats)], m)
-            dy = schur_solve(rhs)
-            dz = [rd - aty for rd, aty in zip(rd_mats, adjoint(amats, dy))]
-            dx = [h - w @ d @ w for h, w, d in zip(rhrt, ws, dz)]
-            return [_sym(d) for d in dx], dy, [_sym(d) for d in dz]
+        # predictor and corrector share rp + A(W Rd W) in their right-hand side
+        rhs_base = rp + constraint_values(
+            amats, [w @ rd @ w for w, rd in zip(ws, rds)], m)
 
-        def max_step(inverses, deltas):
-            return min((_max_step(li, d) for li, d in zip(inverses, deltas)),
-                       default=1.0)
+        def newton(rc_scaled):
+            # M dy = rp - A(R H(Rc) R^T) + A(W Rd W), where H divides entrywise
+            # by (d_i + d_j) / 2; dz is exactly symmetric, as Rd and A^T dy are
+            rhrt = [r @ (rc / ((d[:, None] + d) / 2)) @ r.T
+                    for r, d, rc in zip(rs, dvecs, rc_scaled)]
+            dy = schur_solve(rhs_base - constraint_values(amats, rhrt, m))
+            dz = [rd - aty for rd, aty in zip(rds, adjoint(amats, dy))]
+            dx = [_sym(h - w @ d @ w) for h, w, d in zip(rhrt, ws, dz)]
+            return dx, dy, dz
+
+        def scaled(dx, dz):
+            # the steps in the scaled frame, where X and Z both become diag(d)
+            return ([ri @ d @ ri.T for ri, d in zip(rinvs, dx)],
+                    [r.T @ d @ r for r, d in zip(rs, dz)])
+
+        def max_steps(dxs, dzs):
+            # X + a dX is PSD iff I + a D^-1/2 (R^-1 dX R^-T) D^-1/2 is, and
+            # likewise for Z with R^T dZ R: one eigvalsh call per block
+            lam_x = lam_z = 0.0
+            for dscale, ax, az in zip(dscales, dxs, dzs):
+                lam = np.linalg.eigvalsh(np.stack([ax, az]) * dscale)
+                lam_x, lam_z = min(lam_x, lam[0, 0]), min(lam_z, lam[1, 0])
+            return _step_to_boundary(lam_x), _step_to_boundary(lam_z)
 
         # predictor
-        rc_aff = [-_diag(d ** 2) for d in dvecs]
-        dxa, dya, dza = newton(rc_aff, rp, rds)
-        ap = max_step(lxi, dxa)
-        ad = max_step(lzi, dza)
+        dxa, _, dza = newton([-np.diag(d ** 2) for d in dvecs])
+        dxs_a, dzs_a = scaled(dxa, dza)
+        ap, ad = max_steps(dxs_a, dzs_a)
         gap_aff = inner([x + 0.98 * ap * d for x, d in zip(xs, dxa)],
                         [z + 0.98 * ad * d for z, d in zip(zs, dza)])
         sigma = min(1.0, max(0.0, (gap_aff / gap))) ** 3 if gap > 0 else 0.1
         # corrector
-        rc = []
-        for i, size in enumerate(dims):
-            dxs = rinvs[i] @ dxa[i] @ _t(rinvs[i])
-            dzs = _t(rs[i]) @ dza[i] @ rs[i]
-            cross = (dxs @ dzs + dzs @ dxs) / 2
-            rc.append(sigma * mu * np.eye(size) - _diag(dvecs[i] ** 2) - cross)
-        dx, dy, dz = newton(rc, rp, rds)
+        rc = [sigma * mu * np.eye(len(d)) - np.diag(d ** 2) - (ax @ az + az @ ax) / 2
+              for d, ax, az in zip(dvecs, dxs_a, dzs_a)]
+        dx, dy, dz = newton(rc)
         gamma = 0.99
-        ap = gamma * max_step(lxi, dx)
-        ad = gamma * max_step(lzi, dz)
+        ap, ad = (gamma * a for a in max_steps(*scaled(dx, dz)))
 
         def backtrack(mats, deltas, alpha):
+            # the eigenvalue bound already keeps the step inside the cone;
+            # the Cholesky factors that confirm it serve the next iteration
             for _ in range(50):
                 if alpha < 1e-12:
-                    return None, 0.0
+                    break
                 trial = [a + alpha * d for a, d in zip(mats, deltas)]
                 try:
-                    for t in trial:
-                        np.linalg.cholesky(t)
-                    return trial, alpha
+                    return trial, [np.linalg.cholesky(t) for t in trial], alpha
                 except np.linalg.LinAlgError:
                     alpha *= 0.8
-            return None, 0.0
+            return None, None, 0.0
 
-        xs_new, ap = backtrack(xs, dx, ap)
-        zs_new, ad = backtrack(zs, dz, ad)
+        xs_new, lx_new, ap = backtrack(xs, dx, ap)
+        zs_new, lz_new, ad = backtrack(zs, dz, ad)
         if xs_new is None or zs_new is None or (ap < 1e-10 and ad < 1e-10):
             # numerically stalled at the cone boundary; fall back to the best
             # iterate, never reporting "optimal" beyond the tolerances
             score, bx, bz, by, _ = best if best else (np.inf, xs, zs, y, it)
             return finish("optimal" if score <= tol else "max-iterations",
                           bx, bz, by, it)
-        xs, zs = xs_new, zs_new
+        xs, zs, lx, lz = xs_new, zs_new, lx_new, lz_new
         y = y + ad * dy
     if best is not None and best[0] <= tol:
         return finish("optimal", best[1], best[2], best[3], max_iter)

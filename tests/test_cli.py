@@ -31,7 +31,7 @@ class TestBound:
         assert rc == 0
         assert "lambda (float) 1" in capsys.readouterr().out
 
-    def test_status_line(self, d4_poly_file, capsys):
+    def test_status_line(self, capsys):
         rc = main(["bound", "--group", "trivial:1", "--poly", "x^2 + 1",
                    "--vars", "x"])
         lines = capsys.readouterr().out.splitlines()
@@ -41,13 +41,6 @@ class TestBound:
         assert heads[at - 1] == "block sizes    "
         assert heads[at + 1] == "lambda (float) "
         assert lines[at].split()[1] == "optimal"
-        # the Robinson headline is a degenerate optimum, so its status is the
-        # solver's own verdict, whichever of the known ones it is
-        rc = main(["bound", "--group", "dihedral:4", "--poly", d4_poly_file])
-        status = [ln.split()[1] for ln in capsys.readouterr().out.splitlines()
-                  if ln.startswith("status ")]
-        assert rc == 0
-        assert status and status[0] in ("optimal", "max-iterations")
 
     def test_no_certificate_exit_code(self, capsys):
         # the float stage can report a spurious finite bound on this famously

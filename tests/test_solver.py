@@ -147,19 +147,6 @@ class TestBatchedKernels:
         for got, want in zip(adjoint(amats, y), adj):
             assert got.shape == want.shape and _close(got, want)
 
-    def test_equal_size_stack_matches_separate_blocks(self):
-        # the solver stacks equal-size blocks as (m, k, s, s) and (k, s, s)
-        rng = np.random.default_rng(3)
-        m = 4
-        amats, ws, xs = _random_stack(rng, [3, 3, 3], m)
-        y = rng.normal(size=m)
-        stacked = [np.stack(amats, axis=1)]
-        assert _close(schur_complement(stacked, [np.stack(ws)], m),
-                      schur_complement(amats, ws, m))
-        assert _close(constraint_values(stacked, [np.stack(xs)], m),
-                      constraint_values(amats, xs, m))
-        assert _close(adjoint(stacked, y)[0], np.stack(adjoint(amats, y)))
-
     def test_face_jacobian_matches_central_difference(self):
         rng = np.random.default_rng(5)
         sizes, rank, m, nf = [4, 1, 3], 2, 6, 2
