@@ -7,6 +7,13 @@ instance-dependent stage rewrites the target polynomial in the invariants,
 bounds the SOS factor supports by weighted degree, assembles coupled Gram
 blocks, solves, and polishes.
 
+The group-dependent stage runs once per process: ``algorithm_one`` keeps the
+bundle of each catalog spec string, and ``symmetric_bundle`` that of each
+(n, max_degree) pair, so every later bound on the same group reuses it.  A
+bundle is shared, and callers treat it as read-only.  An ``IrrepCatalog``
+object passed to ``algorithm_one`` (a user irrep table, say) is built afresh
+on every call.
+
 Numeric optima are turned into exact certificates by rounding the free
 parameters of the exactly-eliminated constraint system (pivot entries are
 recomputed exactly, so the polynomial identity holds by construction) and
@@ -69,10 +76,25 @@ class GeneratorBundle:
         return list(self.pis)
 
 
+_CATALOG_BUNDLES: dict[str, GeneratorBundle] = {}
+_SYMMETRIC_BUNDLES: dict[tuple[int, int], GeneratorBundle] = {}
+
+
 def algorithm_one(catalog: IrrepCatalog | str) -> GeneratorBundle:
-    """Collect invariants, module bases and Pi matrices for a catalog group."""
-    if isinstance(catalog, str):
-        catalog = load_catalog(catalog)
+    """Collect invariants, module bases and Pi matrices for a catalog group.
+
+    A spec string is built once per process and the shared bundle returned
+    afterwards; a catalog object is built on every call.
+    """
+    if not isinstance(catalog, str):
+        return _catalog_bundle(catalog)
+    bundle = _CATALOG_BUNDLES.get(catalog)
+    if bundle is None:
+        bundle = _CATALOG_BUNDLES[catalog] = _catalog_bundle(load_catalog(catalog))
+    return bundle
+
+
+def _catalog_bundle(catalog: IrrepCatalog) -> GeneratorBundle:
     pres = load_presentation_for(catalog.name)
     bases, missing = equivariant_catalog(catalog, pres)
     pis = {label: pi_matrix(basis, pres) for label, basis in bases.items()}
@@ -85,8 +107,15 @@ def symmetric_bundle(n: int, max_degree: int) -> GeneratorBundle:
     Only the trivial and (embedded) standard modules can contribute below
     degree 3, so bounded-degree instances avoid materializing the n! group
     elements; generators above the degree budget are trimmed before the Gram
-    matrices are computed.
+    matrices are computed.  Built once per process for each (n, max_degree).
     """
+    bundle = _SYMMETRIC_BUNDLES.get((n, max_degree))
+    if bundle is None:
+        bundle = _SYMMETRIC_BUNDLES[(n, max_degree)] = _symmetric_bundle(n, max_degree)
+    return bundle
+
+
+def _symmetric_bundle(n: int, max_degree: int) -> GeneratorBundle:
     from .equivariants import _power_sum_centered, _perm_generator_matrices
     pres = symmetric_presentation(n)
     gens = _perm_generator_matrices(n)

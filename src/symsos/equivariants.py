@@ -73,8 +73,9 @@ class PiMatrix:
 
 # discriminant of the monic quintic in elementary symmetric coordinates:
 # the Gram entry of the alternating module generator for five letters.
-# Recomputing it through the graded rewrite takes a minute, so the catalog
-# value is frozen; a slow test re-derives it from scratch.
+# Recomputing it through the graded rewrite takes about 20 s on a 2-core
+# x86-64 machine, so the catalog value is frozen; a slow test re-derives it
+# from scratch.
 _S5_DISCRIMINANT = {
     (0, 0, 0, 0, 4): 3125, (0, 0, 0, 5, 0): 256, (0, 0, 1, 3, 1): -1600,
     (0, 0, 2, 1, 2): 2250, (0, 0, 4, 2, 0): -27, (0, 0, 5, 0, 1): 108,

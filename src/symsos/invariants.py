@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, rank_exact, solve_exact
+from .linalg import Matrix, rref
 from .poly import Polynomial, parse_polynomial, render_polynomial, substitute_linear
 from .scalars import Scalar
 
@@ -208,6 +208,7 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
     etadegs = pres.eta_degrees
     parts: dict[int, dict] = {}
     cache: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
+    zero = Fraction(0)
 
     def candidate(j: int, alpha: tuple[int, ...]) -> Polynomial:
         key = (j, alpha)
@@ -238,16 +239,21 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
             # representative per orbit decides the whole identity
             rep = pres.orbit_representative
             monos = [m for m in monos if rep(m) == m]
-        a_rows = [[q.coefficient(m) for q in expanded] for m in monos]
-        b = [comp.coefficient(m) for m in monos]
-        sol = solve_exact(a_rows, b)
-        if sol is None:
+        # one elimination of [A | b] decides consistency, uniqueness and the
+        # solution: a pivot in the b column means b is outside the span, and
+        # fewer pivots than candidates means the rewrite is not unique
+        ncols = len(cands)
+        red, pivots = rref([[q.terms.get(m, zero) for q in expanded] +
+                            [comp.terms.get(m, zero)] for m in monos])
+        if ncols in pivots:
             raise RewriteError(f"degree-{d} component is outside the span of the "
                                "presentation (incomplete presentation?)")
-        if rank_exact(a_rows) < len(cands):
+        if len(pivots) < ncols:
             raise RewriteError("rewrite is not unique; presentation is malformed")
-        for (j, alpha), c in zip(cands, sol):
+        for row, col in zip(red, pivots):
+            c = row[ncols]
             if c != 0:
+                j, alpha = cands[col]
                 parts.setdefault(j, {})[alpha] = c
     out_parts = {j: Polynomial(s, terms) for j, terms in parts.items()}
     if not out_parts:

@@ -80,11 +80,12 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = _inv_scalar(rows[r][c])
-        rows[r] = [exact(x * inv) for x in rows[r]]
+        rows[r] = [exact(x * inv) if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [exact(x - f * y) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [exact(x - f * y) if y else x
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -6,11 +6,17 @@ to :class:`~symsos.scalars.Quad` for entries living in a real quadratic
 extension (catalog data such as sqrt(3)/2 needs this).  Monomials are globally
 ordered in graded lexicographic order with later variables ranking higher, so
 the constant monomial is always first in a monomial vector.
+
+Products of two all-rational polynomials run in integers: each factor is
+scaled by the lcm of its denominators, the numerators are multiplied as
+Python ints, and each output coefficient is divided once at the end.  Products
+involving a ``Quad`` coefficient use the generic term-by-term loop.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +88,14 @@ class Polynomial:
                 if c != 0:
                     canon[m] = c
         self.terms = canon
+
+    @classmethod
+    def _from_canonical(cls, nvars: int, terms: dict[Monomial, Scalar]) -> "Polynomial":
+        """Wrap terms that are already nonzero and canonical, skipping the checks."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -160,6 +174,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction, Quad)):
             return self.scale(other)
         self._check(other)
+        a, b = _integer_form(self.terms), _integer_form(other.terms)
+        if a is not None and b is not None:
+            return _integer_product(self.nvars, a, b)
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -196,6 +213,32 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({render_polynomial(self)!r})"
+
+
+def _integer_form(terms: dict[Monomial, Scalar]
+                  ) -> tuple[dict[Monomial, int], int] | None:
+    """(numerators, d) with terms == numerators / d, or None if a coefficient is a Quad."""
+    den = 1
+    for c in terms.values():
+        if type(c) is not Fraction:
+            return None
+        den = math.lcm(den, c.denominator)
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _integer_product(nvars: int, a: tuple[dict[Monomial, int], int],
+                     b: tuple[dict[Monomial, int], int]) -> Polynomial:
+    (ta, da), (tb, db) = a, b
+    out: dict[Monomial, int] = {}
+    get = out.get
+    add = operator.add
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    den = da * db
+    return Polynomial._from_canonical(
+        nvars, {m: Fraction(v, den) for m, v in out.items() if v})
 
 
 def poly_arith(op: str, p: Polynomial, q) -> Polynomial:
@@ -281,10 +324,20 @@ def monomial_vector(n: int, d: int, homogeneous: bool = False) -> MonomialVector
 
 
 def substitute_linear(p: Polynomial, matrix: Sequence[Sequence[Scalar]]) -> Polynomial:
-    """Replace each variable x_i by the i-th entry of M x, fully expanded."""
+    """Replace each variable x_i by the i-th entry of M x, fully expanded.
+
+    When every row of M has exactly one nonzero entry (a scaled signed
+    permutation, as for every shipped catalog generator) each term maps to
+    one term; other matrices expand powers of the linear forms.
+    """
     n = p.nvars
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix dimension does not match polynomial variables")
+    support = [[j for j in range(n) if matrix[i][j] != 0] for i in range(n)]
+    if all(len(cols) == 1 for cols in support):
+        return _substitute_monomial(p, [cols[0] for cols in support],
+                                    [exact(matrix[i][cols[0]])
+                                     for i, cols in enumerate(support)])
     forms = [Polynomial(n, {tuple(1 if j == k else 0 for k in range(n)): matrix[i][j]
                             for j in range(n)}) for i in range(n)]
     powers: dict[tuple[int, int], Polynomial] = {}
@@ -305,6 +358,23 @@ def substitute_linear(p: Polynomial, matrix: Sequence[Sequence[Scalar]]) -> Poly
                 term = term * pw(i, e)
         out = out + term
     return out
+
+
+def _substitute_monomial(p: Polynomial, target: list[int],
+                         scale: list[Scalar]) -> Polynomial:
+    """p with x_i replaced by scale[i] * x_target[i]."""
+    n = p.nvars
+    out: dict[Monomial, Scalar] = {}
+    for m, c in p.terms.items():
+        e = [0] * n
+        for i, k in enumerate(m):
+            if k:
+                e[target[i]] += k
+                if scale[i] != 1:
+                    c = c * scale[i] ** k
+        mono = tuple(e)
+        out[mono] = out[mono] + c if mono in out else c
+    return Polynomial(n, out)
 
 
 # -- text format --------------------------------------------------------------

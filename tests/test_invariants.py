@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from symsos.groups import catalog
-from symsos.invariants import (NotInvariantError, expand_invariants,
-                               load_presentation, presentation,
+from symsos.invariants import (InvariantPresentation, NotInvariantError,
+                               RewriteError, elementary_symmetric,
+                               expand_invariants, load_presentation, presentation,
                                render_presentation, rewrite_in_invariants,
                                symmetric_presentation, theta_monomials,
                                weighted_degree)
@@ -82,7 +83,7 @@ class TestRewrite:
     def test_round_trip_on_reynolds_averages(self, spec, d):
         pres = presentation(spec)
         cat = catalog(spec)
-        rng = random.Random(hash(spec) & 0xFFFF)
+        rng = random.Random(spec)
         rep = induced_representation(cat.action, d)
         basis = rep.basis
         for _ in range(3):
@@ -99,6 +100,22 @@ class TestRewrite:
             assert expand_invariants(ft, pres) == inv
             if not inv.is_zero():
                 assert weighted_degree(ft, pres) == inv.degree()
+
+
+    def test_missing_primary_is_outside_the_span(self):
+        e1, e2, e3 = elementary_symmetric(3)
+        gens = symmetric_presentation(3).generators
+        pres = InvariantPresentation(3, [e1, e2], [Polynomial.constant(3, 1)], [], gens)
+        with pytest.raises(RewriteError, match="outside the span"):
+            rewrite_in_invariants(e3, pres)
+
+    def test_duplicated_primary_is_not_unique(self):
+        e1, e2, e3 = elementary_symmetric(3)
+        gens = symmetric_presentation(3).generators
+        pres = InvariantPresentation(3, [e1, e1, e2, e3], [Polynomial.constant(3, 1)],
+                                     [], gens)
+        with pytest.raises(RewriteError, match="not unique"):
+            rewrite_in_invariants(e1 * e2, pres)
 
 
 class TestThetaMonomials:

@@ -7,7 +7,7 @@ from symsos.certificates import (NoCertificateError, RoundingError,
                                  algorithm_one, algorithm_two, bundle_for,
                                  plain_sos_bound, round_certificate,
                                  sos_lower_bound, sos_squares_from_gram,
-                                 verify_certificate)
+                                 symmetric_bundle, verify_certificate)
 from symsos.equivariants import MissingEquivariantData
 from symsos.fixtures import (ROBINSON_D4_TEXT, robinson_dihedral,
                              s3_published_certificate, symmetric_quartic)
@@ -17,6 +17,38 @@ from symsos.isotypic import induced_representation, symmetry_adapted_basis
 from symsos.poly import Polynomial, parse_polynomial
 from symsos.sdp import assemble_gram, restrict_invariant
 from symsos.solver import polish_solution, solve
+
+
+class TestBundleMemo:
+    def test_catalog_bundle_built_once(self, monkeypatch):
+        import symsos.equivariants as equivariants
+        first = algorithm_one("symmetric:4")
+        calls = []
+        rewrite = equivariants.rewrite_in_invariants
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return rewrite(*args, **kwargs)
+
+        monkeypatch.setattr(equivariants, "rewrite_in_invariants", counting)
+        assert algorithm_one("symmetric:4") is first
+        assert calls == []
+        # a catalog object is not memoized: it rebuilds and rewrites again
+        assert algorithm_one(catalog("symmetric:4")) is not first
+        assert calls
+        assert symmetric_bundle(7, 2) is symmetric_bundle(7, 2)
+
+    def test_shared_bundle_survives_a_full_run(self):
+        f = parse_polynomial("x1^4+x2^4+x3^4+x4^4 - 2*x1*x2*x3*x4 - x1^2-x2^2-x3^2-x4^2",
+                             ["x1", "x2", "x3", "x4"])
+        lam, cert = sos_lower_bound(f, "symmetric:4")
+        exact = round_certificate(cert, f)
+        assert exact.lam == -2 and verify_certificate(exact, f)[0]
+        shared = algorithm_one("symmetric:4")
+        fresh = algorithm_one(catalog("symmetric:4"))
+        assert shared.irrep_labels == fresh.irrep_labels
+        for label in fresh.irrep_labels:
+            assert shared.pis[label].entries == fresh.pis[label].entries
 
 
 class TestAlgorithmOne:

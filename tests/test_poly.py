@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symsos.scalars import Quad
 from symsos.poly import (MINUS_INFINITY, Polynomial, PolynomialSyntaxError,
                          evaluate, monomial_vector, parse_polynomial, poly_arith,
                          render_polynomial, substitute_linear)
@@ -150,3 +152,80 @@ def test_substitution_composes(p, entries):
 @settings(max_examples=40)
 def test_evaluation_is_multiplicative(p, q, point):
     assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)
+
+
+def _rational_points(nvars, count=5):
+    rng = random.Random("poly-kernels")
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(nvars)]
+            for _ in range(count)]
+
+
+def _image(matrix, point):
+    return [sum((a * v for a, v in zip(row, point)), Fraction(0)) for row in matrix]
+
+
+class TestKernels:
+    """Both fast paths, checked by exact evaluation at rational points."""
+
+    XYZ = ["x", "y", "z"]
+
+    def test_rational_product(self):
+        p = parse_polynomial("1/3*x^2*y - 5/7*x*z + 2/9*z^3 - 11/6", self.XYZ)
+        q = parse_polynomial("3/4*y^3 - 1/6*x + 5/14*x*y*z + 7", self.XYZ)
+        pq = p * q
+        assert all(type(c) is Fraction and c != 0 for c in pq.terms.values())
+        for pt in _rational_points(3):
+            assert evaluate(pq, pt) == evaluate(p, pt) * evaluate(q, pt)
+
+    def test_zero_and_constant_factors(self):
+        p = parse_polynomial("1/3*x^2*y - 5/7*x*z + 2/9", self.XYZ)
+        zero = Polynomial.zero(3)
+        assert (p * zero).is_zero() and (zero * p).is_zero()
+        c = Polynomial.constant(3, Fraction(-2, 5))
+        assert c * p == p * c == p.scale(Fraction(-2, 5))
+        for pt in _rational_points(3):
+            assert evaluate(c * p, pt) == Fraction(-2, 5) * evaluate(p, pt)
+
+    def test_cancelling_product_drops_zero_terms(self):
+        x, y = (Polynomial.variable(2, i) for i in range(2))
+        p = (x.scale(Fraction(1, 2)) + y.scale(Fraction(1, 3))) * \
+            (x.scale(Fraction(1, 2)) - y.scale(Fraction(1, 3)))
+        assert p.terms == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
+
+    def test_quad_product(self):
+        p = Polynomial(2, {(1, 0): Quad.root(2, Fraction(1, 2)), (0, 1): Fraction(1, 3),
+                           (0, 0): Fraction(2)})
+        q = Polynomial(2, {(1, 1): Quad.root(3, Fraction(-1, 2)), (2, 0): Fraction(5, 4)})
+        pq = p * q
+        assert any(isinstance(c, Quad) for c in pq.terms.values())
+        for pt in _rational_points(2):
+            assert evaluate(pq, pt) == evaluate(p, pt) * evaluate(q, pt)
+
+    def test_substitute_scaled_signed_permutation(self):
+        scale = [Fraction(2), Fraction(-1, 3), Fraction(1)]
+        perm = [2, 0, 1]
+        m = [[scale[i] if j == perm[i] else Fraction(0) for j in range(3)]
+             for i in range(3)]
+        p = parse_polynomial("x^3*y - 2/5*y^2*z + x*y*z^2 - 7", self.XYZ)
+        image = substitute_linear(p, m)
+        assert len(image.terms) == len(p.terms)
+        for pt in _rational_points(3):
+            assert evaluate(image, pt) == evaluate(p, _image(m, pt))
+
+    def test_substitute_collapsing_monomial_matrix(self):
+        # y -> 2x and x -> x: distinct terms of p land on one monomial
+        m = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]]
+        p = parse_polynomial("x*y - 2*x^2 + y", ["x", "y"])
+        image = substitute_linear(p, m)
+        assert image.terms == {(1, 0): Fraction(2)}
+        for pt in _rational_points(2):
+            assert evaluate(image, pt) == evaluate(p, _image(m, pt))
+
+    def test_substitute_general_matrix(self):
+        m = [[Fraction(1), Fraction(-2), Fraction(0)],
+             [Fraction(1, 2), Fraction(1), Fraction(3)],
+             [Fraction(0), Fraction(0), Fraction(-1, 4)]]
+        p = parse_polynomial("x^3*y - 2/5*y^2*z + x*y*z^2 - 7", self.XYZ)
+        image = substitute_linear(p, m)
+        for pt in _rational_points(3):
+            assert evaluate(image, pt) == evaluate(p, _image(m, pt))
