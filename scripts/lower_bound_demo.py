@@ -2,9 +2,10 @@
 
 Runs the dihedral Robinson variant and the symmetric quartic through the
 invariant pipeline, rounds both to exact rational certificates, and replays
-the certificates literally.
+the certificates literally.  Exits 1 when a replay fails.
 """
 
+import sys
 import time
 
 from symsos.certificates import (round_certificate, sos_lower_bound,
@@ -24,16 +25,17 @@ def run(name, f, group):
     print(f"  lambda (exact)  {exact.lam}")
     print(f"  exact replay    {'ok' if ok else 'FAILED'}  "
           f"[{time.time() - t0:.2f}s]")
-    return exact
+    return exact, ok
 
 
-def main():
-    run("Robinson variant", robinson_dihedral(), "dihedral:4")
+def main() -> int:
+    _, ok_robinson = run("Robinson variant", robinson_dihedral(), "dihedral:4")
     print()
-    exact = run("Symmetric quartic", symmetric_quartic(), "symmetric:3")
+    exact, ok_quartic = run("Symmetric quartic", symmetric_quartic(), "symmetric:3")
     print("\ncertificate file for the quartic:\n")
     print(certificate_to_text(exact))
+    return 0 if ok_robinson and ok_quartic else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

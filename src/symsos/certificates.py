@@ -15,11 +15,13 @@ object passed to ``algorithm_one`` (a user irrep table, say) is built afresh
 on every call.
 
 Numeric optima are turned into exact certificates by rounding the free
-parameters of the exactly-eliminated constraint system (pivot entries are
-recomputed exactly, so the polynomial identity holds by construction) and
-testing each Gram block PSD via rational LDL^T.  The bound variable is always
-rounded to a value whose certificate verifies exactly, so emitted rational
-bounds are valid unconditionally.
+parameters of the exactly-eliminated constraint system of the assembly the
+certificate carries (``Certificate.program``): pivot entries are recomputed
+exactly, so the polynomial identity holds by construction, and each Gram
+block is tested PSD via rational LDL^T.  Rounding does not replay the
+identity.  ``verify_certificate`` is the one literal replay: every block
+LDL^T-tested, then sum_i <S_i, Pi_i> collected per (eta_j, theta^gamma) and
+expanded into the original variables once.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import groups as groups_mod
 from .equivariants import (EquivariantBasis, MissingEquivariantData, PiMatrix,
                            equivariant_catalog, monomial_envelope, pi_matrix)
 from .groups import IrrepCatalog, catalog as load_catalog
@@ -40,9 +41,9 @@ from .invariants import (InvariantPoly, InvariantPresentation, NotInvariantError
                          rewrite_in_invariants, expand_invariants,
                          verify_invariant, weighted_degree,
                          symmetric_presentation)
-from .linalg import RowBasis, ldl_psd
+from .linalg import Parametrization, ldl_psd, solve_exact
 from .poly import Monomial, Polynomial, monomial_mul
-from .scalars import exact
+from .scalars import Scalar, exact
 from .sdp import (AssemblyInfeasible, BlockSDP, VarKey, assemble_gram,
                   assemble_invariant_sos, with_interior_variable)
 from .solver import SDPSolution, solve, polish_solution
@@ -172,7 +173,9 @@ class Certificate:
     monomials: tuple | None = None    # plain mode
     gram: list | None = None          # plain mode
     objective: str = "maximize-lambda"
-    diagnostics: dict = field(default_factory=dict)
+    program: BlockSDP | None = None   # the assembly a float certificate solves
+    status: str = ""                  # solver status of that solve
+    margin: float | None = None       # interior margin of a feasibility solve
 
     def block_sizes(self) -> list[int]:
         if self.mode == "plain":
@@ -180,67 +183,64 @@ class Certificate:
         return [sum(len(r) for r in b.rows) for b in self.blocks]
 
 
-def _sos_poly_from_gram(block: CertBlock, pres: InvariantPresentation,
-                        nvars: int) -> Polynomial:
-    """Expand <S_i, Pi_i> back into the original variables, exactly."""
-    pairs = [(k, alpha) for k, row in enumerate(block.rows) for alpha in row]
-    s = len(pres.theta)
-    total = Polynomial.zero(nvars)
-    for a, (k, alpha) in enumerate(pairs):
-        for b, (l, beta) in enumerate(pairs):
-            g = block.gram[a][b]
-            if g == 0:
-                continue
-            entry = block.pi.entries[k][l]
-            for j, part in entry.parts.items():
-                for delta, coef in part.terms.items():
-                    gamma = tuple(x + y + z for x, y, z in zip(alpha, beta, delta))
-                    mono_poly = Polynomial.monomial(s, gamma, exact(g * coef))
-                    contrib = InvariantPoly(s, {j: mono_poly})
-                    total = total + expand_invariants(contrib, pres)
-    return total
+def expand_certificate(cert: Certificate, nvars: int) -> Polynomial:
+    """The literal replay: Y^T Q Y, or sum_i <S_i, Pi_i> expanded into x.
 
-
-def verify_certificate(cert: Certificate, f: Polynomial) -> tuple[bool, list[str]]:
-    """Exact replay: Gram blocks PSD via rational LDL^T and the literal identity.
-
-    Plain mode checks Y^T Q Y = f - lambda; invariant mode checks
-    sum_i <S_i(theta), Pi_i> = f - lambda after full expansion.
+    Invariant mode collects the products of Gram and Pi entries per
+    (eta_j, theta^gamma) and expands the collected sum once; plain mode
+    collects per x-monomial.
     """
-    report: list[str] = []
-    if not cert.exact:
-        report.append("certificate is floating point; round it first")
-        return False, report
-    lam = cert.lam
-    target = f - lam
     if cert.mode == "plain":
-        psd, why = ldl_psd(cert.gram)
-        if not psd:
-            report.append(f"Gram matrix not PSD: {why}")
-            return False, report
-        n = f.nvars
-        recon = Polynomial.zero(n)
+        terms: dict[Monomial, Scalar] = {}
         for a, ma in enumerate(cert.monomials):
             for b, mb in enumerate(cert.monomials):
                 v = cert.gram[a][b]
                 if v != 0:
-                    recon = recon + Polynomial.monomial(n, monomial_mul(ma, mb), v)
-        if recon != target:
-            diff = recon - target
-            report.append(f"identity fails; first residual term {next(iter(diff.terms.items()))}")
-            return False, report
-        return True, ["plain Gram identity and PSD check passed"]
-    total = Polynomial.zero(f.nvars)
+                    m = monomial_mul(ma, mb)
+                    terms[m] = terms.get(m, 0) + v
+        return Polynomial(nvars, terms)
+    s = len(cert.pres.theta)
+    parts: dict[int, dict[Monomial, Scalar]] = {}
+    for block in cert.blocks:
+        pairs = [(k, alpha) for k, row in enumerate(block.rows) for alpha in row]
+        for a, (k, alpha) in enumerate(pairs):
+            for b, (l, beta) in enumerate(pairs):
+                g = block.gram[a][b]
+                if g == 0:
+                    continue
+                for j, part in block.pi.entries[k][l].parts.items():
+                    bucket = parts.setdefault(j, {})
+                    for delta, coef in part.terms.items():
+                        gamma = tuple(x + y + z for x, y, z in zip(alpha, beta, delta))
+                        bucket[gamma] = bucket.get(gamma, 0) + g * coef
+    collected = InvariantPoly(s, {j: Polynomial(s, t) for j, t in parts.items()})
+    return expand_invariants(collected, cert.pres)
+
+
+def verify_certificate(cert: Certificate, f: Polynomial) -> tuple[bool, list[str]]:
+    """The one literal replay: Gram blocks PSD via rational LDL^T, then the identity.
+
+    Plain mode checks Y^T Q Y = f - lambda; invariant mode checks
+    sum_i <S_i(theta), Pi_i> = f - lambda after one full expansion.  Rounding
+    does not call this; it is the trust anchor for whatever a certificate
+    claims, wherever it came from.
+    """
+    if not cert.exact:
+        return False, ["certificate is floating point; round it first"]
+    if cert.mode == "plain":
+        psd, why = ldl_psd(cert.gram)
+        if not psd:
+            return False, [f"Gram matrix not PSD: {why}"]
     for block in cert.blocks:
         psd, why = ldl_psd(block.gram)
         if not psd:
-            report.append(f"block {block.label}: Gram not PSD ({why})")
-            return False, report
-        total = total + _sos_poly_from_gram(block, cert.pres, f.nvars)
-    if total != target:
-        diff = total - target
-        report.append(f"identity fails; first residual term {next(iter(diff.terms.items()))}")
-        return False, report
+            return False, [f"block {block.label}: Gram not PSD ({why})"]
+    diff = expand_certificate(cert, f.nvars) - (f - cert.lam)
+    if not diff.is_zero():
+        return False, [f"identity fails; first residual term "
+                       f"{next(iter(diff.terms.items()))}"]
+    if cert.mode == "plain":
+        return True, ["plain Gram identity and PSD check passed"]
     return True, ["invariant identity and all PSD checks passed"]
 
 
@@ -275,9 +275,7 @@ def _certificate_from_solution(bundle: GeneratorBundle, sdp: BlockSDP,
         ["x", "y", "z"][: f.nvars]
     return Certificate("invariant", bundle.group, names, lam, exact=False,
                        pres=bundle.pres, blocks=blocks, objective=objective,
-                       diagnostics={"status": sol.status,
-                                    "block_sizes": [b.size for b in sdp.blocks],
-                                    "iterations": sol.iterations})
+                       program=sdp, status=sol.status)
 
 
 def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
@@ -304,11 +302,8 @@ def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
             raise NoCertificateError(
                 f"no SOS representation found at this degree ({sol.status})")
         sol = polish_solution(sdp, sol)
-        cert = _certificate_from_solution(bundle, sdp, sol, f,
+        return _certificate_from_solution(bundle, sdp, sol, f,
                                           sol.free_values["lambda"], objective)
-        cert.diagnostics["sdp"] = sdp
-        cert.diagnostics["free_values"] = sol.free_values
-        return cert
     # feasibility at a fixed lambda: maximize the interior margin t
     shifted = f - lambda_value
     sdp, ft, target, labels, pis, envs = _invariant_sdp(shifted, bundle, False)
@@ -331,8 +326,7 @@ def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
         if sol2.ok:
             cert = _certificate_from_solution(bundle, sdp, sol2, f, lambda_value,
                                               "feasibility")
-            cert.diagnostics["margin"] = tstar
-            cert.diagnostics["sdp"] = sdp
+            cert.margin = tstar
             return cert
     # shift the interior variable back onto the diagonals
     blocks = []
@@ -347,8 +341,7 @@ def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
     patched = polish_solution(sdp, patched)
     cert = _certificate_from_solution(bundle, sdp, patched, f, lambda_value,
                                       "feasibility")
-    cert.diagnostics["margin"] = tstar
-    cert.diagnostics["sdp"] = sdp
+    cert.margin = tstar
     return cert
 
 
@@ -364,9 +357,7 @@ def plain_sos_bound(f: Polynomial, tol: float = 1e-8) -> Certificate:
         ["x", "y", "z"][: f.nvars]
     return Certificate("plain", "trivial", names, sol.free_values["lambda"],
                        exact=False, monomials=sdp.meta["monomials"].entries,
-                       gram=sol.blocks[0],
-                       diagnostics={"status": sol.status, "sdp": sdp,
-                                    "free_values": sol.free_values})
+                       gram=sol.blocks[0], program=sdp, status=sol.status)
 
 
 def sos_lower_bound(f: Polynomial, group_spec: str,
@@ -417,61 +408,6 @@ def _lambda_candidates(lam_float: float, max_den: int,
     return sorted(out, reverse=True)
 
 
-@dataclass
-class _AffineParam:
-    """Exact parametrization of {A v = b}: pivots as affine maps of the frees."""
-
-    keys: list[VarKey]
-    pivots: dict[int, tuple[Fraction, dict[int, Fraction]]]  # col -> (rhs, coeffs)
-    free_cols: list[int]
-
-
-def _parametrize(sdp: BlockSDP) -> _AffineParam:
-    keys = sdp.var_order()
-    pos = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for con in sdp.constraints:
-        row = [Fraction(0)] * (len(keys) + 1)
-        for k, v in con.coeffs.items():
-            row[pos[k]] = exact(v)
-        row[-1] = exact(con.rhs)
-        rows.append(row)
-    basis = RowBasis(len(keys))
-    for row in rows:
-        if not basis.add(row) and not basis.contains(row):
-            raise AssemblyInfeasible("constraint system inconsistent")
-    # back substitution to reduced echelon form
-    for i in range(len(basis.rows) - 1, -1, -1):
-        pc = basis.pivots[i]
-        for j in range(i):
-            fct = basis.rows[j][pc]
-            if fct != 0:
-                basis.rows[j] = [exact(x - fct * y)
-                                 for x, y in zip(basis.rows[j], basis.rows[i])]
-    pivots = {}
-    pivot_cols = set(basis.pivots)
-    for prow, pc in zip(basis.rows, basis.pivots):
-        coeffs = {j: exact(-prow[j]) for j in range(len(keys))
-                  if j != pc and prow[j] != 0}
-        pivots[pc] = (exact(prow[-1]), coeffs)
-    free_cols = [j for j in range(len(keys)) if j not in pivot_cols]
-    return _AffineParam(keys, pivots, free_cols)
-
-
-def _exact_point(param: _AffineParam, free_vals: dict[int, Fraction]
-                 ) -> list[Fraction]:
-    vals: list[Fraction] = [Fraction(0)] * len(param.keys)
-    for j in param.free_cols:
-        vals[j] = free_vals.get(j, Fraction(0))
-    for pc, (rhs, coeffs) in param.pivots.items():
-        acc = rhs
-        for j, c in coeffs.items():
-            if vals[j] != 0:
-                acc = exact(acc + c * vals[j])
-        vals[pc] = acc
-    return vals
-
-
 def _blocks_from_values(sdp: BlockSDP, keys, vals) -> list[list[list[Fraction]]]:
     pos = {k: i for i, k in enumerate(keys)}
     out = []
@@ -485,7 +421,7 @@ def _blocks_from_values(sdp: BlockSDP, keys, vals) -> list[list[list[Fraction]]]
     return out
 
 
-def _lambda_boundary(sdp: BlockSDP, param: _AffineParam,
+def _lambda_boundary(sdp: BlockSDP, keys: list[VarKey], param: Parametrization,
                      free_vals: dict[int, Fraction],
                      lam_idx: int) -> Fraction | None:
     """Exact largest lambda keeping the blocks PSD, for fixed free parameters.
@@ -498,10 +434,8 @@ def _lambda_boundary(sdp: BlockSDP, param: _AffineParam,
     v0[lam_idx] = Fraction(0)
     v1 = dict(free_vals)
     v1[lam_idx] = Fraction(1)
-    p0 = _exact_point(param, v0)
-    p1 = _exact_point(param, v1)
-    b0 = _blocks_from_values(sdp, param.keys, p0)
-    b1 = _blocks_from_values(sdp, param.keys, p1)
+    b0 = _blocks_from_values(sdp, keys, param.point(v0))
+    b1 = _blocks_from_values(sdp, keys, param.point(v1))
     moved = []
     for bi in range(len(b0)):
         for r in range(len(b0[bi])):
@@ -519,7 +453,6 @@ def _lambda_boundary(sdp: BlockSDP, param: _AffineParam,
     if sub and not ldl_psd(sub)[0]:
         return None
     vvec = [block[i][r] for i in idx]
-    from .linalg import solve_exact
     z = solve_exact(sub, vvec) if idx else []
     if z is None:
         return None
@@ -533,30 +466,37 @@ def round_certificate(cert: Certificate, f: Polynomial,
                       schedule: Sequence[int] = DEFAULT_SCHEDULE,
                       solver_tol: float = 1e-8,
                       quality: float = 1e-6) -> Certificate:
-    """Round a floating certificate to an exact one, verified by construction.
+    """Round a floating certificate to an exact one, correct by construction.
 
-    Free parameters of the exactly-eliminated constraint system are rounded by
-    continued fractions under each denominator bound of the schedule; pivot
-    entries are recomputed exactly, so the polynomial identity is automatic,
-    and each Gram block is tested PSD by rational LDL^T.  When the bound
-    variable shifts a single diagonal entry, its exact boundary value for the
-    rounded parameters is computed by a rational Schur condition, which snaps
+    Free parameters of the exactly-eliminated constraint system of
+    ``cert.program`` are rounded by continued fractions under each
+    denominator bound of the schedule; pivot entries are recomputed exactly,
+    so the polynomial identity with ``f`` (from which the program was
+    assembled) holds by construction and is not replayed here, and each Gram
+    block is tested PSD by rational LDL^T.  When the bound variable shifts a
+    single diagonal entry, its exact boundary value for the rounded
+    parameters is computed by a rational Schur condition, which snaps
     boundary optima with small rational vertices to their exact value.  A
-    candidate is accepted on the first schedule entry whose bound stays within
-    ``quality`` of the floating bound and verifies; if none does, the best
-    verifying candidate from the whole schedule is returned.
+    candidate is accepted on the first schedule entry whose bound stays
+    within ``quality`` of the floating bound and whose blocks pass LDL^T; if
+    none does, the best such candidate from the whole schedule is returned.
+    ``verify_certificate`` replays the result literally.
     """
     if cert.exact:
         return cert
-    sdp: BlockSDP = cert.diagnostics.get("sdp")
+    sdp = cert.program
     if sdp is None:
         raise RoundingError("certificate carries no assembly to round against")
     maximize = cert.objective == "maximize-lambda"
-    param = _parametrize(sdp)
-    pos = {k: i for i, k in enumerate(param.keys)}
+    keys = sdp.var_order()           # entries first, lambda last
+    param = sdp.parametrize(keys)
+    if param is None:
+        raise AssemblyInfeasible("constraint system inconsistent")
+    free_cols = param.free
+    pos = {k: i for i, k in enumerate(keys)}
     lam_idx = pos.get(("free", "lambda"))
     # float values of all variables, to seed the free parameters
-    float_vals = np.zeros(len(param.keys))
+    float_vals = np.zeros(len(keys))
     for bi, blk in enumerate(sdp.blocks):
         src = None
         if cert.mode == "plain":
@@ -574,27 +514,25 @@ def round_certificate(cert: Certificate, f: Polynomial,
         float_vals[lam_idx] = float(cert.lam)
     lam_float = float(cert.lam)
     slack = 10 * solver_tol * (1 + abs(lam_float))
-    bound_mode = maximize and lam_idx is not None and lam_idx in param.free_cols
+    bound_mode = maximize and lam_idx is not None and lam_idx in free_cols
     fallback: Certificate | None = None
 
     def attempt(lam_hat: Fraction, free_vals: dict[int, Fraction]):
-        vals = _exact_point(param, free_vals)
-        mats = _blocks_from_values(sdp, param.keys, vals)
+        vals = param.point(free_vals)
+        mats = _blocks_from_values(sdp, keys, vals)
         if not all(ldl_psd(m)[0] for m in mats):
             return None
         lam_exact = vals[lam_idx] if lam_idx is not None else lam_hat
-        out = _exact_certificate(cert, sdp, mats, lam_exact)
-        okay, _ = verify_certificate(out, f)
-        return out if okay else None
+        return _exact_certificate(cert, sdp, mats, lam_exact)
 
     for max_den in schedule:
         free_vals: dict[int, Fraction] = {}
-        for j in param.free_cols:
+        for j in free_cols:
             if j != lam_idx:
                 free_vals[j] = Fraction(float(float_vals[j])).limit_denominator(max_den)
         if bound_mode:
             cands: list[Fraction] = []
-            tight = _lambda_boundary(sdp, param, free_vals, lam_idx)
+            tight = _lambda_boundary(sdp, keys, param, free_vals, lam_idx)
             if tight is not None:
                 cands.append(tight)
                 lo = Fraction(lam_float) - Fraction(1, 10 ** 3)
@@ -621,14 +559,14 @@ def round_certificate(cert: Certificate, f: Polynomial,
             lam_hat = cert.lam if isinstance(cert.lam, Fraction) else \
                 Fraction(cert.lam).limit_denominator(max_den)
             fv = dict(free_vals)
-            if lam_idx is not None and lam_idx in param.free_cols:
+            if lam_idx is not None and lam_idx in free_cols:
                 fv[lam_idx] = lam_hat
             out = attempt(lam_hat, fv)
             if out is not None:
                 return out
     if fallback is not None:
         return fallback
-    raise RoundingError("no schedule entry produced an exactly verifying "
+    raise RoundingError("no schedule entry produced an exactly PSD "
                         "certificate; lambda sits at the boundary - retry with "
                         "lambda - epsilon or larger denominators")
 
@@ -638,8 +576,8 @@ def _exact_certificate(cert: Certificate, sdp: BlockSDP, mats,
     if cert.mode == "plain":
         return Certificate("plain", cert.group, cert.var_names, lam, exact=True,
                            monomials=cert.monomials, gram=mats[0],
-                           objective=cert.objective,
-                           diagnostics=dict(cert.diagnostics))
+                           objective=cert.objective, program=cert.program,
+                           status=cert.status, margin=cert.margin)
     blocks = []
     name_index = {b.name: i for i, b in enumerate(sdp.blocks)}
     for cb in cert.blocks:
@@ -647,7 +585,8 @@ def _exact_certificate(cert: Certificate, sdp: BlockSDP, mats,
                                 cb.pi))
     return Certificate("invariant", cert.group, cert.var_names, lam, exact=True,
                        pres=cert.pres, blocks=blocks, objective=cert.objective,
-                       diagnostics=dict(cert.diagnostics))
+                       program=cert.program, status=cert.status,
+                       margin=cert.margin)
 
 
 # -- exact SOS replay (Gram factorization to explicit squares) -----------------------

@@ -55,7 +55,7 @@ def _cmd_bound(args) -> int:
         return 2
     print(f"group          {args.group}")
     print(f"block sizes    {cert.block_sizes()}")
-    print(f"status         {cert.diagnostics['status']}")
+    print(f"status         {cert.status}")
     print(f"lambda (float) {lam:.12g}")
     if args.round:
         try:

@@ -125,7 +125,6 @@ class GroupAction:
         self.parents = parents          # (parent index, generator position), identity = (-1, -1)
         self.generators = generators    # element indices of the generators
         self._key_index = {self._key(e): e.index for e in elements}
-        self._mult: list[list[int]] | None = None
         self.inverse_table = [self._invert(e) for e in elements]
 
     @staticmethod
@@ -149,13 +148,6 @@ class GroupAction:
             return self._key_index[("sp", c.perm, c.signs)]
         prod = mat_mul([list(r) for r in a.matrix], [list(r) for r in b.matrix])
         return self._key_index[_freeze(prod)]
-
-    @property
-    def mult_table(self) -> list[list[int]]:
-        if self._mult is None:
-            self._mult = [[self.mult(i, j) for j in range(self.order)]
-                          for i in range(self.order)]
-        return self._mult
 
     def matrix(self, i: int) -> Matrix:
         return [list(row) for row in self.elements[i].matrix]

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 from .linalg import Matrix, rref
 from .poly import Polynomial, parse_polynomial, render_polynomial, substitute_linear
-from .scalars import Scalar
 
 
 def elementary_symmetric(n: int) -> list[Polynomial]:
@@ -113,12 +112,6 @@ class InvariantPoly:
             return NotImplemented
         keys = set(self.parts) | set(other.parts)
         return self.s == other.s and all(self.part(j) == other.part(j) for j in keys)
-
-    def constant_offset(self, delta: Scalar) -> "InvariantPoly":
-        parts = dict(self.parts)
-        parts[0] = self.part(0) + Polynomial.constant(self.s, delta)
-        return InvariantPoly(self.s, {j: p for j, p in parts.items() if not p.is_zero()}
-                             or {0: Polynomial.zero(self.s)})
 
 
 def theta_monomials(degrees: Sequence[int], budget: int,

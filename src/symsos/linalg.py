@@ -7,6 +7,7 @@ package handles; the point is exactness, not speed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,10 +20,6 @@ Matrix = list[list[Scalar]]
 
 def mat_identity(n: int) -> Matrix:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_zero(r: int, c: int) -> Matrix:
-    return [[Fraction(0)] * c for _ in range(r)]
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -97,8 +94,16 @@ def rank_exact(rows: list[list[Scalar]]) -> int:
     return len(rref(rows)[1])
 
 
+class InconsistentRow(ValueError):
+    """A row in the span of a basis whose right-hand side is not."""
+
+
 class RowBasis:
-    """Incremental exact row space: add rows, track rank cheaply."""
+    """Incremental exact row space: add rows, track rank cheaply.
+
+    Only the first ``ncols`` entries of a row hold pivots; entries past them
+    (a right-hand side) are carried along by the reduction.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -114,7 +119,11 @@ class RowBasis:
         return r
 
     def add(self, row: Sequence[Scalar]) -> bool:
-        """Insert if independent of the current span; returns True if kept."""
+        """Insert if independent of the current span; returns True if kept.
+
+        Raises InconsistentRow when the row reduces to zero on the pivot
+        columns but not past them.
+        """
         r = self.reduce(row)
         for c in range(self.ncols):
             if r[c] != 0:
@@ -122,6 +131,8 @@ class RowBasis:
                 self.rows.append([exact(x * inv) for x in r])
                 self.pivots.append(c)
                 return True
+        if any(x != 0 for x in r[self.ncols:]):
+            raise InconsistentRow("row is dependent but its right-hand side is not")
         return False
 
     def contains(self, row: Sequence[Scalar]) -> bool:
@@ -130,6 +141,66 @@ class RowBasis:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+@dataclass
+class Parametrization:
+    """Solution set of an exact system A x = b, pivots as affine maps of the frees.
+
+    ``pivots`` holds (pivot column, constant, {free column: coefficient}) in
+    the order the rows entered the basis, so x[pivot] = constant +
+    sum coefficient * x[free]; ``sources`` is the input row behind each pivot.
+    """
+
+    ncols: int
+    pivots: list[tuple[int, Scalar, dict[int, Scalar]]]
+    sources: list[int]
+
+    @property
+    def free(self) -> list[int]:
+        taken = {pc for pc, _, _ in self.pivots}
+        return [j for j in range(self.ncols) if j not in taken]
+
+    def point(self, free_values: dict[int, Scalar]) -> list[Scalar]:
+        """The solution with the given free values (missing ones are zero)."""
+        vals: list[Scalar] = [Fraction(0)] * self.ncols
+        for j in self.free:
+            vals[j] = free_values.get(j, Fraction(0))
+        for pc, const, coeffs in self.pivots:
+            acc = const
+            for j, c in coeffs.items():
+                if vals[j] != 0:
+                    acc = exact(acc + c * vals[j])
+            vals[pc] = acc
+        return vals
+
+
+def parametrize(rows: Sequence[Sequence[Scalar]], ncols: int) -> Parametrization | None:
+    """Exact RREF of the augmented rows [A | b]; None if the system is inconsistent.
+
+    Each row is reduced once, by ``RowBasis.add``; the kept rows are then
+    back-substituted.  The reduced form is unique for the column order, so
+    callers choose which variables become pivots by the order of the columns.
+    """
+    basis = RowBasis(ncols)
+    sources = []
+    try:
+        for i, row in enumerate(rows):
+            if basis.add(row):
+                sources.append(i)
+    except InconsistentRow:
+        return None
+    red = basis.rows
+    for i in range(len(red) - 1, -1, -1):
+        pc, prow = basis.pivots[i], red[i]
+        for j in range(i):
+            f = red[j][pc]
+            if f != 0:
+                red[j] = [exact(x - f * y) if y else x for x, y in zip(red[j], prow)]
+    pivots = [(pc, row[ncols], {j: -row[j] for j in range(ncols)
+                                if j != pc and row[j] != 0})
+              for row, pc in zip(red, basis.pivots)]
+    return Parametrization(ncols, pivots, sources)
 
 
 def solve_exact(a: Matrix, b: Sequence[Scalar]):

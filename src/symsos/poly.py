@@ -65,10 +65,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 class Polynomial:
     """Sparse exact polynomial in a fixed number of variables."""
 
@@ -129,9 +125,6 @@ class Polynomial:
 
     def coefficient(self, m: Monomial) -> Scalar:
         return self.terms.get(tuple(m), Fraction(0))
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def graded_part(self, d: int) -> "Polynomial":
         return Polynomial(self.nvars, {m: c for m, c in self.terms.items() if sum(m) == d})

@@ -25,7 +25,7 @@ import numpy as np
 from .equivariants import PiMatrix
 from .invariants import InvariantPoly, InvariantPresentation
 from .isotypic import MatrixRep, Segment, SymmetryAdaptedBasis, fixed_point_project
-from .linalg import Matrix, RowBasis, to_ndarray
+from .linalg import Matrix, Parametrization, RowBasis, parametrize, to_ndarray
 from .poly import Monomial, Polynomial, monomial_mul, monomial_vector
 from .scalars import Scalar, exact
 
@@ -65,6 +65,21 @@ class BlockSDP:
                     keys.append(("blk", bi, r, c))
         keys.extend(("free", name) for name in self.free_vars)
         return keys
+
+    def parametrize(self, keys: Sequence[VarKey]) -> Parametrization | None:
+        """Exact solution set of the equations, columns in the order of ``keys``.
+
+        None when the equations are inconsistent.
+        """
+        pos = {k: i for i, k in enumerate(keys)}
+        rows = []
+        for con in self.constraints:
+            row = [Fraction(0)] * (len(keys) + 1)
+            for k, v in con.coeffs.items():
+                row[pos[k]] = v
+            row[-1] = con.rhs
+            rows.append(row)
+        return parametrize(rows, len(keys))
 
     def entry_count(self) -> int:
         return sum(b.size * (b.size + 1) // 2 for b in self.blocks)
@@ -366,37 +381,24 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
 
     new_cost = to_coeffs(reduce_functional(sdp.cost),
                          {k: v for k, v in sdp.cost.items() if k[0] == "free"})
-    new_cons: list[LinearConstraint] = []
-    keyorder: list[VarKey] = []
-    for bi, blk in enumerate(blocks):
-        for r in range(blk.size):
-            for c in range(r, blk.size):
-                keyorder.append(("blk", bi, r, c))
-    keyorder.extend(("free", f) for f in sdp.free_vars)
-    keypos = {k: i for i, k in enumerate(keyorder)}
+    cons = [LinearConstraint(to_coeffs(reduce_functional(con.coeffs),
+                                       {k: v for k, v in con.coeffs.items()
+                                        if k[0] == "free"}), con.rhs)
+            for con in sdp.constraints]
+    red = BlockSDP(blocks, list(sdp.free_vars), new_cost, cons,
+                   meta={"mode": "reduced", "parent": sdp.meta})
     if use_exact:
-        # rows carry the rhs in a trailing column the pivot search never
-        # touches, so dependent rows with mismatched rhs show up as
-        # inconsistencies rather than pivots
-        span = RowBasis(len(keyorder))
-        for con in sdp.constraints:
-            coeffs = to_coeffs(reduce_functional(con.coeffs),
-                               {k: v for k, v in con.coeffs.items() if k[0] == "free"})
-            row = [Fraction(0)] * len(keyorder)
-            for k, v in coeffs.items():
-                row[keypos[k]] = v
-            row.append(con.rhs)
-            if span.add(row):
-                new_cons.append(LinearConstraint(coeffs, con.rhs))
-            elif not span.contains(row):
-                raise AssemblyInfeasible("restricted constraint system is inconsistent")
+        param = red.parametrize(red.var_order())
+        if param is None:
+            raise AssemblyInfeasible("restricted constraint system is inconsistent")
+        keep = param.sources
     else:
+        keypos = {k: i for i, k in enumerate(red.var_order())}
         kept: list[np.ndarray] = []
-        for con in sdp.constraints:
-            coeffs = to_coeffs(reduce_functional(con.coeffs),
-                               {k: v for k, v in con.coeffs.items() if k[0] == "free"})
-            vec = np.zeros(len(keyorder) + 1)
-            for k, v in coeffs.items():
+        keep = []
+        for i, con in enumerate(cons):
+            vec = np.zeros(len(keypos) + 1)
+            for k, v in con.coeffs.items():
                 vec[keypos[k]] = float(v)
             vec[-1] = float(con.rhs)
             w = vec.copy()
@@ -404,9 +406,8 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
                 w -= np.dot(w, u) * u
             if np.linalg.norm(w[:-1]) > 1e-9 * max(1.0, np.linalg.norm(vec)):
                 kept.append(w / np.linalg.norm(w))
-                new_cons.append(LinearConstraint(coeffs, con.rhs))
-    red = BlockSDP(blocks, list(sdp.free_vars), new_cost, new_cons,
-                   meta={"mode": "reduced", "parent": sdp.meta})
+                keep.append(i)
+    red.constraints = [cons[i] for i in keep]
     return red, ReducedMap(basis, list(basis.layout))
 
 

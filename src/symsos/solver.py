@@ -1,6 +1,6 @@
 """Dense primal-dual interior-point solver for block-diagonal SDPs.
 
-Free scalar variables are eliminated exactly (rational row reduction) before
+Free scalar variables are eliminated exactly (``linalg.parametrize``) before
 the cone solve, avoiding the ill-conditioned positive/negative split.  The
 cone iteration is a standard Nesterov-Todd scaled path-following method with
 a Mehrotra predictor-corrector step, robust at the block sizes this package
@@ -26,7 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import RowBasis
 from .scalars import Scalar, exact
 from .sdp import BlockSDP, VarKey
 
@@ -77,80 +76,50 @@ class _Eliminated:
 
 def _eliminate_free(sdp: BlockSDP) -> _Eliminated:
     entry_keys = [k for k in sdp.var_order() if k[0] == "blk"]
-    pos = {k: i for i, k in enumerate(entry_keys)}
-    ne, nf = len(entry_keys), len(sdp.free_vars)
-    rows = []
-    for con in sdp.constraints:
-        row = [Fraction(0)] * (nf + ne + 1)
-        for k, v in con.coeffs.items():
-            if k[0] == "free":
-                row[sdp.free_vars.index(k[1])] = v
-            else:
-                row[nf + pos[k]] = v
-        row[-1] = con.rhs
-        rows.append(row)
-    # exact RREF with free columns taking pivot priority
-    basis = RowBasis(nf + ne)
-    kept = []
-    for row in rows:
-        if basis.add(row):
-            kept.append(basis.rows[-1])
-        elif not basis.contains(row):
-            return _Eliminated(entry_keys, [], [], {}, Fraction(0), {},
-                               status="infeasible")
-    # back-substitute to full RREF
-    for i in range(len(basis.rows) - 1, -1, -1):
-        pc = basis.pivots[i]
-        for j in range(i):
-            f = basis.rows[j][pc]
-            if f != 0:
-                basis.rows[j] = [exact(x - f * y)
-                                 for x, y in zip(basis.rows[j], basis.rows[i])]
-    subs: dict[str, tuple[Scalar, dict[int, Scalar]]] = {}
+    nf = len(sdp.free_vars)
+    # free columns first, so every free variable that can be a pivot is one
+    param = sdp.parametrize([("free", f) for f in sdp.free_vars] + entry_keys)
+    if param is None:
+        return _Eliminated(entry_keys, [], [], {}, Fraction(0), {},
+                           status="infeasible")
+    # a row pivoting on an entry has no free column left, so it is a cone row
     cone_rows: list[dict[int, Scalar]] = []
     cone_rhs: list[Scalar] = []
-    pivot_free: dict[int, list[Scalar]] = {}
-    for prow, pc in zip(basis.rows, basis.pivots):
+    pivot_free: dict[int, tuple[Scalar, dict[int, Scalar]]] = {}
+    for pc, rhs, coeffs in param.pivots:
         if pc < nf:
-            pivot_free[pc] = prow
+            pivot_free[pc] = (rhs, coeffs)
         else:
-            coeffs = {j - nf: prow[j] for j in range(nf, nf + ne) if prow[j] != 0}
-            if any(prow[j] != 0 for j in range(nf)):
-                raise AssertionError("free column left of an entry pivot")
-            cone_rows.append(coeffs)
-            cone_rhs.append(prow[-1])
-    # substitute pivot frees into the cost
+            row = {pc - nf: Fraction(1)}
+            row.update((j - nf, -v) for j, v in coeffs.items())
+            cone_rows.append(row)
+            cone_rhs.append(rhs)
+    # substitute the pivot frees into the cost
     c: dict[int, Scalar] = {}
     const: Scalar = Fraction(0)
-    free_cost = [sdp.cost.get(("free", f), Fraction(0)) for f in sdp.free_vars]
+    pos = {k: i for i, k in enumerate(entry_keys)}
     for k, v in sdp.cost.items():
         if k[0] == "blk":
             c[pos[k]] = exact(c.get(pos[k], Fraction(0)) + v)
-    residual_free = list(free_cost)
-    for fc, prow in pivot_free.items():
+    residual_free = [sdp.cost.get(("free", f), Fraction(0)) for f in sdp.free_vars]
+    for fc, (rhs, coeffs) in pivot_free.items():
         w = residual_free[fc]
         residual_free[fc] = Fraction(0)
         if w == 0:
             continue
-        # substitute f_pivot = rhs - sum_{j != pivot} prow[j] * var_j
-        const = exact(const + w * prow[-1])
-        for j in range(nf + ne):
-            if j == fc or prow[j] == 0:
-                continue
+        const = exact(const + w * rhs)
+        for j, v in coeffs.items():
             if j < nf:
-                residual_free[j] = exact(residual_free[j] - w * prow[j])
+                residual_free[j] = exact(residual_free[j] + w * v)
             else:
-                c[j - nf] = exact(c.get(j - nf, Fraction(0)) - w * prow[j])
+                c[j - nf] = exact(c.get(j - nf, Fraction(0)) + w * v)
     if any(v != 0 for v in residual_free):
         return _Eliminated(entry_keys, [], [], {}, Fraction(0), {},
                            status="unbounded")
+    subs: dict[str, tuple[Scalar, dict[int, Scalar]]] = {}
     for fi, name in enumerate(sdp.free_vars):
-        if fi in pivot_free:
-            prow = pivot_free[fi]
-            subs[name] = (prow[-1], {j - nf: exact(-prow[j])
-                                     for j in range(nf, nf + ne) if prow[j] != 0})
-        else:
-            subs[name] = (Fraction(0), {})
+        rhs, coeffs = pivot_free.get(fi, (Fraction(0), {}))
+        subs[name] = (rhs, {j - nf: v for j, v in coeffs.items() if j >= nf})
     return _Eliminated(entry_keys, cone_rows, cone_rhs, c, const, subs)
 
 

@@ -66,7 +66,7 @@ def test_criterion_2_symmetric_quartic():
     """Bound value, reduced block census, free parameters, published cert."""
     f = symmetric_quartic()
     lam, cert = sos_lower_bound(f, "symmetric:3")
-    sdp = cert.diagnostics["sdp"]
+    sdp = cert.program
     sizes = [b.size for b in sdp.blocks]
     # exact rank of the coupled constraint system over all Gram entries
     keys = [k for k in sdp.var_order() if k[0] == "blk"]

@@ -1,0 +1,126 @@
+"""The one exact elimination (``linalg.parametrize``) and its three callers."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from symsos.certificates import Certificate, round_certificate
+from symsos.groups import catalog
+from symsos.isotypic import induced_representation, symmetry_adapted_basis
+from symsos.linalg import InconsistentRow, RowBasis, parametrize, rank_exact
+from symsos.poly import parse_polynomial
+from symsos.sdp import (AssemblyInfeasible, BlockSDP, BlockSpec, LinearConstraint,
+                        assemble_gram, restrict_invariant)
+from symsos.solver import solve
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def consistent_systems(draw):
+    """Rows of [A | A x0] with zero rows and combinations of earlier rows mixed in."""
+    n = draw(st.integers(1, 6))
+    x0 = [Fraction(draw(small), draw(st.integers(1, 4))) for _ in range(n)]
+    a: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero":
+            a.append([Fraction(0)] * n)
+        elif kind == "combination" and a:
+            c1, c2 = draw(small), draw(small)
+            r1, r2 = draw(st.sampled_from(a)), draw(st.sampled_from(a))
+            a.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+        else:
+            a.append([Fraction(draw(small)) for _ in range(n)])
+    rows = [row + [sum((x * v for x, v in zip(row, x0)), Fraction(0))] for row in a]
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(consistent_systems(), st.lists(small, min_size=6, max_size=6))
+def test_exact_points_satisfy_every_row(system, frees):
+    n, rows = system
+    param = parametrize(rows, n)
+    assert param is not None
+    assert len(param.pivots) == (rank_exact([r[:n] for r in rows]) if rows else 0)
+    assert sorted([pc for pc, _, _ in param.pivots] + param.free) == list(range(n))
+    for pc, _, coeffs in param.pivots:
+        assert set(coeffs) <= set(param.free)
+    point = param.point({j: Fraction(v, 3) for j, v in zip(param.free, frees)})
+    for row in rows:
+        assert sum((x * v for x, v in zip(row, point)), Fraction(0)) == row[n]
+
+
+def test_pivots_keep_insertion_order_and_sources():
+    rows = [[0, 1, 1, 2], [0, 2, 2, 4], [1, 0, 1, 3], [0, 0, 0, 0]]
+    param = parametrize([[Fraction(x) for x in r] for r in rows], 3)
+    assert [pc for pc, _, _ in param.pivots] == [1, 0]
+    assert param.sources == [0, 2]
+    assert param.free == [2]
+    assert param.pivots[0] == (1, Fraction(2), {2: Fraction(-1)})
+    assert param.pivots[1] == (0, Fraction(3), {2: Fraction(-1)})
+
+
+def test_each_row_reduced_once(monkeypatch):
+    calls = []
+    original = RowBasis.reduce
+
+    def counting(self, row):
+        calls.append(1)
+        return original(self, row)
+
+    monkeypatch.setattr(RowBasis, "reduce", counting)
+    rows = [[Fraction(x) for x in r] for r in
+            ([1, 1, 2], [2, 2, 4], [0, 0, 0], [1, -1, 0])]
+    assert parametrize(rows, 2) is not None
+    assert len(calls) == len(rows)
+    calls.clear()
+    bad = rows[:2] + [[Fraction(3), Fraction(3), Fraction(5)]] + rows[2:]
+    assert parametrize(bad, 2) is None
+    assert len(calls) == 3          # stops at the inconsistent row
+
+
+def test_dependent_row_with_other_rhs_raises():
+    basis = RowBasis(2)
+    assert basis.add([Fraction(1), Fraction(2), Fraction(1)])
+    assert not basis.add([Fraction(2), Fraction(4), Fraction(2)])
+    with pytest.raises(InconsistentRow):
+        basis.add([Fraction(2), Fraction(4), Fraction(3)])
+    assert basis.rank == 1
+
+
+def _contradictory_program() -> BlockSDP:
+    """X00 + X11 = 1 and, two rows later, 2 X00 + 2 X11 = 3."""
+    trace = {("blk", 0, 0, 0): Fraction(1), ("blk", 0, 1, 1): Fraction(1)}
+    cons = [LinearConstraint(dict(trace), Fraction(1)),
+            LinearConstraint({("blk", 0, 0, 1): Fraction(1)}, Fraction(0)),
+            LinearConstraint({k: 2 * v for k, v in trace.items()}, Fraction(3))]
+    return BlockSDP([BlockSpec("x", 2, 1)], [], dict(trace), cons)
+
+
+def test_inconsistent_system_from_solve():
+    sol = solve(_contradictory_program())
+    assert sol.status == "infeasible-suspect"
+
+
+def test_inconsistent_system_from_round_certificate():
+    sdp = _contradictory_program()
+    fake = Certificate("plain", "trivial", ["x"], Fraction(0), exact=False,
+                       monomials=((0,), (1,)), gram=np.eye(2),
+                       objective="feasibility", program=sdp)
+    with pytest.raises(AssemblyInfeasible):
+        round_certificate(fake, parse_polynomial("x^2 + 1", ["x"]))
+
+
+def test_inconsistent_system_from_restrict_invariant():
+    cat = catalog("trivial:2")
+    rep = induced_representation(cat.action, 1)
+    sab = symmetry_adapted_basis(rep, cat)
+    assert sab.is_exact
+    sdp = assemble_gram(parse_polynomial("x^2 + y^2 + 1", ["x", "y"]))
+    first = sdp.constraints[0]
+    sdp.constraints.append(LinearConstraint(dict(first.coeffs), first.rhs + 1))
+    with pytest.raises(AssemblyInfeasible):
+        restrict_invariant(sdp, rep, sab)

@@ -148,7 +148,7 @@ class TestBounds:
         f = parse_polynomial("x^6 - 2*x^4 + 2*x^2", ["x"])
         bundle = bundle_for("c2n:1")
         cert = algorithm_two(f, bundle, "feasibility")
-        assert cert.diagnostics["margin"] > -1e-7
+        assert cert.margin > -1e-7
         lam, _ = sos_lower_bound(f, "c2n:1")
         assert abs(lam) < 1e-6
 
@@ -245,7 +245,7 @@ class TestRounding:
         fake = Certificate("plain", "trivial", ["x", "y"], lam, exact=False,
                            monomials=sdp.meta["monomials"].entries,
                            gram=np.zeros((n, n)), objective="feasibility",
-                           diagnostics={"sdp": sdp})
+                           program=sdp)
         with pytest.raises(RoundingError):
             round_certificate(fake, f, schedule=(100, 1000))
 
