@@ -13,6 +13,7 @@ fixed precision with rank decisions at 1e-30 and flagged as floating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,6 +28,8 @@ from .scalars import Quad, Scalar, exact
 
 RANK_DPS = 50
 RANK_THRESHOLD = mpmath.mpf("1e-30")
+
+SparseMatrix = dict[tuple[int, int], Scalar]   # nonzero entries {(r, c): value}
 
 
 @dataclass
@@ -48,19 +51,32 @@ class MatrixRep:
         m = self.mats[i]
         return m.matrix() if isinstance(m, SignedPerm) else [list(r) for r in m]
 
+    @cached_property
+    def inverse_perms(self) -> list[SignedPerm]:
+        """rho(g)^{-1} = rho(g)^T per signed-permutation element, else None."""
+        return [m.inverse() if isinstance(m, SignedPerm) else None for m in self.mats]
+
     def conjugate(self, i: int, x):
-        """rho(g)^T X rho(g) for exact list-matrices or float ndarrays."""
+        """rho(g)^T X rho(g) for exact list-matrices, float ndarrays or sparse maps.
+
+        A sparse map {(r, c): value} holds the nonzero entries of an exact
+        matrix and comes back in the same form.  Under a signed permutation
+        the entry at (r, c) moves to (p^-1(r), p^-1(c)) with the product of
+        the two signs; other matrices go through the dense product.
+        """
         m = self.mats[i]
-        if isinstance(x, np.ndarray):
-            d = to_ndarray(self.dense(i)) if not isinstance(m, SignedPerm) else None
+        if isinstance(x, dict):
             if isinstance(m, SignedPerm):
-                n = self.size
-                out = np.empty_like(x)
-                p, s = m.perm, m.signs
-                for a in range(n):
-                    for b in range(n):
-                        out[a, b] = s[a] * s[b] * x[p[a], p[b]]
-                return out
+                q = self.inverse_perms[i]
+                perm, signs = q.perm, q.signs
+                return {(perm[r], perm[c]): v if signs[r] == signs[c] else -v
+                        for (r, c), v in x.items()}
+            return sparse_matrix(self.conjugate(i, dense_matrix(x, self.size)))
+        if isinstance(x, np.ndarray):
+            if isinstance(m, SignedPerm):
+                p, s = np.array(m.perm), np.array(m.signs)
+                return s[:, None] * s[None, :] * x[np.ix_(p, p)]
+            d = to_ndarray(self.dense(i))
             return d.T @ x @ d
         if isinstance(m, SignedPerm):
             n = self.size
@@ -129,25 +145,49 @@ def induced_representation(action: GroupAction, d: int) -> InducedRep:
     return InducedRep(action, mats, degree=d, basis=basis)
 
 
+def sparse_matrix(x: Matrix) -> SparseMatrix:
+    """The nonzero entries of an exact list-matrix as {(r, c): value}."""
+    return {(r, c): v for r, row in enumerate(x) for c, v in enumerate(row) if v != 0}
+
+
+def dense_matrix(x: SparseMatrix, n: int) -> Matrix:
+    """The n x n exact list-matrix of a sparse map {(r, c): value}."""
+    out: Matrix = [[Fraction(0)] * n for _ in range(n)]
+    for (r, c), v in x.items():
+        out[r][c] = v
+    return out
+
+
 def fixed_point_project(x, rep: MatrixRep):
-    """Reynolds average (1/|G|) sum_g rho(g)^T X rho(g); exact for exact input."""
+    """Reynolds average (1/|G|) sum_g rho(g)^T X rho(g); exact for exact input.
+
+    X is a float ndarray, an exact list-matrix, or a sparse exact map
+    {(r, c): value}; the average comes back in the same form.  For a
+    signed-permutation representation the exact average is an orbit sum: each
+    nonzero entry is added, signed, at its image under every group element,
+    O(nnz |G|) additions and no matrix products.  Other representations sum
+    dense conjugates.
+    """
     order = rep.action.order
     if isinstance(x, np.ndarray):
         acc = np.zeros_like(x, dtype=float)
         for i in range(order):
             acc += rep.conjugate(i, x)
         return acc / order
-    n = len(x)
-    if any(len(row) != n for row in x) or n != rep.size:
-        raise ValueError("matrix size does not match the representation")
-    acc = [[Fraction(0)] * n for _ in range(n)]
+    n = rep.size
+    if isinstance(x, dict):
+        sparse = x
+    else:
+        if len(x) != n or any(len(row) != n for row in x):
+            raise ValueError("matrix size does not match the representation")
+        sparse = sparse_matrix(x)
+    acc: SparseMatrix = {}
     for i in range(order):
-        c = rep.conjugate(i, x)
-        for a in range(n):
-            for b in range(n):
-                acc[a][b] = exact(acc[a][b] + c[a][b])
+        for key, v in rep.conjugate(i, sparse).items():
+            acc[key] = acc.get(key, 0) + v
     w = Fraction(1, order)
-    return [[exact(v * w) for v in row] for row in acc]
+    avg = {key: exact(v * w) for key, v in acc.items() if v != 0}
+    return avg if isinstance(x, dict) else dense_matrix(avg, n)
 
 
 # -- component projections ---------------------------------------------------------

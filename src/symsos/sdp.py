@@ -10,8 +10,10 @@ Two assemblies produce these programs: the plain Gram formulation over a
 monomial vector, and the invariant formulation whose blocks are Gram matrices
 of SOS factors paired with the equivariant Pi matrices.  The
 ``restrict_invariant`` reduction Reynolds-averages the constraint functionals
-and rotates them into a symmetry-adapted basis, yielding one small block per
-irrep with the copy multiplicity folded into the coefficients.
+as sparse matrices (an orbit sum over index pairs for signed-permutation
+actions) and rotates each distinct average once into a symmetry-adapted
+basis, forming only the blocks it keeps: one small block per irrep with the
+copy multiplicity folded into the coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from .equivariants import PiMatrix
 from .invariants import InvariantPoly, InvariantPresentation
-from .isotypic import MatrixRep, Segment, SymmetryAdaptedBasis, fixed_point_project
+from .isotypic import (MatrixRep, Segment, SparseMatrix, SymmetryAdaptedBasis,
+                       dense_matrix, fixed_point_project)
 from .linalg import Matrix, Parametrization, RowBasis, parametrize, to_ndarray
 from .poly import Monomial, Polynomial, monomial_mul, monomial_vector
 from .scalars import Scalar, exact
@@ -245,20 +248,20 @@ class ReducedMap:
         return t @ d @ t.T
 
 
-def _functional_to_exact_matrix(sdp: BlockSDP, coeffs: dict[VarKey, Scalar],
-                                size: int) -> Matrix:
-    m = [[Fraction(0)] * size for _ in range(size)]
+def _functional_matrix(coeffs: dict[VarKey, Scalar]) -> SparseMatrix:
+    """The symmetric matrix A of <A, X> on the single block, as nonzero entries."""
+    m: SparseMatrix = {}
     for key, v in coeffs.items():
         if key[0] != "blk":
             continue
         _, _, r, c = key
         if r == c:
-            m[r][r] = exact(m[r][r] + v)
+            m[r, r] = exact(m.get((r, r), 0) + v)
         else:
             half = exact(v * Fraction(1, 2))
-            m[r][c] = exact(m[r][c] + half)
-            m[c][r] = exact(m[c][r] + half)
-    return m
+            m[r, c] = exact(m.get((r, c), 0) + half)
+            m[c, r] = exact(m.get((c, r), 0) + half)
+    return {k: v for k, v in m.items() if v != 0}
 
 
 def _matrix_to_entry_coeffs(bi: int, m: Matrix) -> dict[VarKey, Scalar]:
@@ -278,43 +281,72 @@ class InvarianceError(ValueError):
     pass
 
 
-def _sym_entry_vector(m: Matrix) -> list[Scalar]:
-    n = len(m)
-    return [m[r][c] for r in range(n) for c in range(r, n)]
+def _sym_entry_vector(m: SparseMatrix, n: int) -> list[Scalar]:
+    return [m.get((r, c), Fraction(0)) for r in range(n) for c in range(r, n)]
 
 
 def check_invariance(sdp: BlockSDP, rep: MatrixRep) -> None:
-    """Spot-check on generators: cost matrix fixed, constraint set preserved."""
+    """Exact invariance check of a single-block program on the generators.
+
+    The cost matrix must be fixed by every generator, and every constraint
+    row (entries, free coefficients and right-hand side) moved by every
+    generator must lie in the row span.  A moved row that is literally a row
+    or the negation of one is found by lookup; only the others are reduced
+    against an exact basis of the rows.
+    """
     n = sdp.blocks[0].size
-    cmat = _functional_to_exact_matrix(sdp, sdp.cost, n)
-    rows = []
-    for con in sdp.constraints:
-        amat = _functional_to_exact_matrix(sdp, con.coeffs, n)
-        frees = [con.coeffs.get(("free", f), Fraction(0)) for f in sdp.free_vars]
-        rows.append((amat, frees, con.rhs))
-    span = RowBasis(n * (n + 1) // 2 + len(sdp.free_vars) + 1)
-    for amat, frees, rhs in rows:
-        span.add(_sym_entry_vector(amat) + frees + [rhs])
+    cost = _functional_matrix(sdp.cost)
+    rows = [(_functional_matrix(con.coeffs),
+             tuple(exact(con.coeffs.get(("free", f), 0)) for f in sdp.free_vars),
+             exact(con.rhs)) for con in sdp.constraints]
+    literal = {(frozenset(m.items()), frees, rhs) for m, frees, rhs in rows}
+    span = None
     for g in rep.action.generators:
-        gmat = rep.conjugate(g, cmat)
-        if any(exact(a) != exact(b) for ra, rb in zip(gmat, cmat)
-               for a, b in zip(ra, rb)):
+        if rep.conjugate(g, cost) != cost:
             raise InvarianceError("cost functional is not invariant")
         for amat, frees, rhs in rows:
             moved = rep.conjugate(g, amat)
-            if not span.contains(_sym_entry_vector(moved) + frees + [rhs]):
+            if (frozenset(moved.items()), frees, rhs) in literal or \
+                    (frozenset((k, -v) for k, v in moved.items()),
+                     tuple(-v for v in frees), -rhs) in literal:
+                continue
+            if span is None:
+                span = RowBasis(n * (n + 1) // 2 + len(sdp.free_vars) + 1)
+                for m, fr, b in rows:
+                    span.add(_sym_entry_vector(m, n) + list(fr) + [b])
+            if not span.contains(_sym_entry_vector(moved, n) + list(frees) + [rhs]):
                 raise InvarianceError("constraint set is not invariant under the group")
+
+
+def _bilinear_block(rmat: dict[int, list[tuple[int, Scalar]]],
+                    us: Sequence[list[tuple[int, Scalar]]],
+                    vs: Sequence[list[tuple[int, Scalar]]]) -> list[list[Scalar]]:
+    """[u^T R v] over sparse vectors, R given by its nonzero entries per column."""
+    rvs = []
+    for v in vs:
+        acc: dict[int, Scalar] = {}
+        for b, vb in v:
+            for a, rab in rmat.get(b, ()):
+                acc[a] = acc.get(a, 0) + rab * vb
+        rvs.append(acc)
+    return [[exact(sum((ua * rv[a] for a, ua in u if a in rv), Fraction(0)))
+             for rv in rvs] for u in us]
 
 
 def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
                        basis: SymmetryAdaptedBasis) -> tuple[BlockSDP, ReducedMap]:
     """Fixed-point restriction plus block rotation of a single-block program.
 
-    Every constraint functional is Reynolds-averaged (its action on the
-    fixed-point subspace is unchanged), rotated by T, and its repeated
-    per-copy subblocks are folded together, so the reduced objective already
-    carries the copy weights.  The reduced system is exactly row-reduced to
-    an independent set.  Optimal values are preserved.
+    After ``check_invariance``, every functional is Reynolds-averaged by
+    ``fixed_point_project`` as a sparse matrix (an orbit sum for
+    signed-permutation actions); its action on the fixed-point subspace is
+    unchanged.  Each distinct average is rotated once per call.  With an
+    exact basis only the kept blocks of T^T R T are formed: the n_i diagonal
+    copy blocks of a real segment, summed, so the reduced objective already
+    carries the copy weights, and the whole block of a complex segment.  A
+    floating basis rotates the exact average in numpy.  The reduced system is
+    row-reduced to an independent set, exactly for an exact basis.  Optimal
+    values are preserved.
     """
     if len(sdp.blocks) != 1:
         raise ValueError("restriction applies to single-block programs")
@@ -323,68 +355,71 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
         raise ValueError("size mismatch between program, representation and basis")
     check_invariance(sdp, rep)
     use_exact = basis.is_exact
-    tcols = basis.columns if use_exact else None
-    tfloat = None if use_exact else basis.t_float()
+    if use_exact:
+        cols = [[(k, v) for k, v in enumerate(col) if v != 0] for col in basis.columns]
+    else:
+        tfloat = basis.t_float()
 
-    def reduce_functional(coeffs: dict[VarKey, Scalar]) -> list:
-        amat = _functional_to_exact_matrix(sdp, coeffs, n)
-        ravg = fixed_point_project(amat, rep)
+    def rotate(ravg: SparseMatrix) -> list[Matrix]:
         out = []
         if use_exact:
+            rmat: dict[int, list[tuple[int, Scalar]]] = {}
+            for (r, c), v in ravg.items():
+                rmat.setdefault(c, []).append((r, v))
             for seg in basis.layout:
-                cols = tcols[seg.col_start: seg.col_start + seg.width]
-                sub = [[None] * seg.width for _ in range(seg.width)]
-                rv = [ [exact(sum((ravg[r][k] * col[k] for k in range(n)), Fraction(0)))
-                        for r in range(n)] for col in cols ]
-                for a in range(seg.width):
-                    for b in range(seg.width):
-                        sub[a][b] = exact(sum((cols[a][r] * rv[b][r] for r in range(n)),
-                                              Fraction(0)))
+                a0 = seg.col_start
                 if seg.kind == "complex":
-                    out.append(sub)
-                else:
-                    m = seg.m_i
-                    folded = [[Fraction(0)] * m for _ in range(m)]
-                    for j in range(seg.n_i):
-                        o = j * m
-                        for r in range(m):
-                            for c in range(m):
-                                folded[r][c] = exact(folded[r][c] + sub[o + r][o + c])
-                    out.append(folded)
+                    seg_cols = cols[a0:a0 + seg.width]
+                    out.append(_bilinear_block(rmat, seg_cols, seg_cols))
+                    continue
+                m = seg.m_i
+                folded = [[Fraction(0)] * m for _ in range(m)]
+                for j in range(seg.n_i):
+                    copy = cols[a0 + j * m:a0 + (j + 1) * m]
+                    sub = _bilinear_block(rmat, copy, copy)
+                    for r in range(m):
+                        for c in range(m):
+                            folded[r][c] = exact(folded[r][c] + sub[r][c])
+                out.append(folded)
         else:
-            ra = to_ndarray(ravg)
-            full = tfloat.T @ ra @ tfloat
+            full = tfloat.T @ to_ndarray(dense_matrix(ravg, n)) @ tfloat
             for seg in basis.layout:
                 a0 = seg.col_start
                 sub = full[a0:a0 + seg.width, a0:a0 + seg.width]
-                if seg.kind == "complex":
-                    out.append(sub)
-                else:
+                if seg.kind != "complex":
                     m = seg.m_i
-                    folded = sum(sub[j * m:(j + 1) * m, j * m:(j + 1) * m]
-                                 for j in range(seg.n_i))
-                    out.append(folded)
+                    sub = sum(sub[j * m:(j + 1) * m, j * m:(j + 1) * m]
+                              for j in range(seg.n_i))
+                out.append([[Fraction(x).limit_denominator(10 ** 12) for x in row]
+                            for row in sub])
         return out
 
     blocks = [BlockSpec(seg.label, seg.width if seg.kind == "complex" else seg.m_i,
                         1 if seg.kind == "complex" else seg.n_i)
               for seg in basis.layout]
 
-    def to_coeffs(parts: list, extras: dict[VarKey, Scalar]) -> dict[VarKey, Scalar]:
-        out: dict[VarKey, Scalar] = dict(extras)
-        for bi, mat in enumerate(parts):
-            if isinstance(mat, np.ndarray):
-                mat = [[Fraction(x).limit_denominator(10 ** 12) for x in row]
-                       for row in mat]
-            out.update(_matrix_to_entry_coeffs(bi, mat))
+    rotated: dict[frozenset, dict[VarKey, Scalar]] = {}
+
+    def reduce_functional(coeffs: dict[VarKey, Scalar]) -> dict[VarKey, Scalar]:
+        ravg = fixed_point_project(_functional_matrix(coeffs), rep)
+        key = frozenset(ravg.items())
+        if key not in rotated:
+            rotated[key] = {k: v for bi, mat in enumerate(rotate(ravg))
+                            for k, v in _matrix_to_entry_coeffs(bi, mat).items()}
+        out = {k: v for k, v in coeffs.items() if k[0] == "free"}
+        out.update(rotated[key])
         return out
 
-    new_cost = to_coeffs(reduce_functional(sdp.cost),
-                         {k: v for k, v in sdp.cost.items() if k[0] == "free"})
-    cons = [LinearConstraint(to_coeffs(reduce_functional(con.coeffs),
-                                       {k: v for k, v in con.coeffs.items()
-                                        if k[0] == "free"}), con.rhs)
+    new_cost = reduce_functional(sdp.cost)
+    cons = [LinearConstraint(reduce_functional(con.coeffs), con.rhs)
             for con in sdp.constraints]
+    # Orbit-mates of an invariant program reduce to literally equal rows; a
+    # repeat adds nothing to the row space, so only first occurrences are
+    # eliminated (they keep their relative order).
+    first: dict[tuple, LinearConstraint] = {}
+    for con in cons:
+        first.setdefault((frozenset(con.coeffs.items()), con.rhs), con)
+    cons = list(first.values())
     red = BlockSDP(blocks, list(sdp.free_vars), new_cost, cons,
                    meta={"mode": "reduced", "parent": sdp.meta})
     if use_exact:

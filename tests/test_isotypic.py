@@ -9,7 +9,7 @@ from symsos.groups import IrrepCatalog, RealIrrep, catalog, close_group, \
 from symsos.isotypic import (action_rep, block_diagonalize,
                              fixed_point_project, induced_representation,
                              symmetry_adapted_basis)
-from symsos.linalg import is_orthogonal
+from symsos.linalg import is_orthogonal, mat_mul, mat_transpose, to_ndarray
 from symsos.molien import molien_series, series_coefficients
 from symsos.scalars import Quad
 
@@ -64,6 +64,60 @@ class TestReynolds:
         x = np.array([[1.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 5.0]])
         proj = fixed_point_project(x, rep)
         assert np.allclose(proj, fixed_point_project(proj, rep))
+
+
+CATALOG_REPS = [("trivial:2", 2), ("c2n:3", 2), ("cyclic:4", 3), ("cyclic:5", 1),
+                ("cyclic:6", 1), ("dihedral:4", 3), ("dihedral:6", 1),
+                ("symmetric:3", 2), ("symmetric:4", 2)]
+
+
+def _random_exact(n, rng):
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)]
+
+
+class TestOrbitSum:
+    @pytest.mark.parametrize("spec,d", CATALOG_REPS)
+    def test_matches_dense_definition_and_is_idempotent(self, spec, d):
+        rep = induced_representation(catalog(spec).action, d)
+        assert rep.is_signed_perm()
+        n, order = rep.size, rep.action.order
+        x = _random_exact(n, random.Random(spec))
+        dense = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(order):
+            g = rep.dense(i)
+            c = mat_mul(mat_transpose(g), mat_mul(x, g))
+            dense = [[a + b for a, b in zip(ra, rc)] for ra, rc in zip(dense, c)]
+        dense = [[v / order for v in row] for row in dense]
+        avg = fixed_point_project(x, rep)
+        assert avg == dense
+        assert fixed_point_project(avg, rep) == avg
+        sparse = {(r, c): v for r, row in enumerate(x) for c, v in enumerate(row)
+                  if v != 0}
+        assert fixed_point_project(sparse, rep) == {
+            (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)
+            if v != 0}
+
+    def test_general_matrices_average_densely(self):
+        # a reflection that is no signed permutation: {I, R} with R^2 = I
+        r = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+        rep = action_rep(close_group([r]))
+        assert not rep.is_signed_perm()
+        x = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
+        rxr = mat_mul(r, mat_mul(x, r))
+        want = [[(a + b) / 2 for a, b in zip(ra, rb)] for ra, rb in zip(x, rxr)]
+        assert fixed_point_project(x, rep) == want
+        sparse = {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(3)}
+        assert fixed_point_project(sparse, rep) == {
+            (i, j): v for i, row in enumerate(want) for j, v in enumerate(row) if v}
+
+    @pytest.mark.parametrize("spec,d", CATALOG_REPS)
+    def test_float_conjugate_matches_exact(self, spec, d):
+        rep = induced_representation(catalog(spec).action, d)
+        x = _random_exact(rep.size, random.Random(d))
+        xf = to_ndarray(x)
+        for i in range(rep.action.order):
+            assert np.array_equal(rep.conjugate(i, xf), to_ndarray(rep.conjugate(i, x)))
 
 
 class TestSymmetryAdaptedBasis:

@@ -7,10 +7,14 @@ import pytest
 from symsos.groups import IrrepCatalog, RealIrrep, catalog, close_group
 from symsos.isotypic import (action_rep, fixed_point_project,
                              induced_representation, symmetry_adapted_basis)
-from symsos.poly import parse_polynomial
+from symsos.fixtures import robinson_dihedral, symmetric_quartic
+from symsos.linalg import RowBasis, mat_mul, mat_transpose, to_ndarray
+from symsos.poly import (Polynomial, monomial_vector, parse_polynomial,
+                         substitute_linear)
+from symsos.scalars import exact
 from symsos.sdp import (BlockSDP, BlockSpec, InvarianceError,
-                        LinearConstraint, assemble_gram, restrict_invariant,
-                        with_interior_variable)
+                        LinearConstraint, assemble_gram, check_invariance,
+                        restrict_invariant, with_interior_variable)
 from symsos.solver import solve
 
 
@@ -114,6 +118,45 @@ class TestRestrictInvariant:
             restrict_invariant(sdp, rep, sab)
 
 
+def _coeffs_of(mat):
+    n = len(mat)
+    out = {}
+    for r in range(n):
+        if mat[r][r]:
+            out[("blk", 0, r, r)] = mat[r][r]
+        for c in range(r + 1, n):
+            v = mat[r][c] + mat[c][r]
+            if v:
+                out[("blk", 0, r, c)] = v
+    return out
+
+
+def _random_invariant_sdp(rep, rng):
+    """Invariant cost and constraints from Reynolds-averaged random functionals.
+
+    Feasibility is anchored at an invariant PD point x0 and the cost is dual
+    feasible, so the instance is feasible and bounded by construction.
+    Returns the program and its cost matrix.
+    """
+    n = rep.size
+
+    def rnd_sym(shift=0):
+        m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        return [[m[i][j] + m[j][i] + (Fraction(shift) if i == j else 0)
+                 for j in range(n)] for i in range(n)]
+
+    x0 = fixed_point_project(rnd_sym(shift=12), rep)
+    amats = [fixed_point_project(rnd_sym(), rep) for _ in range(2)]
+    zmat = fixed_point_project(rnd_sym(shift=10), rep)
+    ys = [Fraction(rng.randint(-2, 2)) for _ in range(2)]
+    cmat = [[zmat[i][j] + sum(ys[k] * amats[k][i][j] for k in range(2))
+             for j in range(n)] for i in range(n)]
+    cons = [LinearConstraint(_coeffs_of(a),
+                             sum(a[i][j] * x0[i][j] for i in range(n)
+                                 for j in range(n))) for a in amats]
+    return BlockSDP([BlockSpec("x", n, 1)], [], _coeffs_of(cmat), cons), cmat
+
+
 @pytest.mark.parametrize("spec,d", [("dihedral:4", 2), ("cyclic:4", 2),
                                     ("symmetric:3", 2), ("c2n:2", 2),
                                     ("dihedral:6", 1), ("symmetric:4", 1),
@@ -122,43 +165,12 @@ def test_reduction_equivalence_random_invariant_sdps(spec, d):
     """Restricting invariant programs preserves the optimum (50 per group)."""
     cat = catalog(spec)
     rep = induced_representation(cat.action, d)
-    n = rep.size
-    assert n <= 12
+    assert rep.size <= 12
     sab = symmetry_adapted_basis(rep, cat)
     rng = random.Random(spec)
     agree = 0
     for trial in range(50):
-        # invariant cost and constraints via Reynolds-averaged functionals;
-        # feasibility anchored at an invariant PSD point
-        def rnd_sym(shift=0):
-            m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-            return [[m[i][j] + m[j][i] + (Fraction(shift) if i == j else 0)
-                     for j in range(n)] for i in range(n)]
-
-        # primal anchor (invariant, PD) and a dual-feasible cost so the
-        # instance is feasible and bounded by construction
-        x0 = fixed_point_project(rnd_sym(shift=12), rep)
-        amats = [fixed_point_project(rnd_sym(), rep) for _ in range(2)]
-        zmat = fixed_point_project(rnd_sym(shift=10), rep)
-        ys = [Fraction(rng.randint(-2, 2)) for _ in range(2)]
-        cmat = [[zmat[i][j] + sum(ys[k] * amats[k][i][j] for k in range(2))
-                 for j in range(n)] for i in range(n)]
-
-        def coeffs_of(mat):
-            out = {}
-            for r in range(n):
-                if mat[r][r]:
-                    out[("blk", 0, r, r)] = mat[r][r]
-                for c in range(r + 1, n):
-                    v = mat[r][c] + mat[c][r]
-                    if v:
-                        out[("blk", 0, r, c)] = v
-            return out
-
-        cons = [LinearConstraint(coeffs_of(a),
-                                 sum(a[i][j] * x0[i][j] for i in range(n)
-                                     for j in range(n))) for a in amats]
-        sdp = BlockSDP([BlockSpec("x", n, 1)], [], coeffs_of(cmat), cons)
+        sdp, cmat = _random_invariant_sdp(rep, rng)
         red, rmap = restrict_invariant(sdp, rep, sab)
         full = solve(sdp)
         reduced = solve(red)
@@ -172,6 +184,194 @@ def test_reduction_equivalence_random_invariant_sdps(spec, d):
                        reduced.objective) <= 1e-6 * (1 + abs(reduced.objective))
             agree += 1
     assert agree >= 40  # the overwhelming majority must solve cleanly
+
+
+def _by_construction(spec, degree, seed):
+    """Plain Gram program of f = c + (1/|G|) sum_g q(g x)^2, q random of degree/2.
+
+    f is invariant and f - c is a sum of squares, so the bound is >= c.
+    """
+    action = catalog(spec).action
+    n = action.n
+    rng = random.Random(seed)
+    q = Polynomial(n, {m: Fraction(rng.randint(-2, 2))
+                       for m in monomial_vector(n, degree // 2).entries})
+    total = Polynomial.zero(n)
+    for i in range(action.order):
+        qg = substitute_linear(q, action.matrix(i))
+        total = total + qg * qg
+    c = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+    f = total.scale(Fraction(1, action.order)) + c
+    assert f.degree() == degree
+    return assemble_gram(f, with_lambda=True), c
+
+
+def _dense_restriction(sdp, rep, sab):
+    """restrict_invariant by its dense definition, the reference for the sparse one.
+
+    Every functional A becomes R = sum_g rho(g)^T A rho(g) / |G| through
+    ``MatrixRep.conjugate`` on dense exact matrices; all of T^T R T is formed
+    and the diagonal copy blocks of each real segment are summed.
+    """
+    n = sdp.blocks[0].size
+    order = rep.action.order
+
+    def reduce(coeffs):
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for key, v in coeffs.items():
+            if key[0] == "blk":
+                _, _, r, c = key
+                a[r][c] += v if r == c else v / 2
+                if r != c:
+                    a[c][r] += v / 2
+        avg = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(order):
+            conj = rep.conjugate(i, a)
+            avg = [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(avg, conj)]
+        avg = [[exact(x / order) for x in row] for row in avg]
+        if sab.is_exact:
+            t = sab.t_matrix()
+            full = mat_mul(mat_transpose(t), mat_mul(avg, t))
+        else:
+            tf = sab.t_float()
+            full = tf.T @ to_ndarray(avg) @ tf
+        out = {k: v for k, v in coeffs.items() if k[0] == "free"}
+        for bi, seg in enumerate(sab.layout):
+            a0 = seg.col_start
+            if seg.kind == "complex":
+                blk = [[full[a0 + r][a0 + c] for c in range(seg.width)]
+                       for r in range(seg.width)]
+            else:
+                m = seg.m_i
+                copies = [np.array([[full[a0 + j * m + r][a0 + j * m + c]
+                                     for c in range(m)] for r in range(m)],
+                                   dtype=object if sab.is_exact else float)
+                          for j in range(seg.n_i)]
+                blk = sum(copies).tolist()
+            if not sab.is_exact:
+                blk = [[Fraction(x).limit_denominator(10 ** 12) for x in row]
+                       for row in blk]
+            for r in range(len(blk)):
+                for c in range(r, len(blk)):
+                    v = exact(blk[r][c] if r == c else blk[r][c] + blk[c][r])
+                    if v != 0:
+                        out[("blk", bi, r, c)] = v
+        return out
+
+    blocks = [BlockSpec(seg.label, seg.width if seg.kind == "complex" else seg.m_i,
+                        1 if seg.kind == "complex" else seg.n_i)
+              for seg in sab.layout]
+    cons = [LinearConstraint(reduce(con.coeffs), con.rhs) for con in sdp.constraints]
+    red = BlockSDP(blocks, list(sdp.free_vars), reduce(sdp.cost), cons)
+    if sab.is_exact:
+        keep = red.parametrize(red.var_order()).sources
+    else:
+        keypos = {k: i for i, k in enumerate(red.var_order())}
+        kept, keep = [], []
+        for i, con in enumerate(cons):
+            vec = np.zeros(len(keypos) + 1)
+            for k, v in con.coeffs.items():
+                vec[keypos[k]] = float(v)
+            vec[-1] = float(con.rhs)
+            w = vec.copy()
+            for u in kept:
+                w -= np.dot(w, u) * u
+            if np.linalg.norm(w[:-1]) > 1e-9 * max(1.0, np.linalg.norm(vec)):
+                kept.append(w / np.linalg.norm(w))
+                keep.append(i)
+    red.constraints = [cons[i] for i in keep]
+    return red
+
+
+def _oracle_program(name):
+    if name == "robinson":
+        return "dihedral:4", 3, assemble_gram(robinson_dihedral())
+    if name == "s3-quartic":
+        return "symmetric:3", 2, assemble_gram(symmetric_quartic())
+    if name == "c2n:3 quartic":
+        return "c2n:3", 2, _by_construction("c2n:3", 4, seed=3)[0]
+    if name == "s4 degree 4":
+        return "symmetric:4", 2, _by_construction("symmetric:4", 4, seed=4)[0]
+    spec, d = {"cyclic:3 sdp": ("cyclic:3", 2), "cyclic:4 sdp": ("cyclic:4", 2),
+               "cyclic:5 sdp": ("cyclic:5", 1)}[name]
+    rep = induced_representation(catalog(spec).action, d)
+    return spec, d, _random_invariant_sdp(rep, random.Random(name))[0]
+
+
+@pytest.mark.parametrize("name", ["robinson", "s3-quartic", "c2n:3 quartic",
+                                  "cyclic:3 sdp", "cyclic:4 sdp", "cyclic:5 sdp",
+                                  "s4 degree 4"])
+def test_restriction_matches_dense_definition(name):
+    spec, d, sdp = _oracle_program(name)
+    cat = catalog(spec)
+    rep = induced_representation(cat.action, d)
+    sab = symmetry_adapted_basis(rep, cat)
+    if name == "cyclic:5 sdp":
+        assert not sab.is_exact
+    if name.startswith(("cyclic:3", "cyclic:4")):
+        assert any(seg.kind == "complex" for seg in sab.layout)
+    got, _ = restrict_invariant(sdp, rep, sab)
+    ref = _dense_restriction(sdp, rep, sab)
+    assert got.blocks == ref.blocks
+    assert got.free_vars == ref.free_vars
+    assert got.cost == ref.cost
+    assert [(c.coeffs, c.rhs) for c in got.constraints] == \
+        [(c.coeffs, c.rhs) for c in ref.constraints]
+
+
+class TestCheckInvariance:
+    @staticmethod
+    def _quartic_program():
+        f = symmetric_quartic()
+        cat = catalog("symmetric:3")
+        rep = induced_representation(cat.action, 2)
+        sdp = assemble_gram(f, with_lambda=True)
+        # assemble_gram orders its equations by (degree, exponent tuple)
+        monos = sorted(monomial_vector(3, 4).entries, key=lambda m: (sum(m), m))
+        i, j = monos.index((4, 0, 0)), monos.index((0, 4, 0))
+        a, b = sdp.constraints[i], sdp.constraints[j]
+        keys = set(a.coeffs) | set(b.coeffs)
+        sdp.constraints[i] = LinearConstraint(
+            {k: a.coeffs.get(k, 0) + b.coeffs.get(k, 0) for k in keys}, a.rhs + b.rhs)
+        sdp.constraints[j] = LinearConstraint(
+            {k: a.coeffs.get(k, 0) - b.coeffs.get(k, 0) for k in keys}, a.rhs - b.rhs)
+        return sdp, rep, i
+
+    def test_moved_rows_in_span_but_not_literal_pass(self, monkeypatch):
+        sdp, rep, _ = self._quartic_program()
+        reduced = []
+        contains = RowBasis.contains
+
+        def counting(self, row):
+            reduced.append(1)
+            return contains(self, row)
+
+        monkeypatch.setattr(RowBasis, "contains", counting)
+        check_invariance(sdp, rep)
+        assert reduced  # x^4 + y^4 moves to a sum that is no literal row
+
+    def test_one_changed_coefficient_rejected(self):
+        sdp, rep, i = self._quartic_program()
+        con = sdp.constraints[i]
+        key = next(k for k in con.coeffs if k[0] == "blk")
+        con.coeffs[key] += 1
+        with pytest.raises(InvarianceError, match="constraint set"):
+            check_invariance(sdp, rep)
+
+
+@pytest.mark.slow
+def test_s4_degree_six_isotypic_route():
+    sdp, c = _by_construction("symmetric:4", 6, seed=5)
+    assert (sdp.blocks[0].size, len(sdp.constraints)) == (35, 210)
+    cat = catalog("symmetric:4")
+    rep = induced_representation(cat.action, 3)
+    red, _ = restrict_invariant(sdp, rep, symmetry_adapted_basis(rep, cat))
+    assert [b.size for b in red.blocks] == [7, 7, 2, 1]
+    assert len(red.constraints) == 27
+    reduced, full = solve(red), solve(sdp)
+    assert reduced.status == "optimal"
+    assert reduced.free_values["lambda"] >= c - 1e-6
+    assert abs(reduced.objective - full.objective) <= 1e-6
 
 
 class TestInteriorVariable:
