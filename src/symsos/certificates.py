@@ -15,13 +15,17 @@ object passed to ``algorithm_one`` (a user irrep table, say) is built afresh
 on every call.
 
 Numeric optima are turned into exact certificates by rounding the free
-parameters of the exactly-eliminated constraint system of the assembly the
-certificate carries (``Certificate.program``): pivot entries are recomputed
-exactly, so the polynomial identity holds by construction, and each Gram
-block is tested PSD via rational LDL^T.  Rounding does not replay the
+parameters of the exactly-eliminated constraint system of the assembly a
+float certificate carries (``Certificate.program``; an exact certificate
+drops it): pivot entries are recomputed exactly, so the polynomial identity
+holds by construction.  Each Gram block is screened for an exact negative
+direction and then tested PSD via rational LDL^T (``linalg.ldl_psd``);
+when the bound moves one diagonal entry, its exact boundary value comes
+from the LDL^T of the minor it leaves alone.  Rounding does not replay the
 identity.  ``verify_certificate`` is the one literal replay: every block
-LDL^T-tested, then sum_i <S_i, Pi_i> collected per (eta_j, theta^gamma) and
-expanded into the original variables once.
+tested by ``ldl_psd``, then sum_i <S_i, Pi_i> collected per (eta_j,
+theta^gamma) and expanded into the original variables once.  Refusal
+reasons name a block, a row and a sign, never an entry.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from .invariants import (InvariantPoly, InvariantPresentation, NotInvariantError
                          rewrite_in_invariants, expand_invariants,
                          verify_invariant, weighted_degree,
                          symmetric_presentation)
-from .linalg import Parametrization, ldl_psd, solve_exact
+from .linalg import (NotPSD, Parametrization, dot, ldl_decomposition, ldl_psd,
+                     negative_direction)
 from .poly import Monomial, Polynomial, monomial_mul
 from .scalars import Scalar, exact
 from .sdp import (AssemblyInfeasible, BlockSDP, VarKey, assemble_gram,
@@ -237,8 +242,8 @@ def verify_certificate(cert: Certificate, f: Polynomial) -> tuple[bool, list[str
             return False, [f"block {block.label}: Gram not PSD ({why})"]
     diff = expand_certificate(cert, f.nvars) - (f - cert.lam)
     if not diff.is_zero():
-        return False, [f"identity fails; first residual term "
-                       f"{next(iter(diff.terms.items()))}"]
+        return False, [f"identity fails; first residual monomial "
+                       f"{next(iter(diff.terms))}"]
     if cert.mode == "plain":
         return True, ["plain Gram identity and PSD check passed"]
     return True, ["invariant identity and all PSD checks passed"]
@@ -421,45 +426,44 @@ def _blocks_from_values(sdp: BlockSDP, keys, vals) -> list[list[list[Fraction]]]
     return out
 
 
-def _lambda_boundary(sdp: BlockSDP, keys: list[VarKey], param: Parametrization,
-                     free_vals: dict[int, Fraction],
-                     lam_idx: int) -> Fraction | None:
-    """Exact largest lambda keeping the blocks PSD, for fixed free parameters.
+def _lambda_entry(keys: list[VarKey], param: Parametrization,
+                  lam_idx: int) -> tuple[int, int, Fraction] | None:
+    """(block, row, beta) when lambda moves only diagonal entry (row, row), by beta < 0.
 
-    Applies when lambda moves exactly one diagonal entry (the usual
-    constant-equation pivot): the extreme value solves the exact Schur
-    condition E >= v^T M^+ v of that block.
+    The usual constant-equation pivot; the entries lambda moves, and by how
+    much, do not depend on the values of the other free parameters.
     """
-    v0 = dict(free_vals)
-    v0[lam_idx] = Fraction(0)
-    v1 = dict(free_vals)
-    v1[lam_idx] = Fraction(1)
-    b0 = _blocks_from_values(sdp, keys, param.point(v0))
-    b1 = _blocks_from_values(sdp, keys, param.point(v1))
-    moved = []
-    for bi in range(len(b0)):
-        for r in range(len(b0[bi])):
-            for c in range(r, len(b0[bi])):
-                delta = b1[bi][r][c] - b0[bi][r][c]
-                if delta != 0:
-                    moved.append((bi, r, c, delta))
-    if len(moved) != 1 or moved[0][1] != moved[0][2] or moved[0][3] >= 0:
+    moved = [(keys[pc], coeffs[lam_idx]) for pc, _, coeffs in param.pivots
+             if lam_idx in coeffs and keys[pc][0] == "blk"]
+    if len(moved) != 1:
         return None
-    bi, r, _, beta = moved[0]
-    block = b0[bi]
-    n = len(block)
-    idx = [i for i in range(n) if i != r]
-    sub = [[block[i][j] for j in idx] for i in idx]
-    if sub and not ldl_psd(sub)[0]:
+    (_, bi, r, c), beta = moved[0]
+    return (bi, r, beta) if r == c and beta < 0 else None
+
+
+def _lambda_boundary(block: list[list[Fraction]], r: int,
+                     beta: Fraction) -> Fraction | None:
+    """Exact largest lambda keeping the block PSD, when lambda moves only entry (r, r).
+
+    ``block`` is the block at lambda = 0, and the entry is e0 + beta * lambda
+    with beta < 0.  With the minor M without row r factored as L D L^T and v
+    the rest of column r, the block is PSD iff M is, v lies in the range of
+    M, and the entry is at least v^T M^+ v = sum_k y_k^2 / d_k, where L y = v
+    by forward substitution.  None when no lambda keeps the block PSD.
+    """
+    idx = [i for i in range(len(block)) if i != r]
+    v = [block[i][r] for i in idx]
+    try:
+        L, ds, perm = ldl_decomposition([[block[i][j] for j in idx] for i in idx])
+    except NotPSD:
         return None
-    vvec = [block[i][r] for i in idx]
-    z = solve_exact(sub, vvec) if idx else []
-    if z is None:
+    y: list[Fraction] = []
+    for k, p in enumerate(perm):
+        y.append(exact(v[p] - sum((L[p][j] * y[j] for j in range(k)), Fraction(0))))
+    if any(dot(L[i], y) != v[i] for i in range(len(idx))):
         return None
-    bound = sum((vi * zi for vi, zi in zip(vvec, z)), Fraction(0))
-    e0 = block[r][r]
-    # entry E(lambda) = e0 + beta*lambda must stay >= bound, beta < 0
-    return exact((bound - e0) / beta)
+    bound = sum((yk * yk / dk for yk, dk in zip(y, ds)), Fraction(0))
+    return exact((bound - block[r][r]) / beta)
 
 
 def round_certificate(cert: Certificate, f: Polynomial,
@@ -472,14 +476,16 @@ def round_certificate(cert: Certificate, f: Polynomial,
     ``cert.program`` are rounded by continued fractions under each
     denominator bound of the schedule; pivot entries are recomputed exactly,
     so the polynomial identity with ``f`` (from which the program was
-    assembled) holds by construction and is not replayed here, and each Gram
-    block is tested PSD by rational LDL^T.  When the bound variable shifts a
-    single diagonal entry, its exact boundary value for the rounded
-    parameters is computed by a rational Schur condition, which snaps
-    boundary optima with small rational vertices to their exact value.  A
-    candidate is accepted on the first schedule entry whose bound stays
-    within ``quality`` of the floating bound and whose blocks pass LDL^T; if
-    none does, the best such candidate from the whole schedule is returned.
+    assembled) holds by construction and is not replayed here.  Blocks are
+    screened by ``negative_direction`` before any exact LDL^T.  When the
+    bound variable shifts a single diagonal entry, the blocks and the minor
+    it leaves alone are tested first, and its exact boundary value for the
+    rounded parameters is read from the factorization of that minor, which
+    snaps boundary optima with small rational vertices to their exact value;
+    otherwise candidate bounds are tried from the largest down.  A candidate
+    is accepted on the first schedule entry whose bound stays within
+    ``quality`` of the floating bound and whose blocks pass LDL^T; if none
+    does, the best such candidate from the whole schedule is returned.
     ``verify_certificate`` replays the result literally.
     """
     if cert.exact:
@@ -515,55 +521,49 @@ def round_certificate(cert: Certificate, f: Polynomial,
     lam_float = float(cert.lam)
     slack = 10 * solver_tol * (1 + abs(lam_float))
     bound_mode = maximize and lam_idx is not None and lam_idx in free_cols
+    entry = _lambda_entry(keys, param, lam_idx) if bound_mode else None
     fallback: Certificate | None = None
 
-    def attempt(lam_hat: Fraction, free_vals: dict[int, Fraction]):
-        vals = param.point(free_vals)
-        mats = _blocks_from_values(sdp, keys, vals)
-        if not all(ldl_psd(m)[0] for m in mats):
-            return None
-        lam_exact = vals[lam_idx] if lam_idx is not None else lam_hat
-        return _exact_certificate(cert, sdp, mats, lam_exact)
+    def psd(mats, screened=()) -> bool:
+        """Screen ``mats`` and ``screened`` for a negative direction, then LDL^T ``mats``."""
+        return all(negative_direction(m) is None for m in (*mats, *screened)) and \
+            all(ldl_psd(m)[0] for m in mats)
 
     for max_den in schedule:
         free_vals: dict[int, Fraction] = {}
         for j in free_cols:
             if j != lam_idx:
                 free_vals[j] = Fraction(float(float_vals[j])).limit_denominator(max_den)
-        if bound_mode:
-            cands: list[Fraction] = []
-            tight = _lambda_boundary(sdp, keys, param, free_vals, lam_idx)
-            if tight is not None:
-                cands.append(tight)
-                lo = Fraction(lam_float) - Fraction(1, 10 ** 3)
-                if lo < tight:
-                    cands.append(_simplest_between(lo, tight))
-            cands.extend(c for c in _lambda_candidates(lam_float, max_den, slack))
-            seen = set()
-            ordered = []
-            for c in sorted(cands, reverse=True):
-                if c not in seen and (tight is None or c <= tight):
-                    seen.add(c)
-                    ordered.append(c)
-            for lam_hat in ordered:
-                fv = dict(free_vals)
-                fv[lam_idx] = lam_hat
-                out = attempt(lam_hat, fv)
-                if out is not None:
-                    if float(out.lam) >= lam_float - quality:
-                        return out
-                    if fallback is None or out.lam > fallback.lam:
-                        fallback = out
-                    break  # lower candidates at this denominator are worse
+        unchecked = range(len(sdp.blocks))
+        if entry is not None:
+            # no bound passes unless the blocks and the minor lambda leaves alone do
+            bi, r, beta = entry
+            free_vals[lam_idx] = Fraction(0)
+            mats = _blocks_from_values(sdp, keys, param.point(free_vals))
+            minor = [row[:r] + row[r + 1:] for i, row in enumerate(mats[bi]) if i != r]
+            if not psd(mats[:bi] + mats[bi + 1:], [minor]):
+                continue
+            tight = _lambda_boundary(mats[bi], r, beta)
+            cands, unchecked = ([] if tight is None else [tight]), [bi]
+        elif bound_mode:
+            cands = _lambda_candidates(lam_float, max_den, slack)
         else:
-            lam_hat = cert.lam if isinstance(cert.lam, Fraction) else \
-                Fraction(cert.lam).limit_denominator(max_den)
-            fv = dict(free_vals)
-            if lam_idx is not None and lam_idx in free_cols:
-                fv[lam_idx] = lam_hat
-            out = attempt(lam_hat, fv)
-            if out is not None:
+            cands = [cert.lam if isinstance(cert.lam, Fraction) else
+                     Fraction(cert.lam).limit_denominator(max_den)]
+        for lam_hat in cands:
+            if lam_idx in free_cols:
+                free_vals[lam_idx] = lam_hat
+            vals = param.point(free_vals)
+            mats = _blocks_from_values(sdp, keys, vals)
+            if not psd([mats[i] for i in unchecked]):
+                continue
+            out = _exact_certificate(cert, sdp, mats,
+                                     lam_hat if lam_idx is None else vals[lam_idx])
+            if not bound_mode or float(out.lam) >= lam_float - quality:
                 return out
+            if fallback is None or out.lam > fallback.lam:
+                fallback = out
+            break  # lower candidates at this denominator are worse
     if fallback is not None:
         return fallback
     raise RoundingError("no schedule entry produced an exactly PSD "
@@ -576,8 +576,8 @@ def _exact_certificate(cert: Certificate, sdp: BlockSDP, mats,
     if cert.mode == "plain":
         return Certificate("plain", cert.group, cert.var_names, lam, exact=True,
                            monomials=cert.monomials, gram=mats[0],
-                           objective=cert.objective, program=cert.program,
-                           status=cert.status, margin=cert.margin)
+                           objective=cert.objective, status=cert.status,
+                           margin=cert.margin)
     blocks = []
     name_index = {b.name: i for i, b in enumerate(sdp.blocks)}
     for cb in cert.blocks:
@@ -585,8 +585,7 @@ def _exact_certificate(cert: Certificate, sdp: BlockSDP, mats,
                                 cb.pi))
     return Certificate("invariant", cert.group, cert.var_names, lam, exact=True,
                        pres=cert.pres, blocks=blocks, objective=cert.objective,
-                       program=cert.program, status=cert.status,
-                       margin=cert.margin)
+                       status=cert.status, margin=cert.margin)
 
 
 # -- exact SOS replay (Gram factorization to explicit squares) -----------------------
@@ -594,7 +593,6 @@ def _exact_certificate(cert: Certificate, sdp: BlockSDP, mats,
 
 def sos_squares_from_gram(gram, monomials, nvars: int) -> list[tuple[Fraction, Polynomial]]:
     """Exact (weight, polynomial) pairs with sum w_i p_i^2 = Y^T Q Y."""
-    from .linalg import ldl_decomposition
     L, D, perm = ldl_decomposition(gram)
     out = []
     for k, d in enumerate(D):

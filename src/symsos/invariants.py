@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, rref
+from .linalg import Matrix, parametrize
 from .poly import Polynomial, parse_polynomial, render_polynomial, substitute_linear
 
 
@@ -201,7 +201,6 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
     etadegs = pres.eta_degrees
     parts: dict[int, dict] = {}
     cache: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
-    zero = Fraction(0)
 
     def candidate(j: int, alpha: tuple[int, ...]) -> Polynomial:
         key = (j, alpha)
@@ -233,18 +232,18 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
             rep = pres.orbit_representative
             monos = [m for m in monos if rep(m) == m]
         # one elimination of [A | b] decides consistency, uniqueness and the
-        # solution: a pivot in the b column means b is outside the span, and
+        # solution: an inconsistent system means b is outside the span, and
         # fewer pivots than candidates means the rewrite is not unique
         ncols = len(cands)
-        red, pivots = rref([[q.terms.get(m, zero) for q in expanded] +
-                            [comp.terms.get(m, zero)] for m in monos])
-        if ncols in pivots:
+        param = parametrize([{**{col: q.terms[m] for col, q in enumerate(expanded)
+                                 if m in q.terms}, ncols: comp.terms.get(m, 0)}
+                             for m in monos], ncols)
+        if param is None:
             raise RewriteError(f"degree-{d} component is outside the span of the "
                                "presentation (incomplete presentation?)")
-        if len(pivots) < ncols:
+        if len(param.pivots) < ncols:
             raise RewriteError("rewrite is not unique; presentation is malformed")
-        for row, col in zip(red, pivots):
-            c = row[ncols]
+        for col, c, _ in sorted(param.pivots, key=lambda p: p[0]):  # candidate order
             if c != 0:
                 j, alpha = cands[col]
                 parts.setdefault(j, {})[alpha] = c

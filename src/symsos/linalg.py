@@ -1,15 +1,20 @@
 """Small exact linear algebra kit over Fraction / Quad scalars.
 
-Matrices are lists of lists (rows) of exact scalars.  Everything here is
-O(n^3) dense Gaussian elimination, which is plenty at the matrix sizes this
-package handles; the point is exactness, not speed.
+Matrices are lists of lists (rows) of exact scalars.  There is one exact
+elimination, ``RowBasis`` over sparse ``{column: value}`` rows (a
+constraint row touches a few of hundreds of columns), with ``parametrize``
+on top, and one exact LDL^T, ``ldl_decomposition``, with ``ldl_psd`` the
+PSD verdict on it.  Floating point only ever refuses: ``negative_direction``
+proposes a direction from a float eigenvector and refuses on an exact
+negative value, while acceptance is always a completed exact LDL^T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -59,88 +64,81 @@ def _inv_scalar(x: Scalar) -> Scalar:
     return Fraction(1) / x
 
 
-def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot column indices)."""
-    rows = [[exact(x) for x in row] for row in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _inv_scalar(rows[r][c])
-        rows[r] = [exact(x * inv) if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [exact(x - f * y) if y else x
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def rank_exact(rows: list[list[Scalar]]) -> int:
-    return len(rref(rows)[1])
-
-
 class InconsistentRow(ValueError):
     """A row in the span of a basis whose right-hand side is not."""
 
 
-class RowBasis:
-    """Incremental exact row space: add rows, track rank cheaply.
+SparseRow = dict[int, Scalar]
+Row = Sequence[Scalar] | Mapping[int, Scalar]
 
-    Only the first ``ncols`` entries of a row hold pivots; entries past them
-    (a right-hand side) are carried along by the reduction.
+
+def _sparse(row: Row) -> SparseRow:
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    return {c: exact(x) for c, x in items if x}
+
+
+def _subtract(r: SparseRow, f: Scalar, prow: SparseRow) -> None:
+    """r -= f * prow in place, keeping only nonzero entries."""
+    for c, y in prow.items():
+        v = exact(r.get(c, 0) - f * y)
+        if v:
+            r[c] = v
+        else:
+            del r[c]
+
+
+class RowBasis:
+    """Incremental exact row space over sparse rows ``{column: value}``.
+
+    Rows may be given as dicts or as dense sequences.  Only columns below
+    ``ncols`` hold pivots (the lowest nonzero one of a reduced row); entries
+    past them (a right-hand side) are carried along by the reduction.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Scalar]] = []
+        self.rows: list[SparseRow] = []
         self.pivots: list[int] = []
 
-    def reduce(self, row: Sequence[Scalar]) -> list[Scalar]:
-        r = [exact(x) for x in row]
+    def reduce(self, row: Row) -> SparseRow:
+        r = _sparse(row)
         for prow, pc in zip(self.rows, self.pivots):
-            if r[pc] != 0:
-                f = r[pc]
-                r = [exact(x - f * y) for x, y in zip(r, prow)]
+            f = r.get(pc)
+            if f is not None:
+                _subtract(r, f, prow)
         return r
 
-    def add(self, row: Sequence[Scalar]) -> bool:
+    def add(self, row: Row) -> bool:
         """Insert if independent of the current span; returns True if kept.
 
         Raises InconsistentRow when the row reduces to zero on the pivot
         columns but not past them.
         """
         r = self.reduce(row)
-        for c in range(self.ncols):
-            if r[c] != 0:
-                inv = _inv_scalar(r[c])
-                self.rows.append([exact(x * inv) for x in r])
-                self.pivots.append(c)
-                return True
-        if any(x != 0 for x in r[self.ncols:]):
-            raise InconsistentRow("row is dependent but its right-hand side is not")
-        return False
+        pc = min((c for c in r if c < self.ncols), default=None)
+        if pc is None:
+            if r:
+                raise InconsistentRow("row is dependent but its right-hand side is not")
+            return False
+        inv = _inv_scalar(r[pc])
+        self.rows.append({c: exact(x * inv) for c, x in r.items()})
+        self.pivots.append(pc)
+        return True
 
-    def contains(self, row: Sequence[Scalar]) -> bool:
-        return all(x == 0 for x in self.reduce(row))
+    def contains(self, row: Row) -> bool:
+        return not self.reduce(row)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Rank of dense rows."""
+    basis = RowBasis(max(map(len, rows), default=0))
+    for row in rows:
+        basis.add(row)
+    return basis.rank
 
 
 @dataclass
@@ -175,12 +173,13 @@ class Parametrization:
         return vals
 
 
-def parametrize(rows: Sequence[Sequence[Scalar]], ncols: int) -> Parametrization | None:
+def parametrize(rows: Iterable[Row], ncols: int) -> Parametrization | None:
     """Exact RREF of the augmented rows [A | b]; None if the system is inconsistent.
 
-    Each row is reduced once, by ``RowBasis.add``; the kept rows are then
-    back-substituted.  The reduced form is unique for the column order, so
-    callers choose which variables become pivots by the order of the columns.
+    Column ``ncols`` of a row is its right-hand side.  Each row is reduced
+    once, by ``RowBasis.add``; the kept rows are then back-substituted.  The
+    reduced form is unique for the column order, so callers choose which
+    variables become pivots by the order of the columns.
     """
     basis = RowBasis(ncols)
     sources = []
@@ -194,116 +193,114 @@ def parametrize(rows: Sequence[Sequence[Scalar]], ncols: int) -> Parametrization
     for i in range(len(red) - 1, -1, -1):
         pc, prow = basis.pivots[i], red[i]
         for j in range(i):
-            f = red[j][pc]
-            if f != 0:
-                red[j] = [exact(x - f * y) if y else x for x, y in zip(red[j], prow)]
-    pivots = [(pc, row[ncols], {j: -row[j] for j in range(ncols)
-                                if j != pc and row[j] != 0})
+            f = red[j].get(pc)
+            if f is not None:
+                _subtract(red[j], f, prow)
+    pivots = [(pc, row.get(ncols, Fraction(0)),
+               {j: -row[j] for j in sorted(row) if j < ncols and j != pc})
               for row, pc in zip(red, basis.pivots)]
     return Parametrization(ncols, pivots, sources)
 
 
-def solve_exact(a: Matrix, b: Sequence[Scalar]):
-    """One solution of A x = b, or None if inconsistent (A need not be square)."""
+class NotPSD(ValueError):
+    """A matrix the exact LDL^T refuses; the message names the row and the sign."""
+
+
+def _approx(x: Scalar) -> float:
+    """float(x), saturating to +-inf where a float would overflow."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def negative_direction(a: Matrix) -> list[Fraction] | None:
+    """A rational w with w^T A w < 0 exactly, or None.
+
+    The candidate is the floating eigenvector of the most negative
+    eigenvalue of the unit-diagonal scaling of A, read as a dyadic rational.
+    Only the exact sign of w^T A w refuses, so None proves nothing: this is
+    a cheap way to reject, never to accept.
+    """
     if not a:
-        return [] if all(x == 0 for x in b) else None
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    ncols = len(a[0])
-    if ncols in pivots:
-        return None  # pivot in rhs column: inconsistent
-    x: list[Scalar] = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
+        return None
+    f = np.array([[_approx(x) for x in row] for row in a], dtype=float)
+    if not np.all(np.isfinite(f)):
+        return None
+    d = np.diag(f)
+    scale = np.where(d > 0, 1 / np.sqrt(np.where(d > 0, d, 1)), 1.0)
+    vals, vecs = np.linalg.eigh(f * np.outer(scale, scale))
+    if not vals[0] < 0:
+        return None
+    w = [Fraction(float(x)) for x in vecs[:, 0] * scale]
+    q = sum((wi * dot(row, w) for wi, row in zip(w, a) if wi), Fraction(0))
+    return w if isinstance(q, Fraction) and q < 0 else None
 
 
-def ldl_psd(a: Matrix) -> tuple[bool, str]:
-    """Exact PSD test via LDL^T with symmetric diagonal pivoting.
+def ldl_decomposition(a: Matrix) -> tuple[Matrix, list[Scalar], list[int]]:
+    """P A P^T = L D L^T with positive D, for an exactly PSD symmetric matrix.
 
-    A symmetric matrix is PSD iff elimination completes with nonnegative
-    pivots and every zero-pivot row/column of the remaining block vanishes.
-    Returns (is_psd, reason).
+    Symmetric diagonal pivoting on the largest remaining diagonal entry.
+    Returns (L, diag, perm): L is n x rank in the original row indexing, with
+    L[perm[k]][k] = 1 and L[perm[j]][k] = 0 for j < k.  Raises NotPSD, naming
+    the row and the sign, at a negative pivot or a zero pivot whose row is
+    not zero (or at an asymmetric pair).
     """
     n = len(a)
     m = [[exact(x) for x in row] for row in a]
     for i in range(n):
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
-                return False, f"not symmetric at ({i},{j})"
-    active = list(range(n))
-    while active:
-        # pick the largest available diagonal pivot (by float proxy; exactness
-        # is unaffected since zero tests are exact)
-        piv = max(active, key=lambda i: float(Quad.of(m[i][i])))
-        d = m[piv][piv]
-        if d == 0:
-            for i in active:
-                if m[piv][i] != 0 and i != piv:
-                    return False, f"zero pivot with nonzero off-diagonal at row {piv}"
-            active.remove(piv)
-            continue
-        if isinstance(d, Fraction):
-            negative = d < 0
-        else:
-            negative = float(d) < 0
-        if negative:
-            return False, f"negative pivot {d} at row {piv}"
-        active.remove(piv)
-        inv = _inv_scalar(d)
-        for i in active:
-            f = exact(m[piv][i] * inv)
-            if f == 0:
-                continue
-            for j in active:
-                m[i][j] = exact(m[i][j] - f * m[piv][j])
-            m[i][piv] = Fraction(0)
-            m[piv][i] = Fraction(0)
-    return True, "ok"
-
-
-def ldl_decomposition(a: Matrix) -> tuple[Matrix, list[Scalar], list[int]]:
-    """P A P^T = L D L^T with nonnegative D for an exactly PSD matrix.
-
-    Returns (L, diag, perm) where perm maps factor rows to original indices.
-    Raises ValueError if a negative pivot shows up.
-    """
-    n = len(a)
-    m = [[exact(x) for x in row] for row in a]
+                raise NotPSD(f"not symmetric at ({i},{j})")
     perm: list[int] = []
-    ls: list[list[Scalar]] = []
+    cols: list[dict[int, Scalar]] = []
     ds: list[Scalar] = []
     active = list(range(n))
     while active:
-        piv = max(active, key=lambda i: float(Quad.of(m[i][i])))
+        piv = max(active, key=lambda i: _approx(m[i][i]))
         d = m[piv][piv]
-        if (isinstance(d, Fraction) and d < 0) or (isinstance(d, Quad) and float(d) < 0):
-            raise ValueError("matrix is not PSD")
-        if d == 0:
-            for i in active:
-                if i != piv and m[piv][i] != 0:
-                    raise ValueError("matrix is not PSD")
-            active.remove(piv)
-            continue
-        perm.append(piv)
-        inv = _inv_scalar(d)
-        col = {i: exact(m[piv][i] * inv) for i in active if i != piv}
-        ls.append(col)
-        ds.append(d)
         active.remove(piv)
-        for i in active:
-            f = col.get(i, Fraction(0))
-            if f == 0:
-                continue
+        if d < 0 if isinstance(d, Fraction) else float(d) < 0:   # a Quad has no exact order
+            raise NotPSD(f"negative pivot at row {piv}")
+        if not d:
+            if any(m[piv][i] for i in active):
+                raise NotPSD(f"zero pivot with a nonzero row at row {piv}")
+            continue
+        inv = _inv_scalar(d)
+        prow = m[piv]
+        col = {i: exact(prow[i] * inv) for i in active if prow[i]}
+        perm.append(piv)
+        cols.append(col)
+        ds.append(d)
+        # Schur complement on the active upper triangle, mirrored
+        for i, f in col.items():
+            row = m[i]
             for j in active:
-                m[i][j] = exact(m[i][j] - f * m[piv][j])
-    # assemble L as a dense n x len(ds) matrix in original row indexing
-    L = [[Fraction(0)] * len(ds) for _ in range(n)]
+                if j >= i and prow[j]:
+                    row[j] = exact(row[j] - f * prow[j])
+                    m[j][i] = row[j]
+    L: Matrix = [[Fraction(0)] * len(ds) for _ in range(n)]
     for k, piv in enumerate(perm):
         L[piv][k] = Fraction(1)
-        for i, f in ls[k].items():
+        for i, f in cols[k].items():
             L[i][k] = f
     return L, ds, perm
+
+
+def ldl_psd(a: Matrix) -> tuple[bool, str]:
+    """Exact PSD verdict: (is_psd, reason).
+
+    A matrix is refused by a negative direction (``negative_direction``) or
+    by ``ldl_decomposition``; it is accepted only when the exact LDL^T
+    completes.  Reasons name a row and a sign, never an entry.
+    """
+    if negative_direction(a) is not None:
+        return False, "negative direction"
+    try:
+        ldl_decomposition(a)
+    except NotPSD as exc:
+        return False, str(exc)
+    return True, "ok"
 
 
 def gram_schmidt_exact(vectors: list[list[Scalar]]) -> list[list[Scalar]] | None:

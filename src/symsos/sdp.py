@@ -75,14 +75,9 @@ class BlockSDP:
         None when the equations are inconsistent.
         """
         pos = {k: i for i, k in enumerate(keys)}
-        rows = []
-        for con in self.constraints:
-            row = [Fraction(0)] * (len(keys) + 1)
-            for k, v in con.coeffs.items():
-                row[pos[k]] = v
-            row[-1] = con.rhs
-            rows.append(row)
-        return parametrize(rows, len(keys))
+        return parametrize([{**{pos[k]: v for k, v in con.coeffs.items()},
+                             len(keys): con.rhs} for con in self.constraints],
+                           len(keys))
 
     def entry_count(self) -> int:
         return sum(b.size * (b.size + 1) // 2 for b in self.blocks)

@@ -53,6 +53,14 @@ def test_exact_points_satisfy_every_row(system, frees):
         assert sum((x * v for x, v in zip(row, point)), Fraction(0)) == row[n]
 
 
+@settings(max_examples=100, deadline=None)
+@given(consistent_systems())
+def test_dict_rows_give_the_dense_parametrization(system):
+    n, rows = system
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert parametrize(sparse, n) == parametrize(rows, n)
+
+
 def test_pivots_keep_insertion_order_and_sources():
     rows = [[0, 1, 1, 2], [0, 2, 2, 4], [1, 0, 1, 3], [0, 0, 0, 0]]
     param = parametrize([[Fraction(x) for x in r] for r in rows], 3)

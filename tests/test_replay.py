@@ -94,6 +94,7 @@ def test_replay_of_by_construction_certificates(group, degree):
     f, cert = _by_construction(group, degree, seed=degree)
     assert f.degree() == degree
     assert expand_certificate(cert, f.nvars) == f - cert.lam
+    assert verify_certificate(cert, f)[0]
     rng = random.Random(group)
     for _ in range(2):
         point = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
