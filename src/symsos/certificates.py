@@ -5,7 +5,8 @@ group-dependent stage collects the invariant presentation, equivariant module
 bases and their Gram matrices Pi into a :class:`GeneratorBundle`; an
 instance-dependent stage rewrites the target polynomial in the invariants,
 bounds the SOS factor supports by weighted degree, assembles coupled Gram
-blocks, solves, and polishes.
+blocks, solves, and polishes.  Every group takes this route, ``trivial:n``
+included: its one block is the plain Gram matrix over the x-monomials.
 
 The group-dependent stage runs once per process: ``algorithm_one`` keeps the
 bundle of each catalog spec string, and ``symmetric_bundle`` that of each
@@ -47,10 +48,10 @@ from .invariants import (InvariantPoly, InvariantPresentation, NotInvariantError
                          symmetric_presentation)
 from .linalg import (NotPSD, Parametrization, dot, ldl_decomposition, ldl_psd,
                      negative_direction)
-from .poly import Monomial, Polynomial, monomial_mul
+from .poly import Monomial, Polynomial
 from .scalars import Scalar, exact
-from .sdp import (AssemblyInfeasible, BlockSDP, VarKey, assemble_gram,
-                  assemble_invariant_sos, with_interior_variable)
+from .sdp import (AssemblyInfeasible, BlockSDP, VarKey, assemble_invariant_sos,
+                  with_interior_variable)
 from .solver import SDPSolution, solve, polish_solution
 
 DEFAULT_SCHEDULE = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 6)
@@ -168,42 +169,28 @@ class CertBlock:
 
 @dataclass
 class Certificate:
-    mode: str                         # "plain" or "invariant"
-    group: str
+    mode: str                         # always "invariant": sum_i <S_i, Pi_i>
+    group: str                        # catalog spec; "trivial:n" for no symmetry
     var_names: list[str]
     lam: Fraction | float
     exact: bool
-    pres: InvariantPresentation | None = None
-    blocks: list[CertBlock] = field(default_factory=list)
-    monomials: tuple | None = None    # plain mode
-    gram: list | None = None          # plain mode
+    pres: InvariantPresentation | None = None   # (theta, eta) of the group
+    blocks: list[CertBlock] = field(default_factory=list)  # one per irrep used
     objective: str = "maximize-lambda"
     program: BlockSDP | None = None   # the assembly a float certificate solves
     status: str = ""                  # solver status of that solve
     margin: float | None = None       # interior margin of a feasibility solve
 
     def block_sizes(self) -> list[int]:
-        if self.mode == "plain":
-            return [len(self.monomials)]
         return [sum(len(r) for r in b.rows) for b in self.blocks]
 
 
-def expand_certificate(cert: Certificate, nvars: int) -> Polynomial:
-    """The literal replay: Y^T Q Y, or sum_i <S_i, Pi_i> expanded into x.
+def expand_certificate(cert: Certificate) -> Polynomial:
+    """The literal replay: sum_i <S_i, Pi_i> expanded into x.
 
-    Invariant mode collects the products of Gram and Pi entries per
-    (eta_j, theta^gamma) and expands the collected sum once; plain mode
-    collects per x-monomial.
+    Products of Gram and Pi entries are collected per (eta_j, theta^gamma)
+    and the collected sum is expanded once.
     """
-    if cert.mode == "plain":
-        terms: dict[Monomial, Scalar] = {}
-        for a, ma in enumerate(cert.monomials):
-            for b, mb in enumerate(cert.monomials):
-                v = cert.gram[a][b]
-                if v != 0:
-                    m = monomial_mul(ma, mb)
-                    terms[m] = terms.get(m, 0) + v
-        return Polynomial(nvars, terms)
     s = len(cert.pres.theta)
     parts: dict[int, dict[Monomial, Scalar]] = {}
     for block in cert.blocks:
@@ -225,45 +212,36 @@ def expand_certificate(cert: Certificate, nvars: int) -> Polynomial:
 def verify_certificate(cert: Certificate, f: Polynomial) -> tuple[bool, list[str]]:
     """The one literal replay: Gram blocks PSD via rational LDL^T, then the identity.
 
-    Plain mode checks Y^T Q Y = f - lambda; invariant mode checks
-    sum_i <S_i(theta), Pi_i> = f - lambda after one full expansion.  Rounding
-    does not call this; it is the trust anchor for whatever a certificate
-    claims, wherever it came from.
+    Checks sum_i <S_i(theta), Pi_i> = f - lambda after one full expansion.
+    Rounding does not call this; it is the trust anchor for whatever a
+    certificate claims, wherever it came from.
     """
     if not cert.exact:
         return False, ["certificate is floating point; round it first"]
-    if cert.mode == "plain":
-        psd, why = ldl_psd(cert.gram)
-        if not psd:
-            return False, [f"Gram matrix not PSD: {why}"]
     for block in cert.blocks:
         psd, why = ldl_psd(block.gram)
         if not psd:
             return False, [f"block {block.label}: Gram not PSD ({why})"]
-    diff = expand_certificate(cert, f.nvars) - (f - cert.lam)
+    diff = expand_certificate(cert) - (f - cert.lam)
     if not diff.is_zero():
         return False, [f"identity fails; first residual monomial "
                        f"{next(iter(diff.terms))}"]
-    if cert.mode == "plain":
-        return True, ["plain Gram identity and PSD check passed"]
     return True, ["invariant identity and all PSD checks passed"]
 
 
 # -- algorithm two ------------------------------------------------------------------
 
 
-def _invariant_sdp(f: Polynomial, bundle: GeneratorBundle, with_lambda: bool):
+def _invariant_sdp(f: Polynomial, bundle: GeneratorBundle,
+                   with_lambda: bool) -> BlockSDP:
     pres = bundle.pres
     if pres.generators and not verify_invariant(f, pres.generators):
         raise NotInvariantError("polynomial is not invariant under the group")
     ft = rewrite_in_invariants(f, pres, check_invariance=False)
     target = weighted_degree(ft, pres)
-    labels = bundle.irrep_labels
-    pis = [bundle.pis[l] for l in labels]
+    pis = [bundle.pis[l] for l in bundle.irrep_labels]
     envs = [monomial_envelope(pres, pi, target) for pi in pis]
-    sdp = assemble_invariant_sos(ft, pres, pis, envs, with_lambda=with_lambda,
-                                 target_degree=target)
-    return sdp, ft, target, labels, pis, envs
+    return assemble_invariant_sos(ft, pres, pis, envs, with_lambda=with_lambda)
 
 
 def _certificate_from_solution(bundle: GeneratorBundle, sdp: BlockSDP,
@@ -301,7 +279,7 @@ def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
         raise MissingEquivariantData(
             f"bundle for {bundle.group} lacks module data for {bundle.missing}")
     if objective == "maximize-lambda":
-        sdp, ft, target, labels, pis, envs = _invariant_sdp(f, bundle, True)
+        sdp = _invariant_sdp(f, bundle, True)
         sol = solve(sdp, tol=tol)
         if sol.status in ("infeasible-suspect", "unbounded"):
             raise NoCertificateError(
@@ -311,7 +289,7 @@ def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
                                           sol.free_values["lambda"], objective)
     # feasibility at a fixed lambda: maximize the interior margin t
     shifted = f - lambda_value
-    sdp, ft, target, labels, pis, envs = _invariant_sdp(shifted, bundle, False)
+    sdp = _invariant_sdp(shifted, bundle, False)
     inter, tname = with_interior_variable(sdp)
     sol = solve(inter, tol=tol)
     if not sol.ok:
@@ -350,31 +328,16 @@ def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
     return cert
 
 
-def plain_sos_bound(f: Polynomial, tol: float = 1e-8) -> Certificate:
-    """Gram-matrix bound with no symmetry exploitation."""
-    sdp = assemble_gram(f, with_lambda=True)
-    sol = solve(sdp, tol=tol)
-    if sol.status in ("infeasible-suspect", "unbounded"):
-        raise NoCertificateError(
-            f"no SOS representation found at this degree ({sol.status})")
-    sol = polish_solution(sdp, sol)
-    names = [f"x{i + 1}" for i in range(f.nvars)] if f.nvars > 3 else \
-        ["x", "y", "z"][: f.nvars]
-    return Certificate("plain", "trivial", names, sol.free_values["lambda"],
-                       exact=False, monomials=sdp.meta["monomials"].entries,
-                       gram=sol.blocks[0], program=sdp, status=sol.status)
-
-
 def sos_lower_bound(f: Polynomial, group_spec: str,
                     tol: float = 1e-8) -> tuple[float, Certificate]:
     """Largest lambda with f - lambda SOS, exploiting the given symmetry."""
     deg = f.degree()
     if not isinstance(deg, int) or deg % 2:
         raise ValueError("the target polynomial must have even degree")
-    if group_spec.startswith("trivial"):
-        cert = plain_sos_bound(f, tol=tol)
-        return float(cert.lam), cert
     bundle = bundle_for(group_spec, max_degree=deg)
+    if bundle.pres.nvars != f.nvars:
+        raise ValueError(f"group {group_spec} acts on {bundle.pres.nvars} "
+                         f"variables, but the polynomial has {f.nvars}")
     cert = algorithm_two(f, bundle, "maximize-lambda", tol=tol)
     return float(cert.lam), cert
 
@@ -503,16 +466,9 @@ def round_certificate(cert: Certificate, f: Polynomial,
     lam_idx = pos.get(("free", "lambda"))
     # float values of all variables, to seed the free parameters
     float_vals = np.zeros(len(keys))
+    grams = {cb.label: cb.gram for cb in cert.blocks}
     for bi, blk in enumerate(sdp.blocks):
-        src = None
-        if cert.mode == "plain":
-            src = np.asarray(cert.gram)
-        else:
-            for cb in cert.blocks:
-                if cb.label == blk.name:
-                    src = np.asarray(cb.gram)
-        if src is None:
-            src = np.zeros((blk.size, blk.size))
+        src = np.asarray(grams.get(blk.name, np.zeros((blk.size, blk.size))))
         for r in range(blk.size):
             for c in range(r, blk.size):
                 float_vals[pos[("blk", bi, r, c)]] = src[r, c]
@@ -573,11 +529,6 @@ def round_certificate(cert: Certificate, f: Polynomial,
 
 def _exact_certificate(cert: Certificate, sdp: BlockSDP, mats,
                        lam: Fraction) -> Certificate:
-    if cert.mode == "plain":
-        return Certificate("plain", cert.group, cert.var_names, lam, exact=True,
-                           monomials=cert.monomials, gram=mats[0],
-                           objective=cert.objective, status=cert.status,
-                           margin=cert.margin)
     blocks = []
     name_index = {b.name: i for i, b in enumerate(sdp.blocks)}
     for cb in cert.blocks:

@@ -1,8 +1,11 @@
 """Self-contained text serialization of certificates.
 
-The format embeds the presentation, per-block envelopes, Gram entries and Pi
-matrices, so verification needs no catalogs: parse, expand, and compare.
-Rationals are rendered "p/q"; theta/eta symbols are t1..ts and h2..ht.
+The format has one mode, ``invariant``: it embeds the presentation, per-block
+envelopes, Gram entries and Pi matrices, so verification needs no catalogs:
+parse, expand, and compare.  A certificate for no symmetry is group
+``trivial:n`` with theta = x, eta = 1 and one block ``theta1`` whose Pi is
+[1].  Rationals are rendered "p/q"; theta/eta symbols are t1..ts and h2..ht.
+A malformed or truncated file raises ValueError naming the offending line.
 """
 
 from __future__ import annotations
@@ -56,18 +59,6 @@ def certificate_to_text(cert: Certificate) -> str:
     lines = ["symsos-certificate v1", f"mode {cert.mode}", f"group {cert.group}",
              "vars " + " ".join(cert.var_names), f"lambda {cert.lam}",
              f"objective {cert.objective}"]
-    if cert.mode == "plain":
-        lines.append("monomials " + " ".join(_mono_text(m, cert.var_names)
-                                             for m in cert.monomials))
-        n = len(cert.monomials)
-        lines.append(f"gram {n}")
-        for r in range(n):
-            for c in range(r, n):
-                if cert.gram[r][c] != 0:
-                    lines.append(f"{r} {c} {cert.gram[r][c]}")
-        lines.append("end-gram")
-        lines.append("end")
-        return "\n".join(lines)
     pres = cert.pres
     lines.append(f"presentation nvars={pres.nvars}")
     lines += [f"theta {render_polynomial(p, cert.var_names)}" for p in pres.theta]
@@ -98,85 +89,83 @@ def certificate_to_text(cert: Certificate) -> str:
 
 
 def certificate_from_text(text: str) -> Certificate:
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if lines[0] != "symsos-certificate v1":
+    """Parse a certificate file; a bad file raises ValueError naming its line."""
+    numbered = [(n, ln) for n, ln in enumerate((s.strip() for s in text.splitlines()), 1)
+                if ln and not ln.startswith("#")]
+    at = 0
+
+    def take(prefix: str = "") -> str:
+        """The next line, which must start with ``prefix``."""
+        nonlocal at
+        if at == len(numbered):
+            raise ValueError("the certificate ends here")
+        at += 1
+        if not numbered[at - 1][1].startswith(prefix):
+            raise ValueError(f"expected {prefix!r}")
+        return numbered[at - 1][1]
+
+    try:
+        return _parse_certificate(take)
+    except (ValueError, ZeroDivisionError) as exc:
+        n, line = numbered[at - 1] if at else (0, "")
+        raise ValueError(f"line {n} ({line!r}): {exc}") from None
+
+
+def _parse_certificate(take) -> Certificate:
+    if take() != "symsos-certificate v1":
         raise ValueError("not a certificate file")
-    i = 1
     head = {}
-    while not lines[i].startswith(("presentation", "monomials")):
-        tag, _, rest = lines[i].partition(" ")
+    while not (line := take()).startswith("presentation"):
+        tag, _, rest = line.partition(" ")
+        if tag == "mode" and rest != "invariant":
+            raise ValueError("certificates have one mode, invariant")
         head[tag] = rest
-        i += 1
     var_names = head["vars"].split()
     lam = Fraction(head["lambda"])
-    mode = head["mode"]
-    if mode == "plain":
-        monos = []
-        for tok in lines[i].split()[1:]:
-            p = parse_polynomial(tok, var_names)
-            [(m, c)] = list(p.terms.items())
-            assert c == 1
-            monos.append(m)
-        i += 1
-        size = int(lines[i].split()[1])
-        i += 1
-        gram = [[Fraction(0)] * size for _ in range(size)]
-        while lines[i] != "end-gram":
-            r, c, v = lines[i].split()
-            gram[int(r)][int(c)] = gram[int(c)][int(r)] = Fraction(v)
-            i += 1
-        return Certificate("plain", head["group"], var_names, lam, exact=True,
-                           monomials=tuple(monos), gram=gram,
-                           objective=head.get("objective", "maximize-lambda"))
-    nvars = int(lines[i].split()[1].split("=")[1])
-    i += 1
+    nvars = int(line.removeprefix("presentation nvars="))
     theta, eta = [], []
-    while lines[i] != "end-presentation":
-        tag, body = lines[i].split(None, 1)
+    while (line := take()) != "end-presentation":
+        tag, body = line.split(None, 1)
         (theta if tag == "theta" else eta).append(parse_polynomial(body, var_names))
-        i += 1
-    i += 1
     pres = InvariantPresentation(nvars, theta, eta, [], [])
     tnames = pres.symbol_names()[: len(theta)]
     blocks = []
-    while lines[i] != "end":
-        assert lines[i].startswith("block ")
-        label = lines[i].split()[1]
-        i += 1
+    while (line := take()) != "end":
+        if not line.startswith("block "):
+            raise ValueError("expected 'block <label>'")
+        label = line.split()[1]
         rows = []
-        while lines[i].startswith("row"):
-            body = lines[i][4:].strip()
-            if body == "empty":
-                rows.append([])
-            else:
-                row = []
-                for tok in body.split():
-                    p = parse_polynomial(tok, tnames)
-                    [(m, c)] = list(p.terms.items())
-                    row.append(m)
-                rows.append(row)
-            i += 1
-        size = int(lines[i].split()[1])
-        i += 1
+        while (line := take()).startswith("row"):
+            row, toks = [], line.split()[1:]
+            for tok in [] if toks == ["empty"] else toks:
+                [(mono, coef)] = parse_polynomial(tok, tnames).terms.items()
+                if coef != 1:
+                    raise ValueError(f"{tok!r} is not a theta-monomial")
+                row.append(mono)
+            rows.append(row)
+        size = int(line.removeprefix("gram "))
         gram = [[Fraction(0)] * size for _ in range(size)]
-        while lines[i] != "end-gram":
-            r, c, v = lines[i].split()
-            gram[int(r)][int(c)] = gram[int(c)][int(r)] = Fraction(v)
-            i += 1
-        i += 1
-        rank = int(lines[i].split()[1])
-        i += 1
+        while (line := take()) != "end-gram":
+            r, c, v = _entry(line, size)
+            gram[r][c] = gram[c][r] = Fraction(v)
+        rank = int(take("pi ")[3:])
         entries = [[None] * rank for _ in range(rank)]
-        while lines[i] != "end-pi":
-            r, c, body = lines[i].split(None, 2)
-            ip = _parse_invariant_poly(body, pres)
-            entries[int(r)][int(c)] = entries[int(c)][int(r)] = ip
-            i += 1
-        i += 1
-        assert lines[i] == "end-block"
-        i += 1
+        while (line := take()) != "end-pi":
+            r, c, body = _entry(line, rank)
+            entries[r][c] = entries[c][r] = _parse_invariant_poly(body, pres)
+        if rank != len(rows) or size != sum(map(len, rows)) or \
+                any(e is None for row in entries for e in row):
+            raise ValueError(f"block {label} does not match its rows")
+        take("end-block")
         blocks.append(CertBlock(label, rows, gram, PiMatrix(label, entries)))
     return Certificate("invariant", head["group"], var_names, lam, exact=True,
                        pres=pres, blocks=blocks,
                        objective=head.get("objective", "maximize-lambda"))
+
+
+def _entry(line: str, size: int) -> tuple[int, int, str]:
+    """(row, column, value) of an upper-triangle entry of a size x size matrix."""
+    r, c, body = line.split(None, 2)
+    if not 0 <= int(r) <= int(c) < size:
+        raise ValueError(f"not an upper-triangle entry of a {size}x{size} matrix")
+    return int(r), int(c), body

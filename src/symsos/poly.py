@@ -440,8 +440,8 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
                 if peek()[0] == "op" and peek()[1] == "/":
                     i += 1
                     dk, dv, dp = peek()
-                    if dk != "int":
-                        raise PolynomialSyntaxError("expected denominator", dp)
+                    if dk != "int" or dv == 0:
+                        raise PolynomialSyntaxError("expected nonzero denominator", dp)
                     num /= dv
                     i += 1
                 coeff *= num

@@ -213,9 +213,7 @@ def assemble_gram(f: Polynomial, with_lambda: bool = True) -> BlockSDP:
         eq[zero_mono].coeffs[("free", "lambda")] = Fraction(1)
         cost[("free", "lambda")] = Fraction(-1)
     cons = [eq[m] for m in sorted(eq, key=lambda m: (sum(m), m))]
-    sdp = BlockSDP([BlockSpec("gram", n, 1)], free, cost, cons,
-                   meta={"mode": "plain", "monomials": y, "nvars": f.nvars})
-    return sdp
+    return BlockSDP([BlockSpec("gram", n, 1)], free, cost, cons)
 
 
 # -- invariant restriction --------------------------------------------------------
@@ -415,8 +413,7 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
     for con in cons:
         first.setdefault((frozenset(con.coeffs.items()), con.rhs), con)
     cons = list(first.values())
-    red = BlockSDP(blocks, list(sdp.free_vars), new_cost, cons,
-                   meta={"mode": "reduced", "parent": sdp.meta})
+    red = BlockSDP(blocks, list(sdp.free_vars), new_cost, cons)
     if use_exact:
         param = red.parametrize(red.var_order())
         if param is None:
@@ -447,8 +444,7 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
 def assemble_invariant_sos(ft: InvariantPoly, pres: InvariantPresentation,
                            pis: list[PiMatrix],
                            envelopes: list[list[list[Monomial]]],
-                           with_lambda: bool = True,
-                           target_degree: int | None = None) -> BlockSDP:
+                           with_lambda: bool = True) -> BlockSDP:
     """Coupled Gram blocks for f_j(theta) = sum_i <S_i, Pi_i^j> per eta part.
 
     Block i indexes pairs (row k, theta-monomial alpha in envelope row k); the
@@ -506,9 +502,7 @@ def assemble_invariant_sos(ft: InvariantPoly, pres: InvariantPresentation,
         cost[("free", "lambda")] = Fraction(-1)
     cons = [eq[k] for k in sorted(eq)]
     return BlockSDP(blocks, free, cost, cons,
-                    meta={"mode": "invariant", "pres": pres, "pis": pis,
-                          "envelopes": envelopes, "indexers": indexers,
-                          "target_degree": target_degree})
+                    meta={"pis": pis, "envelopes": envelopes})
 
 
 def with_interior_variable(sdp: BlockSDP, cap: Fraction = Fraction(1)
@@ -535,4 +529,4 @@ def with_interior_variable(sdp: BlockSDP, cap: Fraction = Fraction(1)
     cons.append(capcon)
     cost = {("free", name): Fraction(-1)}
     return BlockSDP(blocks, list(sdp.free_vars) + [name], cost, cons,
-                    meta=dict(sdp.meta, interior=True)), name
+                    meta=dict(sdp.meta)), name

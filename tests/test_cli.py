@@ -3,7 +3,9 @@ import math
 import pytest
 
 from symsos.cli import main
-from symsos.fixtures import ROBINSON_D4_TEXT
+from symsos.fileio import certificate_to_text
+from symsos.fixtures import (ROBINSON_D4_TEXT, S3_QUARTIC_TEXT,
+                             s3_published_certificate)
 
 
 @pytest.fixture
@@ -14,14 +16,18 @@ def d4_poly_file(tmp_path):
 
 
 class TestBound:
-    def test_bound_round_verify_loop(self, d4_poly_file, tmp_path, capsys):
+    @pytest.mark.parametrize("group,sizes", [("dihedral:4", "[2, 1, 1, 3]"),
+                                             ("trivial:2", "[10]")],
+                             ids=["dihedral:4", "trivial:2"])
+    def test_bound_round_verify_loop(self, group, sizes, d4_poly_file, tmp_path,
+                                     capsys):
         cert_path = str(tmp_path / "d4.cert")
-        rc = main(["bound", "--group", "dihedral:4", "--poly", d4_poly_file,
+        rc = main(["bound", "--group", group, "--poly", d4_poly_file,
                    "--round", "--out", cert_path])
         out = capsys.readouterr().out
         assert rc == 0
         assert "-3825/4096" in out
-        assert "[2, 1, 1, 3]" in out
+        assert sizes in out
         rc = main(["verify", "--cert", cert_path, "--poly", d4_poly_file])
         assert rc == 0
 
@@ -51,10 +57,18 @@ class TestBound:
                    "--round"])
         assert rc == 2
 
-    def test_usage_error(self):
+    def test_usage_error(self, capsys):
         assert main(["bound", "--group", "dihedral:4"]) == 1
         assert main(["bound", "--group", "nosuch:1", "--poly", "x^2",
                      "--vars", "x"]) == 1
+        # a group on the wrong number of variables, the trivial one included
+        for group in ("symmetric:3", "trivial:1"):
+            capsys.readouterr()
+            assert main(["bound", "--group", group, "--poly", "x^2 + y^2",
+                         "--vars", "x,y"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "the polynomial has 2" in err
 
 
 class TestMolien:
@@ -91,3 +105,39 @@ class TestVerify:
         other.write_text("vars x y\nx^2 + y^2\n")
         rc = main(["verify", "--cert", cert_path, "--poly", str(other)])
         assert rc == 3
+
+
+class TestMalformedCertificate:
+    """A bad certificate file exits 1 with an ``error:`` line, never a traceback."""
+
+    @pytest.fixture
+    def published(self, tmp_path):
+        poly = tmp_path / "s3.poly"
+        poly.write_text("vars x y z\n" + S3_QUARTIC_TEXT + "\n")
+        return certificate_to_text(s3_published_certificate()), str(poly)
+
+    def _verify(self, tmp_path, text, poly, capsys) -> tuple[int, str]:
+        path = tmp_path / "bad.cert"
+        path.write_text(text)
+        capsys.readouterr()
+        rc = main(["verify", "--cert", str(path), "--poly", poly])
+        return rc, capsys.readouterr().err
+
+    def test_every_proper_prefix(self, tmp_path, published, capsys):
+        text, poly = published
+        assert self._verify(tmp_path, text, poly, capsys)[0] == 0
+        lines = text.splitlines()
+        for k in range(len(lines)):
+            rc, err = self._verify(tmp_path, "\n".join(lines[:k]) + "\n", poly,
+                                   capsys)
+            assert rc == 1, k
+            assert err.startswith("error: "), (k, err)
+
+    @pytest.mark.parametrize("old,new", [("block ", "blk "),
+                                         ("mode invariant", "mode plain"),
+                                         ("row 1 t1 t2", "row 1 2*t1 t2")])
+    def test_renamed_line(self, tmp_path, published, capsys, old, new):
+        text, poly = published
+        rc, err = self._verify(tmp_path, text.replace(old, new, 1), poly, capsys)
+        assert rc == 1
+        assert err.startswith("error: line ")

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,8 +114,7 @@ def test_inconsistent_system_from_solve():
 
 def test_inconsistent_system_from_round_certificate():
     sdp = _contradictory_program()
-    fake = Certificate("plain", "trivial", ["x"], Fraction(0), exact=False,
-                       monomials=((0,), (1,)), gram=np.eye(2),
+    fake = Certificate("invariant", "trivial:1", ["x"], Fraction(0), exact=False,
                        objective="feasibility", program=sdp)
     with pytest.raises(AssemblyInfeasible):
         round_certificate(fake, parse_polynomial("x^2 + 1", ["x"]))

@@ -27,7 +27,7 @@ class TestCertificateFormat:
         _, cert = sos_lower_bound(f, "trivial:1")
         exact = round_certificate(cert, f)
         back = certificate_from_text(certificate_to_text(exact))
-        assert back.mode == "plain"
+        assert back.mode == "invariant"
         assert verify_certificate(back, f)[0]
 
     def test_published_certificate_round_trips(self):

@@ -5,9 +5,9 @@ import pytest
 
 from symsos.certificates import (NoCertificateError, RoundingError,
                                  algorithm_one, algorithm_two, bundle_for,
-                                 plain_sos_bound, round_certificate,
-                                 sos_lower_bound, sos_squares_from_gram,
-                                 symmetric_bundle, verify_certificate)
+                                 round_certificate, sos_lower_bound,
+                                 sos_squares_from_gram, symmetric_bundle,
+                                 verify_certificate)
 from symsos.equivariants import MissingEquivariantData
 from symsos.fixtures import (ROBINSON_D4_TEXT, robinson_dihedral,
                              s3_published_certificate, symmetric_quartic)
@@ -184,7 +184,7 @@ class TestCrossFormulation:
 
     def test_plain_route_also_agrees(self):
         f = symmetric_quartic()
-        cert = plain_sos_bound(f)
+        cert = sos_lower_bound(f, f"trivial:{f.nvars}")[1]
         lam_inv, _ = sos_lower_bound(f, "symmetric:3")
         assert abs(float(cert.lam) - lam_inv) < 1e-6
 
@@ -241,20 +241,18 @@ class TestRounding:
         f = robinson_dihedral()
         lam = Fraction(-1, 2)                     # far above the SOS bound
         sdp = assemble_gram(f - lam, with_lambda=False)
-        n = sdp.blocks[0].size
-        fake = Certificate("plain", "trivial", ["x", "y"], lam, exact=False,
-                           monomials=sdp.meta["monomials"].entries,
-                           gram=np.zeros((n, n)), objective="feasibility",
-                           program=sdp)
+        fake = Certificate("invariant", "trivial:2", ["x", "y"], lam, exact=False,
+                           objective="feasibility", program=sdp)
         with pytest.raises(RoundingError):
             round_certificate(fake, f, schedule=(100, 1000))
 
     def test_exact_squares_replay(self):
         f = parse_polynomial("2*x^4 + 2*x^3*y - x^2*y^2 + 5*y^4", ["x", "y"])
-        cert = plain_sos_bound(f)
+        cert = sos_lower_bound(f, f"trivial:{f.nvars}")[1]
         exact = round_certificate(cert, f)
         assert verify_certificate(exact, f)[0]
-        squares = sos_squares_from_gram(exact.gram, exact.monomials, 2)
+        block = exact.blocks[0]
+        squares = sos_squares_from_gram(block.gram, block.rows[0], 2)
         total = Polynomial.zero(2)
         for w, p in squares:
             total = total + (p * p).scale(w)

@@ -50,6 +50,10 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown variable"):
             parse_polynomial("x + q", ["x", "y"])
 
+    def test_zero_denominator(self):
+        with pytest.raises(PolynomialSyntaxError, match="nonzero denominator"):
+            parse_polynomial("1/0*x^2", ["x"])
+
     def test_non_integer_exponent(self):
         with pytest.raises(PolynomialSyntaxError, match="non-integer exponent"):
             parse_polynomial("x^y", ["x", "y"])

@@ -8,9 +8,8 @@ import pytest
 import symsos.certificates as certificates
 import symsos.cli as cli
 from symsos.certificates import (CertBlock, Certificate, algorithm_one,
-                                 expand_certificate, plain_sos_bound,
-                                 round_certificate, sos_lower_bound,
-                                 verify_certificate)
+                                 expand_certificate, round_certificate,
+                                 sos_lower_bound, verify_certificate)
 from symsos.fixtures import (ROBINSON_D4_TEXT, robinson_dihedral,
                              s3_published_certificate, symmetric_quartic)
 from symsos.invariants import InvariantPoly, expand_invariants, theta_monomials
@@ -93,7 +92,7 @@ def _pairing_at(cert: Certificate, point) -> Fraction:
 def test_replay_of_by_construction_certificates(group, degree):
     f, cert = _by_construction(group, degree, seed=degree)
     assert f.degree() == degree
-    assert expand_certificate(cert, f.nvars) == f - cert.lam
+    assert expand_certificate(cert) == f - cert.lam
     assert verify_certificate(cert, f)[0]
     rng = random.Random(group)
     for _ in range(2):
@@ -104,7 +103,7 @@ def test_replay_of_by_construction_certificates(group, degree):
 
 def _robinson_plain():
     f = robinson_dihedral()
-    exact = round_certificate(plain_sos_bound(f), f)
+    exact = round_certificate(sos_lower_bound(f, f"trivial:{f.nvars}")[1], f)
     assert verify_certificate(exact, f)[0]
     return f, exact
 
@@ -133,7 +132,7 @@ def test_off_diagonal_perturbation_refuted_plain():
     f, exact = _robinson_plain()
     d = Fraction(1, 10 ** 6)
     for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        exact.gram[a][b] += d
+        exact.blocks[0].gram[a][b] += d
     _refuted_for_identity(exact, f)
 
 
