@@ -40,7 +40,7 @@ import numpy as np
 
 from .equivariants import (EquivariantBasis, MissingEquivariantData, PiMatrix,
                            equivariant_catalog, monomial_envelope, pi_matrix)
-from .groups import IrrepCatalog, catalog as load_catalog
+from .groups import IrrepCatalog, catalog as load_catalog, parse_spec
 from .invariants import (InvariantPoly, InvariantPresentation, NotInvariantError,
                          presentation as load_presentation_for,
                          rewrite_in_invariants, expand_invariants,
@@ -143,9 +143,8 @@ def _symmetric_bundle(n: int, max_degree: int) -> GeneratorBundle:
 
 
 def bundle_for(group_spec: str, max_degree: int | None = None) -> GeneratorBundle:
-    parts = group_spec.split(":")
-    if parts[0] == "symmetric":
-        n = int(parts[1])
+    family, n, _ = parse_spec(group_spec)
+    if family == "symmetric":
         if max_degree is not None and max_degree <= 2:
             # quadratic instances need only the analytic trivial + standard
             # modules, for any number of variables

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -154,6 +155,33 @@ class GroupAction:
 
     def is_signed_permutation_action(self) -> bool:
         return all(e.sp is not None for e in self.elements)
+
+    @cached_property
+    def classes(self) -> list[tuple[int, ...]]:
+        """Conjugacy classes as sorted element-index tuples, in order of their first index.
+
+        Each class is the orbit of its smallest element under x -> s^-1 x s
+        over the generators s.  The smallest index is the one closest to the
+        identity in the BFS closure, so it has the shortest parent chain.
+        """
+        inv = self.inverse_table
+        seen = [False] * self.order
+        out = []
+        for start in range(self.order):
+            if seen[start]:
+                continue
+            seen[start] = True
+            orbit, frontier = [start], [start]
+            while frontier:
+                x = frontier.pop()
+                for s in self.generators:
+                    y = self.mult(self.mult(inv[s], x), s)
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
+                        frontier.append(y)
+            out.append(tuple(sorted(orbit)))
+        return out
 
 
 class ClosureError(ValueError):
@@ -695,21 +723,51 @@ def symmetric_catalog(n: int) -> IrrepCatalog:
 # -- dispatcher -------------------------------------------------------------------
 
 
+# family -> (fewest, most) fields after the family name
+_SPEC_FIELDS = {"trivial": (0, 1), "c2n": (1, 1), "cyclic": (1, 2),
+                "dihedral": (1, 2), "symmetric": (1, 1)}
+
+
+def parse_spec(spec: str) -> tuple[str, int, str | None]:
+    """Split a "family:param[:variant]" spec into (family, param, variant).
+
+    A bare "trivial" means "trivial:1".  A missing, extra or malformed field
+    raises ValueError naming the spec.
+    """
+    family, *fields = spec.split(":")
+    if family not in _SPEC_FIELDS:
+        raise ValueError(f"unsupported catalog entry {spec!r}")
+    fewest, most = _SPEC_FIELDS[family]
+    if not fewest <= len(fields) <= most:
+        want = str(most) if fewest == most else f"{fewest} to {most}"
+        raise ValueError(f"catalog spec {spec!r} needs {want} field(s) after "
+                         f"{family!r}, not {len(fields)}")
+    if not fields:
+        return family, 1, None
+    try:
+        param = int(fields[0])
+    except ValueError:
+        raise ValueError(f"catalog spec {spec!r} needs an integer parameter, "
+                         f"not {fields[0]!r}") from None
+    variant = fields[1] if len(fields) > 1 else None
+    if variant not in (None, "planar", "permutation"):
+        raise ValueError(f"catalog spec {spec!r} names an unknown variant "
+                         f"{variant!r}; use planar or permutation")
+    return family, param, variant
+
+
 def catalog(spec: str) -> IrrepCatalog:
     """Build a catalog from a "family:param[:variant]" spec string."""
-    parts = spec.split(":")
-    family = parts[0]
+    family, param, variant = parse_spec(spec)
     if family == "trivial":
-        return trivial_catalog(int(parts[1]) if len(parts) > 1 else 1)
+        return trivial_catalog(param)
     if family == "c2n":
-        return c2n_catalog(int(parts[1]))
+        return c2n_catalog(param)
     if family == "cyclic":
-        return cyclic_catalog(int(parts[1]), parts[2] if len(parts) > 2 else None)
+        return cyclic_catalog(param, variant)
     if family == "dihedral":
-        return dihedral_catalog(int(parts[1]), parts[2] if len(parts) > 2 else None)
-    if family == "symmetric":
-        return symmetric_catalog(int(parts[1]))
-    raise ValueError(f"unsupported catalog entry {spec!r}")
+        return dihedral_catalog(param, variant)
+    return symmetric_catalog(param)
 
 
 # -- user-supplied irrep tables ----------------------------------------------------

@@ -7,9 +7,17 @@ coefficients again count copies of the real irrep (half the raw realified
 character average); with that convention sum_i n_i psi_i = 1/(1-xi)^n holds
 exactly for every catalog.
 
-Determinants det(I - xi * theta(g)) come from signed cycle structure when the
-action permutes coordinates, and from exact Newton-identity characteristic
-polynomials otherwise.  Rotation irreps whose matrices are only stored
+Molien's formula (see Stanley, Bull. AMS 1979) is summed over conjugacy
+classes, not group elements: the character and det(I - xi * theta(g)) are both
+class functions, so each class C contributes |C| chi(g_C) / det(I - xi
+theta(g_C)) at its first element g_C.  Each action's class determinants are
+computed once and shared by all of its irreps; classes with equal determinants
+share a term, and the terms are added over the least common multiple of the
+determinants with a single reduction per irrep.
+
+Determinants come from signed cycle structure when the action permutes
+coordinates, and from exact Newton-identity characteristic polynomials
+otherwise.  Rotation irreps whose matrices are only stored
 approximately (cyclic/dihedral with m in {5,7,9,10,11}) use an integer
 Ramanujan-sum character average instead of matrix traces, so their series are
 exact as well.
@@ -18,6 +26,7 @@ exact as well.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -245,30 +254,57 @@ def _molien_meta(catalog: IrrepCatalog, irrep: RealIrrep) -> RationalFunction:
     raise ValueError(f"no exact Molien route for approximate irrep {irrep.label}")
 
 
+ClassTerms = tuple[Coeffs, list[tuple[Coeffs, list[tuple[int, int]]]]]
+_CLASS_TERMS: "weakref.WeakKeyDictionary[GroupAction, ClassTerms]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _class_terms(action: GroupAction) -> ClassTerms:
+    """Common denominator of the Molien sum, and its terms by determinant.
+
+    One det(I - xi theta(g)) per conjugacy class, at the class's first
+    (smallest) element.  Classes that share a determinant form one term;
+    each term carries the cofactor L/det of the least common multiple L of
+    the distinct determinants, and its classes as (representative, size).
+    Computed once per action and shared by all of its irreps.
+    """
+    terms = _CLASS_TERMS.get(action)
+    if terms is not None:
+        return terms
+    by_det: dict[tuple, list] = {}
+    for cls in action.classes:
+        det = det_one_minus_xi(action, cls[0])
+        by_det.setdefault(tuple(det), [det, []])[1].append((cls[0], len(cls)))
+    lcm: Coeffs = [Fraction(1)]
+    for det, _ in by_det.values():
+        lcm = _pdivmod(_pmul(lcm, det), _pgcd(lcm, det))[0]
+    terms = _CLASS_TERMS[action] = (
+        lcm, [(_pdivmod(lcm, det)[0], classes) for det, classes in by_det.values()])
+    return terms
+
+
 def molien_series(catalog: IrrepCatalog, irrep: RealIrrep) -> RationalFunction:
     """Multiplicity generating function of ``irrep`` inside R[x] under the action.
 
-    psi(xi) = (1/|G|) sum_g trace(theta_i(g)) / det(I - xi theta(g)), halved
-    for complex-type irreps so coefficients count real-irrep copies.
+    psi(xi) = (1/|G|) sum_C |C| trace(theta_i(g_C)) / det(I - xi theta(g_C)),
+    summed over the conjugacy classes C with representatives g_C (both the
+    character and the determinant are class functions), and halved for
+    complex-type irreps so coefficients count real-irrep copies.  Each
+    class's determinant is computed once; the terms are added over one
+    common denominator and reduced once.
     """
     if irrep.approximate:
         return _molien_meta(catalog, irrep)
     action = catalog.action
-    order = action.order
-    groups: dict[tuple, list[Scalar]] = {}
-    for i in range(order):
-        det = det_one_minus_xi(action, i)
-        key = tuple(det)
-        if key not in groups:
-            groups[key] = [det, Quad(0)]
-        groups[key][1] = groups[key][1] + Quad.of(irrep.character(i))
-    total = RationalFunction.of([0], [1])
-    for det, chi_sum in groups.values():
-        if chi_sum == 0:
-            continue
-        total = total + RationalFunction.of([exact(chi_sum)], det)
-    weight = Fraction(1, order * (2 if irrep.kind == "complex-type" else 1))
-    total = total.scale(weight)
+    den, terms = _class_terms(action)
+    num: Coeffs = []
+    for cofactor, classes in terms:
+        chi_sum = exact(sum((Quad.of(irrep.character(rep)) * size
+                             for rep, size in classes), Quad(0)))
+        if chi_sum != 0:
+            num = _padd(num, _pscale(cofactor, chi_sum))
+    weight = Fraction(1, action.order * (2 if irrep.kind == "complex-type" else 1))
+    total = RationalFunction.of(_pscale(num, weight), den)
     if not total.is_rational_coeffs():
         raise ValueError(f"Molien series of {irrep.label} did not reduce to "
                          "rational coefficients")
@@ -297,6 +333,8 @@ def dimension_table(catalog: IrrepCatalog, dmax: int) -> dict:
     Row label -> list of multiplicities for degrees 0..dmax; the "total" row
     is C(n+d-1, d), the dimension of the degree-d homogeneous component.
     """
+    if dmax < 0:
+        raise ValueError(f"dmax must be a nonnegative degree, not {dmax}")
     rows = {}
     for irrep in catalog.irreps:
         psi = molien_series(catalog, irrep)

@@ -84,6 +84,28 @@ class TestMolien:
         assert [int(v) for v in theta5.split()[1:]] == \
             [0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 5, 6, 9, 11, 15, 18]
 
+    def test_negative_dmax_is_usage_error(self, capsys):
+        rc = main(["molien", "--group", "symmetric:3", "--dmax", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["molien", "--group", "symmetric"],
+    ["molien", "--group", "symmetric:4:foo"],
+    ["bound", "--group", "symmetric", "--poly", "x^2 + y^2", "--vars", "x,y"],
+    ["bound", "--group", "c2n:2:x", "--poly", "x^2 + y^2", "--vars", "x,y"],
+    ["generators", "--group", "dihedral"],
+    ["generators", "--group", "cyclic:4:planar:x"]],
+    ids=lambda argv: " ".join(argv[:3]))
+def test_malformed_group_spec(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert repr(argv[2]) in err
+
 
 class TestGenerators:
     def test_dihedral_dump(self, capsys):

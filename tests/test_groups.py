@@ -102,6 +102,48 @@ class TestCatalogs:
         with pytest.raises(ValueError):
             catalog("cyclic:5:planar")
 
+    @pytest.mark.parametrize("spec", ["symmetric", "dihedral", "cyclic", "c2n",
+                                      "symmetric:4:foo", "c2n:2:planar",
+                                      "trivial:2:x", "cyclic:4:planar:x",
+                                      "cyclic:5:foo", "symmetric:x"])
+    def test_malformed_spec_names_itself(self, spec):
+        with pytest.raises(ValueError, match=repr(spec)):
+            catalog(spec)
+
+    def test_bare_trivial_is_one_variable(self):
+        assert catalog("trivial").name == "trivial:1"
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("spec", CATALOG_SPECS + ["trivial:3", "c2n:4",
+                                                      "dihedral:12"])
+    def test_classes_partition_and_are_closed(self, spec):
+        action = catalog(spec).action
+        classes = action.classes
+        members = sorted(i for cls in classes for i in cls)
+        assert members == list(range(action.order)), spec
+        inv = action.inverse_table
+        for cls in classes:
+            assert list(cls) == sorted(cls)
+            for x in cls:
+                for g in range(action.order):
+                    assert action.mult(action.mult(inv[g], x), g) in cls, (spec, x, g)
+
+    @pytest.mark.parametrize("spec,sizes", [
+        ("symmetric:4", [1, 3, 6, 6, 8]),
+        ("symmetric:5", [1, 10, 15, 20, 20, 24, 30])])
+    def test_symmetric_class_sizes(self, spec, sizes):
+        assert sorted(len(c) for c in catalog(spec).action.classes) == sizes
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_as_many_classes_as_irreps(self, n):
+        cat = catalog(f"symmetric:{n}")
+        assert len(cat.action.classes) == len(cat.irreps)
+
+    def test_computed_once(self):
+        action = catalog("symmetric:3").action
+        assert action.classes is action.classes
+
 
 class TestVerifyRepresentation:
     def test_trivial_rep_valid(self):

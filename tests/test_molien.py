@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from symsos.groups import catalog
-from symsos.molien import (RationalFunction, _pmul, dimension_table,
-                           even_form_block_census, hilbert_consistency,
-                           hilbert_series, molien_series, ramanujan_sum,
-                           series_coefficients)
+from symsos.molien import (RationalFunction, _pmul, det_one_minus_xi,
+                           dimension_table, even_form_block_census,
+                           hilbert_consistency, hilbert_series, molien_series,
+                           ramanujan_sum, series_coefficients)
+from symsos.scalars import Quad, exact
 
 S4_TABLE = {
     "theta1": [1, 1, 2, 3, 5, 6, 9, 11, 15, 18, 23, 27, 34, 39, 47, 54],
@@ -16,6 +18,44 @@ S4_TABLE = {
     "theta5": [0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 5, 6, 9, 11, 15, 18],
     "total": [1, 4, 10, 20, 35, 56, 84, 120, 165, 220, 286, 364, 455, 560, 680, 816],
 }
+
+
+S5_TABLE = {
+    "theta1": [1, 1, 2, 3, 5, 7, 10, 13, 18, 23, 30, 37, 47, 57, 70, 84],
+    "theta2": [0, 1, 2, 4, 7, 11, 17, 25, 35, 48, 64, 84, 108, 137, 171, 211],
+    "theta3": [0, 0, 1, 2, 4, 7, 12, 18, 27, 38, 53, 71, 94, 121, 155, 194],
+    "theta4": [0, 0, 0, 1, 2, 5, 8, 14, 21, 32, 45, 63, 84, 112, 144, 185],
+    "theta5": [0, 0, 0, 0, 1, 2, 4, 7, 12, 18, 27, 38, 53, 71, 94, 121],
+    "theta6": [0, 0, 0, 0, 0, 0, 1, 2, 4, 7, 11, 17, 25, 35, 48, 64],
+    "theta7": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 5, 7],
+    "total": [1, 5, 15, 35, 70, 126, 210, 330, 495, 715, 1001, 1365, 1820, 2380,
+              3060, 3876],
+}
+
+EVERY_CATALOG = ["trivial:2", "c2n:1", "c2n:2", "c2n:3", "cyclic:3", "cyclic:4",
+                 "cyclic:5", "cyclic:6", "cyclic:7", "cyclic:8", "cyclic:9",
+                 "cyclic:10", "cyclic:11", "cyclic:12", "dihedral:3", "dihedral:4",
+                 "dihedral:5", "dihedral:6", "dihedral:7", "dihedral:8",
+                 "dihedral:12", "symmetric:2", "symmetric:3", "symmetric:4",
+                 "symmetric:5"]
+
+
+def element_sum_series(cat, irrep) -> RationalFunction:
+    """The Molien formula as defined, one term per group element.
+
+    Terms with equal denominators are added before the rational functions
+    are, which keeps the reference fast for groups with irrational characters.
+    """
+    action = cat.action
+    chi_sums: dict[tuple, Quad] = {}
+    for i in range(action.order):
+        det = tuple(det_one_minus_xi(action, i))
+        chi_sums[det] = chi_sums.get(det, Quad(0)) + Quad.of(irrep.character(i))
+    total = RationalFunction.of([0], [1])
+    for det, chi_sum in chi_sums.items():
+        total = total + RationalFunction.of([exact(chi_sum)], list(det))
+    halve = 2 if irrep.kind == "complex-type" else 1
+    return total.scale(Fraction(1, action.order * halve))
 
 
 class TestRationalFunction:
@@ -92,16 +132,28 @@ class TestS4Table:
             assert table[label] == row, label
 
 
-@pytest.mark.parametrize("spec", ["trivial:2", "c2n:1", "c2n:2", "c2n:3",
-                                  "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
-                                  "cyclic:7", "cyclic:8", "cyclic:9", "cyclic:10",
-                                  "cyclic:11", "cyclic:12", "dihedral:3",
-                                  "dihedral:4", "dihedral:5", "dihedral:6",
-                                  "dihedral:7", "dihedral:8", "dihedral:12",
-                                  "symmetric:2", "symmetric:3", "symmetric:4",
-                                  "symmetric:5"])
+class TestS5Table:
+    def test_matches_pinned_table(self):
+        assert dimension_table(catalog("symmetric:5"), 15) == S5_TABLE
+
+    def test_negative_dmax_rejected(self):
+        with pytest.raises(ValueError, match="dmax"):
+            dimension_table(catalog("symmetric:3"), -1)
+
+
+@pytest.mark.parametrize("spec", EVERY_CATALOG)
 def test_hilbert_consistency_every_catalog(spec):
     assert hilbert_consistency(catalog(spec)), spec
+
+
+@pytest.mark.parametrize("spec", EVERY_CATALOG)
+def test_class_sum_equals_element_sum(spec):
+    cat = catalog(spec)
+    for irrep in cat.irreps:
+        if irrep.approximate:
+            continue
+        psi, want = molien_series(cat, irrep), element_sum_series(cat, irrep)
+        assert (psi.num, psi.den) == (want.num, want.den), (spec, irrep.label)
 
 
 class TestRamanujan:
