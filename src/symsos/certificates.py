@@ -16,23 +16,27 @@ object passed to ``algorithm_one`` (a user irrep table, say) is built afresh
 on every call.
 
 Numeric optima are turned into exact certificates by rounding the free
-parameters of the exactly-eliminated constraint system of the assembly a
-float certificate carries (``Certificate.program``; an exact certificate
-drops it): pivot entries are recomputed exactly, so the polynomial identity
-holds by construction.  Each Gram block is screened for an exact negative
-direction and then tested PSD via rational LDL^T (``linalg.ldl_psd``);
-when the bound moves one diagonal entry, its exact boundary value comes
-from the LDL^T of the minor it leaves alone.  Rounding does not replay the
-identity.  ``verify_certificate`` is the one literal replay: every block
-tested by ``ldl_psd``, then sum_i <S_i, Pi_i> collected per (eta_j,
-theta^gamma) and expanded into the original variables once.  Refusal
-reasons name a block, a row and a sign, never an entry.
+parameters of the exact elimination of the assembly a float certificate
+carries (``Certificate.program``; an exact certificate drops it).  That is
+the elimination the solve built, ``BlockSDP.solution_set``, so each bound
+eliminates its system once: pivot entries are recomputed exactly, so the
+polynomial identity holds by construction.  The certificate's blocks pair
+with the program's blocks by position.  With the free variables first, the
+bound pivots the constant equation, lambda = c - X00 - ..., where X00 is a
+free diagonal entry no other pivot uses; rounding sets X00 to the least
+value that keeps its block PSD, read from the LDL^T of the minor X00
+leaves alone, and lambda follows exactly.  Each Gram block is screened for
+an exact negative direction and then tested PSD via rational LDL^T
+(``linalg.ldl_psd``).  Rounding does not replay the identity.
+``verify_certificate`` is the one literal replay: every block tested by
+``ldl_psd``, then sum_i <S_i, Pi_i> collected per (eta_j, theta^gamma) and
+expanded into the original variables once.  Refusal reasons name a block, a
+row and a sign, never an entry.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,7 +44,8 @@ import numpy as np
 
 from .equivariants import (EquivariantBasis, MissingEquivariantData, PiMatrix,
                            equivariant_catalog, monomial_envelope, pi_matrix)
-from .groups import IrrepCatalog, catalog as load_catalog, parse_spec
+from .groups import (IrrepCatalog, catalog as load_catalog, parse_spec,
+                     transposition_generators)
 from .invariants import (InvariantPoly, InvariantPresentation, NotInvariantError,
                          presentation as load_presentation_for,
                          rewrite_in_invariants, expand_invariants,
@@ -48,13 +53,15 @@ from .invariants import (InvariantPoly, InvariantPresentation, NotInvariantError
                          symmetric_presentation)
 from .linalg import (NotPSD, Parametrization, dot, ldl_decomposition, ldl_psd,
                      negative_direction)
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, default_variables
 from .scalars import Scalar, exact
 from .sdp import (AssemblyInfeasible, BlockSDP, VarKey, assemble_invariant_sos,
                   with_interior_variable)
 from .solver import SDPSolution, solve, polish_solution
 
 DEFAULT_SCHEDULE = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 6)
+FEAS_MARGIN = 1e-7        # a feasibility margin below -FEAS_MARGIN refuses
+ROUNDING_QUALITY = 1e-6   # a rounded bound this close to the float one is taken
 
 
 class NoCertificateError(RuntimeError):
@@ -123,9 +130,9 @@ def symmetric_bundle(n: int, max_degree: int) -> GeneratorBundle:
 
 
 def _symmetric_bundle(n: int, max_degree: int) -> GeneratorBundle:
-    from .equivariants import _power_sum_centered, _perm_generator_matrices
+    from .equivariants import _power_sum_centered
     pres = symmetric_presentation(n)
-    gens = _perm_generator_matrices(n)
+    gens = transposition_generators(n)
     one = Polynomial.constant(n, 1)
     bases: dict[str, EquivariantBasis] = {
         "trivial": EquivariantBasis("trivial", n, [(one,)],
@@ -231,46 +238,50 @@ def verify_certificate(cert: Certificate, f: Polynomial) -> tuple[bool, list[str
 # -- algorithm two ------------------------------------------------------------------
 
 
+# the (Pi, theta-monomial envelope) behind each block of an invariant assembly
+BlockData = list[tuple[PiMatrix, list[list[Monomial]]]]
+
+
 def _invariant_sdp(f: Polynomial, bundle: GeneratorBundle,
-                   with_lambda: bool) -> BlockSDP:
+                   with_lambda: bool) -> tuple[BlockSDP, BlockData]:
+    """The assembly for f, and the (Pi, envelope) of each block, in block order."""
     pres = bundle.pres
     if pres.generators and not verify_invariant(f, pres.generators):
         raise NotInvariantError("polynomial is not invariant under the group")
     ft = rewrite_in_invariants(f, pres, check_invariance=False)
     target = weighted_degree(ft, pres)
-    pis = [bundle.pis[l] for l in bundle.irrep_labels]
-    envs = [monomial_envelope(pres, pi, target) for pi in pis]
-    return assemble_invariant_sos(ft, pres, pis, envs, with_lambda=with_lambda)
+    kept = []
+    for label in bundle.irrep_labels:
+        pi = bundle.pis[label]
+        env = monomial_envelope(pres, pi, target)
+        if any(env):        # the assembly drops a block with an empty envelope
+            kept.append((pi, env))
+    sdp = assemble_invariant_sos(ft, pres, [pi for pi, _ in kept],
+                                 [env for _, env in kept], with_lambda=with_lambda)
+    return sdp, kept
 
 
 def _certificate_from_solution(bundle: GeneratorBundle, sdp: BlockSDP,
+                               kept: BlockData,
                                sol: SDPSolution, f: Polynomial, lam,
                                objective: str) -> Certificate:
-    blocks = []
-    label_of = {b.name: i for i, b in enumerate(sdp.blocks)}
-    for pi, env in zip(sdp.meta["pis"], sdp.meta["envelopes"]):
-        if pi.irrep_label not in label_of:
-            continue
-        gram = sol.blocks[sol.block_names.index(pi.irrep_label)]
-        blocks.append(CertBlock(pi.irrep_label, env, gram, pi))
-    names = [f"x{i + 1}" for i in range(f.nvars)] if f.nvars > 3 else \
-        ["x", "y", "z"][: f.nvars]
-    return Certificate("invariant", bundle.group, names, lam, exact=False,
-                       pres=bundle.pres, blocks=blocks, objective=objective,
-                       program=sdp, status=sol.status)
+    blocks = [CertBlock(pi.irrep_label, env, gram, pi)
+              for (pi, env), gram in zip(kept, sol.blocks)]
+    return Certificate("invariant", bundle.group, default_variables(f.nvars), lam,
+                       exact=False, pres=bundle.pres, blocks=blocks,
+                       objective=objective, program=sdp, status=sol.status)
 
 
 def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
                   objective: str = "maximize-lambda",
                   lambda_value: Fraction = Fraction(0),
                   tol: float = 1e-8,
-                  feas_margin: float = 1e-7,
                   concentrate: bool = False) -> Certificate:
     """Rewrite, bound supports, assemble and solve; returns a float certificate.
 
     ``maximize-lambda`` returns the SOS lower bound; ``feasibility`` decides
     whether f - lambda_value is a sum of squares at the given degree, raising
-    NoCertificateError when the margin is decisively negative.  With
+    NoCertificateError when the margin is below -FEAS_MARGIN.  With
     ``concentrate`` the feasibility solve afterwards minimizes the total trace,
     pushing the support onto as few isotypic blocks as possible.
     """
@@ -278,23 +289,23 @@ def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
         raise MissingEquivariantData(
             f"bundle for {bundle.group} lacks module data for {bundle.missing}")
     if objective == "maximize-lambda":
-        sdp = _invariant_sdp(f, bundle, True)
+        sdp, kept = _invariant_sdp(f, bundle, True)
         sol = solve(sdp, tol=tol)
         if sol.status in ("infeasible-suspect", "unbounded"):
             raise NoCertificateError(
                 f"no SOS representation found at this degree ({sol.status})")
         sol = polish_solution(sdp, sol)
-        return _certificate_from_solution(bundle, sdp, sol, f,
+        return _certificate_from_solution(bundle, sdp, kept, sol, f,
                                           sol.free_values["lambda"], objective)
     # feasibility at a fixed lambda: maximize the interior margin t
     shifted = f - lambda_value
-    sdp = _invariant_sdp(shifted, bundle, False)
+    sdp, kept = _invariant_sdp(shifted, bundle, False)
     inter, tname = with_interior_variable(sdp)
     sol = solve(inter, tol=tol)
     if not sol.ok:
         raise NoCertificateError(f"margin solve failed ({sol.status})")
     tstar = sol.free_values[tname]
-    if tstar < -feas_margin:
+    if tstar < -FEAS_MARGIN:
         raise NoCertificateError(
             f"no SOS representation found at this degree (margin {tstar:.2e})")
     if concentrate:
@@ -303,25 +314,20 @@ def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
                            {("blk", bi, r, r): Fraction(1)
                             for bi, b in enumerate(sdp.blocks)
                             for r in range(b.size)},
-                           sdp.constraints, sdp.meta)
+                           sdp.constraints)
         sol2 = solve(steered, tol=tol)
         if sol2.ok:
-            cert = _certificate_from_solution(bundle, sdp, sol2, f, lambda_value,
-                                              "feasibility")
+            cert = _certificate_from_solution(bundle, sdp, kept, sol2, f,
+                                              lambda_value, "feasibility")
             cert.margin = tstar
             return cert
     # shift the interior variable back onto the diagonals
-    blocks = []
-    for bi, spec in enumerate(sdp.blocks):
-        mat = sol.blocks[sol.block_names.index(spec.name)] + \
-            max(tstar, 0.0) * np.eye(spec.size)
-        blocks.append(mat)
-    patched = SDPSolution(sol.status, sol.objective, sol.dual_objective, sol.gap,
-                          blocks, [b.name for b in sdp.blocks],
-                          {}, sol.y, sol.iterations, sol.primal_residual,
-                          sol.dual_residual)
+    shift = max(tstar, 0.0)
+    patched = replace(sol, blocks=[mat + shift * np.eye(spec.size) for mat, spec
+                                   in zip(sol.blocks, sdp.blocks)],
+                      free_values={})
     patched = polish_solution(sdp, patched)
-    cert = _certificate_from_solution(bundle, sdp, patched, f, lambda_value,
+    cert = _certificate_from_solution(bundle, sdp, kept, patched, f, lambda_value,
                                       "feasibility")
     cert.margin = tstar
     return cert
@@ -344,74 +350,42 @@ def sos_lower_bound(f: Polynomial, group_spec: str,
 # -- rational rounding --------------------------------------------------------------
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Simplest rational in [lo, hi] (Stern-Brocot)."""
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -_simplest_between(-hi, -lo)
-    fl = math.floor(lo)
-    if fl == math.floor(hi) and lo != fl:
-        rest = _simplest_between(1 / (hi - fl), 1 / (lo - fl))
-        return fl + 1 / rest
-    return Fraction(fl if lo == fl else fl + 1)
+def _traded_entry(keys: list[VarKey], param: Parametrization,
+                  lam_col: int) -> tuple[int, Fraction]:
+    """(column, gamma) of the one diagonal entry the bound trades against.
 
-
-def _lambda_candidates(lam_float: float, max_den: int,
-                       slack: float) -> list[Fraction]:
-    lamf = Fraction(lam_float)
-    cands = set()
-    for window in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
-        c = _simplest_between(lamf - Fraction(window), lamf + Fraction(window))
-        if c.denominator <= max_den:
-            cands.add(c)
-    for k in (2, 3, 4, 6):
-        d = 10 ** k
-        if d <= max_den:
-            cands.add(Fraction(math.floor(lam_float * d), d))
-    out = [c for c in cands if float(c) <= lam_float + slack]
-    return sorted(out, reverse=True)
-
-
-def _blocks_from_values(sdp: BlockSDP, keys, vals) -> list[list[list[Fraction]]]:
-    pos = {k: i for i, k in enumerate(keys)}
-    out = []
-    for bi, blk in enumerate(sdp.blocks):
-        mat = [[Fraction(0)] * blk.size for _ in range(blk.size)]
-        for r in range(blk.size):
-            for c in range(r, blk.size):
-                v = vals[pos[("blk", bi, r, c)]]
-                mat[r][c] = mat[c][r] = v
-        out.append(mat)
-    return out
-
-
-def _lambda_entry(keys: list[VarKey], param: Parametrization,
-                  lam_idx: int) -> tuple[int, int, Fraction] | None:
-    """(block, row, beta) when lambda moves only diagonal entry (row, row), by beta < 0.
-
-    The usual constant-equation pivot; the entries lambda moves, and by how
-    much, do not depend on the values of the other free parameters.
+    With the free variables first, lambda pivots the one equation it appears
+    in, which reads lambda = c + sum_j gamma_j x_j over free columns.  The
+    entry is a free diagonal entry with gamma < 0 that no other pivot row
+    uses, so lowering it raises lambda and changes nothing else.  Raises
+    RoundingError unless there is exactly one such entry.
     """
-    moved = [(keys[pc], coeffs[lam_idx]) for pc, _, coeffs in param.pivots
-             if lam_idx in coeffs and keys[pc][0] == "blk"]
-    if len(moved) != 1:
-        return None
-    (_, bi, r, c), beta = moved[0]
-    return (bi, r, beta) if r == c and beta < 0 else None
+    others: set[int] = set()
+    lam_row: dict[int, Scalar] | None = None
+    for pc, _, coeffs in param.pivots:
+        if pc == lam_col:
+            lam_row = coeffs
+        else:
+            others.update(coeffs)
+    if lam_row is None:
+        raise RoundingError("the bound is not fixed by the equations of the program")
+    traded = [j for j, gamma in lam_row.items()
+              if gamma < 0 and j not in others and keys[j][0] == "blk" and
+              keys[j][2] == keys[j][3]]
+    if len(traded) != 1:
+        raise RoundingError(f"the bound trades against {len(traded)} diagonal "
+                            "entries of the program, not exactly one; rounding "
+                            "needs the one entry of the constant equation")
+    return traded[0], lam_row[traded[0]]
 
 
-def _lambda_boundary(block: list[list[Fraction]], r: int,
-                     beta: Fraction) -> Fraction | None:
-    """Exact largest lambda keeping the block PSD, when lambda moves only entry (r, r).
+def _least_diagonal(block: list[list[Fraction]], r: int) -> Fraction | None:
+    """Least value of entry (r, r) that keeps the block PSD, the rest fixed.
 
-    ``block`` is the block at lambda = 0, and the entry is e0 + beta * lambda
-    with beta < 0.  With the minor M without row r factored as L D L^T and v
-    the rest of column r, the block is PSD iff M is, v lies in the range of
-    M, and the entry is at least v^T M^+ v = sum_k y_k^2 / d_k, where L y = v
-    by forward substitution.  None when no lambda keeps the block PSD.
+    With the minor M without row r factored as L D L^T and v the rest of
+    column r, the block is PSD iff M is, v lies in the range of M, and the
+    entry is at least v^T M^+ v = sum_k y_k^2 / d_k, where L y = v by forward
+    substitution.  None when no value keeps the block PSD.
     """
     idx = [i for i in range(len(block)) if i != r]
     v = [block[i][r] for i in idx]
@@ -424,59 +398,51 @@ def _lambda_boundary(block: list[list[Fraction]], r: int,
         y.append(exact(v[p] - sum((L[p][j] * y[j] for j in range(k)), Fraction(0))))
     if any(dot(L[i], y) != v[i] for i in range(len(idx))):
         return None
-    bound = sum((yk * yk / dk for yk, dk in zip(y, ds)), Fraction(0))
-    return exact((bound - block[r][r]) / beta)
+    return exact(sum((yk * yk / dk for yk, dk in zip(y, ds)), Fraction(0)))
 
 
 def round_certificate(cert: Certificate, f: Polynomial,
-                      schedule: Sequence[int] = DEFAULT_SCHEDULE,
-                      solver_tol: float = 1e-8,
-                      quality: float = 1e-6) -> Certificate:
+                      schedule: Sequence[int] = DEFAULT_SCHEDULE) -> Certificate:
     """Round a floating certificate to an exact one, correct by construction.
 
-    Free parameters of the exactly-eliminated constraint system of
-    ``cert.program`` are rounded by continued fractions under each
-    denominator bound of the schedule; pivot entries are recomputed exactly,
-    so the polynomial identity with ``f`` (from which the program was
-    assembled) holds by construction and is not replayed here.  Blocks are
-    screened by ``negative_direction`` before any exact LDL^T.  When the
-    bound variable shifts a single diagonal entry, the blocks and the minor
-    it leaves alone are tested first, and its exact boundary value for the
-    rounded parameters is read from the factorization of that minor, which
-    snaps boundary optima with small rational vertices to their exact value;
-    otherwise candidate bounds are tried from the largest down.  A candidate
-    is accepted on the first schedule entry whose bound stays within
-    ``quality`` of the floating bound and whose blocks pass LDL^T; if none
-    does, the best such candidate from the whole schedule is returned.
-    ``verify_certificate`` replays the result literally.
+    Reads the one exact elimination of ``cert.program``, the one the solve
+    built (``BlockSDP.solution_set``).  Its free parameters are rounded by
+    continued fractions under each denominator bound of the schedule, and
+    the pivot entries are recomputed exactly, so the polynomial identity with
+    ``f`` (from which the program was assembled) holds by construction and is
+    not replayed here.  Blocks are screened by ``negative_direction`` before
+    any exact LDL^T.  A bound reads lambda = c + gamma * X_rr + ... with one
+    free diagonal entry X_rr (``_traded_entry``): the other blocks and the
+    minor without row r are tested first, X_rr is set to the least value
+    that keeps its block PSD, read from the factorization of that minor, and
+    lambda follows exactly.  That snaps boundary optima with small rational
+    vertices to their exact value.  A bound is accepted on the first schedule
+    entry that stays within ROUNDING_QUALITY of the floating bound; if none
+    does, the best bound from the whole schedule is returned.  A feasibility
+    certificate keeps its fixed lambda.  ``verify_certificate`` replays the
+    result literally.
     """
     if cert.exact:
         return cert
     sdp = cert.program
     if sdp is None:
         raise RoundingError("certificate carries no assembly to round against")
-    maximize = cert.objective == "maximize-lambda"
-    keys = sdp.var_order()           # entries first, lambda last
-    param = sdp.parametrize(keys)
+    param = sdp.solution_set
     if param is None:
         raise AssemblyInfeasible("constraint system inconsistent")
-    free_cols = param.free
-    pos = {k: i for i, k in enumerate(keys)}
-    lam_idx = pos.get(("free", "lambda"))
-    # float values of all variables, to seed the free parameters
-    float_vals = np.zeros(len(keys))
-    grams = {cb.label: cb.gram for cb in cert.blocks}
-    for bi, blk in enumerate(sdp.blocks):
-        src = np.asarray(grams.get(blk.name, np.zeros((blk.size, blk.size))))
-        for r in range(blk.size):
-            for c in range(r, blk.size):
-                float_vals[pos[("blk", bi, r, c)]] = src[r, c]
-    if maximize and lam_idx is not None:
-        float_vals[lam_idx] = float(cert.lam)
+    if len(cert.blocks) != len(sdp.blocks):
+        raise RoundingError(f"certificate has {len(cert.blocks)} blocks, its "
+                            f"program {len(sdp.blocks)}")
+    keys = sdp.var_order()
+    maximize = cert.objective == "maximize-lambda"
+    if maximize:
+        lam_col = keys.index(("free", "lambda"))
+        col, gamma = _traded_entry(keys, param, lam_col)
+        _, bi, r, _ = keys[col]
+    # the solve's float values of the free block entries seed the rounding
+    seeds = {j: float(cert.blocks[keys[j][1]].gram[keys[j][2]][keys[j][3]])
+             for j in param.free if keys[j][0] == "blk"}
     lam_float = float(cert.lam)
-    slack = 10 * solver_tol * (1 + abs(lam_float))
-    bound_mode = maximize and lam_idx is not None and lam_idx in free_cols
-    entry = _lambda_entry(keys, param, lam_idx) if bound_mode else None
     fallback: Certificate | None = None
 
     def psd(mats, screened=()) -> bool:
@@ -485,40 +451,33 @@ def round_certificate(cert: Certificate, f: Polynomial,
             all(ldl_psd(m)[0] for m in mats)
 
     for max_den in schedule:
-        free_vals: dict[int, Fraction] = {}
-        for j in free_cols:
-            if j != lam_idx:
-                free_vals[j] = Fraction(float(float_vals[j])).limit_denominator(max_den)
-        unchecked = range(len(sdp.blocks))
-        if entry is not None:
-            # no bound passes unless the blocks and the minor lambda leaves alone do
-            bi, r, beta = entry
-            free_vals[lam_idx] = Fraction(0)
-            mats = _blocks_from_values(sdp, keys, param.point(free_vals))
-            minor = [row[:r] + row[r + 1:] for i, row in enumerate(mats[bi]) if i != r]
-            if not psd(mats[:bi] + mats[bi + 1:], [minor]):
-                continue
-            tight = _lambda_boundary(mats[bi], r, beta)
-            cands, unchecked = ([] if tight is None else [tight]), [bi]
-        elif bound_mode:
-            cands = _lambda_candidates(lam_float, max_den, slack)
-        else:
-            cands = [cert.lam if isinstance(cert.lam, Fraction) else
-                     Fraction(cert.lam).limit_denominator(max_den)]
-        for lam_hat in cands:
-            if lam_idx in free_cols:
-                free_vals[lam_idx] = lam_hat
-            vals = param.point(free_vals)
-            mats = _blocks_from_values(sdp, keys, vals)
-            if not psd([mats[i] for i in unchecked]):
-                continue
-            out = _exact_certificate(cert, sdp, mats,
-                                     lam_hat if lam_idx is None else vals[lam_idx])
-            if not bound_mode or float(out.lam) >= lam_float - quality:
-                return out
-            if fallback is None or out.lam > fallback.lam:
-                fallback = out
-            break  # lower candidates at this denominator are worse
+        free_vals = {j: Fraction(x).limit_denominator(max_den)
+                     for j, x in seeds.items()}
+        if not maximize:
+            mats = sdp.block_matrices(param.point(free_vals))
+            if psd(mats):
+                lam = cert.lam if isinstance(cert.lam, Fraction) else \
+                    Fraction(cert.lam).limit_denominator(max_den)
+                return _exact_certificate(cert, mats, lam)
+            continue
+        # no bound passes unless the blocks and the minor X_rr leaves alone do
+        free_vals[col] = Fraction(0)
+        vals = param.point(free_vals)
+        mats = sdp.block_matrices(vals)
+        minor = [row[:r] + row[r + 1:] for i, row in enumerate(mats[bi]) if i != r]
+        if not psd(mats[:bi] + mats[bi + 1:], [minor]):
+            continue
+        least = _least_diagonal(mats[bi], r)
+        if least is None:
+            continue
+        mats[bi][r][r] = least
+        if not psd([mats[bi]]):
+            continue
+        out = _exact_certificate(cert, mats, exact(vals[lam_col] + gamma * least))
+        if float(out.lam) >= lam_float - ROUNDING_QUALITY:
+            return out
+        if fallback is None or out.lam > fallback.lam:
+            fallback = out
     if fallback is not None:
         return fallback
     raise RoundingError("no schedule entry produced an exactly PSD "
@@ -526,13 +485,10 @@ def round_certificate(cert: Certificate, f: Polynomial,
                         "lambda - epsilon or larger denominators")
 
 
-def _exact_certificate(cert: Certificate, sdp: BlockSDP, mats,
-                       lam: Fraction) -> Certificate:
-    blocks = []
-    name_index = {b.name: i for i, b in enumerate(sdp.blocks)}
-    for cb in cert.blocks:
-        blocks.append(CertBlock(cb.label, cb.rows, mats[name_index[cb.label]],
-                                cb.pi))
+def _exact_certificate(cert: Certificate, mats, lam: Fraction) -> Certificate:
+    """``cert`` with the exact block matrices ``mats``, paired by position."""
+    blocks = [CertBlock(cb.label, cb.rows, mat, cb.pi)
+              for cb, mat in zip(cert.blocks, mats)]
     return Certificate("invariant", cert.group, cert.var_names, lam, exact=True,
                        pres=cert.pres, blocks=blocks, objective=cert.objective,
                        status=cert.status, margin=cert.margin)

@@ -22,7 +22,7 @@ from .fileio import certificate_from_text, certificate_to_text
 from .groups import catalog as load_catalog
 from .invariants import render_presentation
 from .molien import dimension_table
-from .poly import PolynomialSyntaxError, parse_polynomial
+from .poly import PolynomialSyntaxError, default_variables, parse_polynomial
 
 
 def _read_poly_arg(text_or_path: str, variables: list[str] | None):
@@ -91,10 +91,7 @@ def _cmd_molien(args) -> int:
 
 def _cmd_generators(args) -> int:
     bundle = algorithm_one(args.group)
-    names = bundle.pres.symbol_names()
-    varnames = [f"x{i+1}" for i in range(bundle.pres.nvars)] if bundle.pres.nvars > 3 \
-        else ["x", "y", "z"][: bundle.pres.nvars]
-    print(render_presentation(bundle.pres, varnames))
+    print(render_presentation(bundle.pres, default_variables(bundle.pres.nvars)))
     for label in bundle.irrep_labels:
         pi = bundle.pis[label]
         basis = bundle.bases[label]

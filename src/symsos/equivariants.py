@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupAction, IrrepCatalog, RealIrrep
+from .groups import (GroupAction, IrrepCatalog, RealIrrep, parse_spec,
+                     transposition_generators)
 from .invariants import (InvariantPoly, InvariantPresentation, rewrite_in_invariants,
                          theta_monomials, weighted_degree)
 from .linalg import Matrix, RowBasis
@@ -255,20 +256,10 @@ def _vandermonde(n: int) -> Polynomial:
     return out
 
 
-def _perm_generator_matrices(n: int) -> list[Matrix]:
-    gens = []
-    for k in range(n - 1):
-        g = [[Fraction(1) if (r, c) in ((k, k + 1), (k + 1, k)) else
-              (Fraction(1) if r == c and r not in (k, k + 1) else Fraction(0))
-              for c in range(n)] for r in range(n)]
-        gens.append(g)
-    return gens
-
-
 def _symmetric_bases(n: int, catalog: IrrepCatalog | None) -> dict[str, EquivariantBasis]:
     """Trivial, embedded standard, sign modules; S4 additionally gets the
     two-dimensional and sign-twisted-standard modules."""
-    gens = _perm_generator_matrices(n)
+    gens = transposition_generators(n)
     one = Polynomial.constant(n, 1)
     out: dict[str, EquivariantBasis] = {}
     ident1 = [((Fraction(1),),) for _ in gens]
@@ -404,8 +395,8 @@ def equivariant_catalog(catalog: IrrepCatalog, pres: InvariantPresentation
     The second return value is nonempty only for the symmetric group on five
     letters, whose modules beyond trivial/standard/sign are not cataloged.
     """
-    family = catalog.name.split(":")[0]
-    param = int(catalog.name.split(":")[1]) if ":" in catalog.name else 0
+    family, param, variant = parse_spec(catalog.name)
+    planar = variant in (None, "planar")       # the default at 4
     missing: list[str] = []
     out: dict[str, EquivariantBasis] = {}
     if family == "trivial":
@@ -422,7 +413,7 @@ def equivariant_catalog(catalog: IrrepCatalog, pres: InvariantPresentation
             vec = (Polynomial.monomial(n, mono),)
             images = [[[irrep.matrix(g)[0][0]]] for g in catalog.action.generators]
             out[irrep.label] = EquivariantBasis(irrep.label, n, [vec], images, gens)
-    elif family == "dihedral" and param == 4:
+    elif family == "dihedral" and param == 4 and planar:
         names = ["x", "y"]
         gens = [catalog.action.matrix(g) for g in catalog.action.generators]
         data = {
@@ -437,7 +428,7 @@ def equivariant_catalog(catalog: IrrepCatalog, pres: InvariantPresentation
             vecs = data[irrep.label]
             images = [irrep.matrix(g) for g in catalog.action.generators]
             out[irrep.label] = EquivariantBasis(irrep.label, 2, vecs, images, gens)
-    elif family == "cyclic" and param == 4:
+    elif family == "cyclic" and param == 4 and planar:
         names = ["x", "y"]
         gens = [catalog.action.matrix(g) for g in catalog.action.generators]
         data = {

@@ -690,17 +690,23 @@ def _yor_generator_matrix(shape: tuple[int, ...], k: int) -> Matrix:
     return m
 
 
-def symmetric_catalog(n: int) -> IrrepCatalog:
-    """Coordinate-permutation action of the symmetric group, n <= 5."""
-    if not 2 <= n <= 5:
-        raise ValueError("symmetric catalog supports 2 <= n <= 5")
+def transposition_generators(n: int) -> list[Matrix]:
+    """Permutation matrices of the adjacent transpositions (k, k+1), k < n - 1."""
     gens = []
     for k in range(n - 1):
         p = mat_identity(n)
         p[k][k] = p[k + 1][k + 1] = Fraction(0)
         p[k][k + 1] = p[k + 1][k] = Fraction(1)
         gens.append(p)
-    action = close_group(gens, max_order=math.factorial(n) + 1)
+    return gens
+
+
+def symmetric_catalog(n: int) -> IrrepCatalog:
+    """Coordinate-permutation action of the symmetric group, n <= 5."""
+    if not 2 <= n <= 5:
+        raise ValueError("symmetric catalog supports 2 <= n <= 5")
+    action = close_group(transposition_generators(n),
+                         max_order=math.factorial(n) + 1)
     shapes = partitions_desc(n)
     if n == 3:
         # classical table order: trivial, sign, then the planar standard irrep

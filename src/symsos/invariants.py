@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .groups import parse_spec, transposition_generators
 from .linalg import Matrix, parametrize
 from .poly import Polynomial, parse_polynomial, render_polynomial, substitute_linear
 
@@ -258,14 +259,9 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
 
 def symmetric_presentation(n: int) -> InvariantPresentation:
     """theta = elementary symmetric polynomials, no secondary invariants."""
-    gens = []
-    for k in range(n - 1):
-        g = [[Fraction(1) if (r, c) in ((k, k + 1), (k + 1, k)) else
-              (Fraction(1) if r == c and r not in (k, k + 1) else Fraction(0))
-              for c in range(n)] for r in range(n)]
-        gens.append(g)
     return InvariantPresentation(n, elementary_symmetric(n),
-                                 [Polynomial.constant(n, 1)], [], gens,
+                                 [Polynomial.constant(n, 1)], [],
+                                 transposition_generators(n),
                                  name=f"symmetric:{n}",
                                  orbit_representative=lambda m: tuple(
                                      sorted(m, reverse=True)))
@@ -306,27 +302,29 @@ def cyclic4_presentation() -> InvariantPresentation:
 
 
 def presentation(spec) -> InvariantPresentation:
-    """Presentation for a catalog or "family:param" spec string."""
+    """Presentation for a catalog or "family:param[:variant]" spec string.
+
+    The order-8 dihedral and order-4 cyclic groups have one only in their
+    planar variant, which is the default at 4.
+    """
     name = spec if isinstance(spec, str) else spec.name
-    parts = name.split(":")
-    family = parts[0]
+    family, n, variant = parse_spec(name)
+    planar = variant in (None, "planar")
     pres = None
     if family == "symmetric":
-        pres = symmetric_presentation(int(parts[1]))
+        pres = symmetric_presentation(n)
     elif family == "c2n":
-        pres = c2n_presentation(int(parts[1]))
-    elif family == "dihedral" and int(parts[1]) == 4:
+        pres = c2n_presentation(n)
+    elif family == "dihedral" and n == 4 and planar:
         pres = dihedral4_presentation()
-    elif family == "cyclic" and int(parts[1]) == 4:
+    elif family == "cyclic" and n == 4 and planar:
         pres = cyclic4_presentation()
     elif family == "trivial":
-        n = int(parts[1])
         pres = InvariantPresentation(
             n, [Polynomial.variable(n, i) for i in range(n)],
             [Polynomial.constant(n, 1)], [], [], name=name)
     if pres is None:
-        raise KeyError(f"no invariant presentation cataloged for {name!r}; "
-                       "supply one in the presentation file format")
+        raise KeyError(f"no invariant presentation cataloged for {name!r}")
     pres.verify()
     return pres
 

@@ -263,6 +263,24 @@ class SymmetryAdaptedBasis:
                 t[i, j] = float(v)
         return t
 
+    def lift(self, block_values: Sequence[np.ndarray]) -> np.ndarray:
+        """T D T^T for reduced block solutions, one per segment of the layout.
+
+        A real segment's block is repeated on its n_i diagonal copies; a
+        complex segment's block fills the segment.
+        """
+        d = np.zeros((self.size, self.size))
+        for seg, val in zip(self.layout, block_values):
+            a = seg.col_start
+            if seg.kind == "complex":
+                d[a:a + seg.width, a:a + seg.width] = val
+            else:
+                for j in range(seg.n_i):
+                    o = a + j * seg.m_i
+                    d[o:o + seg.m_i, o:o + seg.m_i] = val
+        t = self.t_float()
+        return t @ d @ t.T
+
 
 class ProjectionRankError(ValueError):
     pass
@@ -477,8 +495,8 @@ def _col_dot_exact(x: Matrix, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scala
     return dot(u, xu)
 
 
-def block_diagonalize(x, basis: SymmetryAdaptedBasis, tol: float = 1e-10,
-                      rep: MatrixRep | None = None) -> BlockDiagonalization:
+def block_diagonalize(x, basis: SymmetryAdaptedBasis,
+                      tol: float = 1e-10) -> BlockDiagonalization:
     """T^T X T split into per-irrep blocks; X must commute with the action.
 
     For absolutely-real segments the n_i repeated copies are checked for

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .scalars import Quad, Scalar, exact
+from .scalars import Quad, Scalar, exact, inverse
 
 Matrix = list[list[Scalar]]
 
@@ -56,12 +56,6 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
 
 def to_ndarray(a: Matrix) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in a], dtype=float)
-
-
-def _inv_scalar(x: Scalar) -> Scalar:
-    if isinstance(x, Quad):
-        return x.inverse()
-    return Fraction(1) / x
 
 
 class InconsistentRow(ValueError):
@@ -120,7 +114,7 @@ class RowBasis:
             if r:
                 raise InconsistentRow("row is dependent but its right-hand side is not")
             return False
-        inv = _inv_scalar(r[pc])
+        inv = inverse(r[pc])
         self.rows.append({c: exact(x * inv) for c, x in r.items()})
         self.pivots.append(pc)
         return True
@@ -266,7 +260,7 @@ def ldl_decomposition(a: Matrix) -> tuple[Matrix, list[Scalar], list[int]]:
             if any(m[piv][i] for i in active):
                 raise NotPSD(f"zero pivot with a nonzero row at row {piv}")
             continue
-        inv = _inv_scalar(d)
+        inv = inverse(d)
         prow = m[piv]
         col = {i: exact(prow[i] * inv) for i in active if prow[i]}
         perm.append(piv)

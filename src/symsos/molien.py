@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groups import GroupAction, IrrepCatalog, RealIrrep
-from .scalars import Quad, Scalar, exact
+from .scalars import Quad, Scalar, exact, inverse
 
 Coeffs = list  # univariate polynomial, low-order first
 
@@ -73,7 +73,7 @@ def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = Quad.of(b[-1]).inverse() if isinstance(b[-1], Quad) else 1 / b[-1]
+    inv_lead = inverse(b[-1])
     while len(a) >= len(b) and _strip(list(a)):
         if len(a) < len(b):
             break
@@ -96,7 +96,7 @@ def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
     while b:
         a, b = b, _pdivmod(a, b)[1]
     if a:
-        inv_lead = Quad.of(a[-1]).inverse() if isinstance(a[-1], Quad) else 1 / a[-1]
+        inv_lead = inverse(a[-1])
         a = _pscale(a, inv_lead)
     return a
 
@@ -120,7 +120,7 @@ class RationalFunction:
         # normalize: constant-term-positive denominator when possible
         pivot = next((c for c in den if c != 0), None)
         if pivot is not None:
-            inv = Quad.of(pivot).inverse() if isinstance(pivot, Quad) else 1 / pivot
+            inv = inverse(pivot)
             num, den = _pscale(num, inv), _pscale(den, inv)
         return RationalFunction(tuple(num), tuple(den))
 
@@ -145,7 +145,7 @@ def series_coefficients(f: RationalFunction, d_max: int) -> list[Fraction]:
     """Taylor coefficients c_0..c_{d_max}; denominator constant term must be nonzero."""
     if not f.den or f.den[0] == 0:
         raise ValueError("denominator has zero constant term")
-    inv0 = Quad.of(f.den[0]).inverse() if isinstance(f.den[0], Quad) else 1 / f.den[0]
+    inv0 = inverse(f.den[0])
     out = []
     for k in range(d_max + 1):
         acc = f.num[k] if k < len(f.num) else Fraction(0)

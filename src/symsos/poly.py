@@ -484,11 +484,16 @@ def _render_coeff(c: Scalar) -> str:
     return str(c)
 
 
+def default_variables(nvars: int) -> list[str]:
+    """x, y, z for up to three variables, x1..xn beyond."""
+    return [f"x{i + 1}" for i in range(nvars)] if nvars > 3 else \
+        ["x", "y", "z"][:nvars]
+
+
 def render_polynomial(p: Polynomial, variables: Sequence[str] | None = None) -> str:
     """Canonical text form; parse(render(p), variables) round-trips."""
     if variables is None:
-        variables = [f"x{i + 1}" for i in range(p.nvars)] if p.nvars > 3 else \
-            ["x", "y", "z"][: p.nvars]
+        variables = default_variables(p.nvars)
     if p.is_zero():
         return "0"
     parts = []

@@ -257,24 +257,6 @@ def exact(x: Scalar) -> Union[Fraction, Quad]:
     return Fraction(x)
 
 
-def continued_fraction_convergents(x: Fraction, max_den: int) -> list[Fraction]:
-    """Convergents of x (best rational approximations) with denominator <= max_den."""
-    out: list[Fraction] = []
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    r = x
-    while True:
-        a = math.floor(r)
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > max_den:
-            break
-        out.append(Fraction(p1, q1))
-        if r == a:
-            break
-        r = 1 / (r - a)
-    return out
-
-
-def round_to_denominator(x: Fraction, max_den: int) -> Fraction:
-    """Best rational approximation of x with denominator <= max_den."""
-    conv = continued_fraction_convergents(x, max_den)
-    return conv[-1] if conv else Fraction(round(x))
+def inverse(x: Scalar) -> Scalar:
+    """1/x for an exact scalar."""
+    return x.inverse() if isinstance(x, Quad) else Fraction(1) / x

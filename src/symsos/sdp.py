@@ -4,7 +4,10 @@ A :class:`BlockSDP` is a list of PSD blocks plus free scalar variables, a
 linear cost (minimized), and exact linear equations over block entries and
 free variables.  Entry coefficients are attached to upper-triangle positions
 (r <= c); an off-diagonal coefficient q means q * X[r][c] with X symmetric,
-so a functional <A, X> contributes 2*A[r][c] there.
+so a functional <A, X> contributes 2*A[r][c] there.  A program is not
+changed after construction: its exact solution set (``solution_set``, free
+variables first, then the entries) is eliminated once, on first use, and the
+solver, rounding and the restriction all read that one elimination.
 
 Two assemblies produce these programs: the plain Gram formulation over a
 monomial vector, and the invariant formulation whose blocks are Gram matrices
@@ -18,15 +21,16 @@ copy multiplicity folded into the coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .equivariants import PiMatrix
 from .invariants import InvariantPoly, InvariantPresentation
-from .isotypic import (MatrixRep, Segment, SparseMatrix, SymmetryAdaptedBasis,
+from .isotypic import (MatrixRep, SparseMatrix, SymmetryAdaptedBasis,
                        dense_matrix, fixed_point_project)
 from .linalg import Matrix, Parametrization, RowBasis, parametrize, to_ndarray
 from .poly import Monomial, Polynomial, monomial_mul, monomial_vector
@@ -58,22 +62,38 @@ class BlockSDP:
     free_vars: list[str]
     cost: dict[VarKey, Scalar]            # minimized; may reference free vars
     constraints: list[LinearConstraint]
-    meta: dict = field(default_factory=dict)
 
     def var_order(self) -> list[VarKey]:
-        keys: list[VarKey] = []
+        """Columns of ``solution_set``: free variables, then upper-triangle entries."""
+        keys: list[VarKey] = [("free", name) for name in self.free_vars]
         for bi, blk in enumerate(self.blocks):
             for r in range(blk.size):
                 for c in range(r, blk.size):
                     keys.append(("blk", bi, r, c))
-        keys.extend(("free", name) for name in self.free_vars)
         return keys
 
-    def parametrize(self, keys: Sequence[VarKey]) -> Parametrization | None:
-        """Exact solution set of the equations, columns in the order of ``keys``.
+    def block_matrices(self, point: Sequence[Scalar]) -> list[Matrix]:
+        """The symmetric block matrices of a point over ``var_order()``."""
+        col = len(self.free_vars)
+        out = []
+        for blk in self.blocks:
+            mat = [[Fraction(0)] * blk.size for _ in range(blk.size)]
+            for r in range(blk.size):
+                for c in range(r, blk.size):
+                    mat[r][c] = mat[c][r] = point[col]
+                    col += 1
+            out.append(mat)
+        return out
 
-        None when the equations are inconsistent.
+    @cached_property
+    def solution_set(self) -> Parametrization | None:
+        """Exact solution set of the equations, columns in ``var_order()``.
+
+        Every free variable that can be a pivot is one, so a bound variable
+        reads as an affine map of block entries.  None when the equations are
+        inconsistent.  Eliminated once per program.
         """
+        keys = self.var_order()
         pos = {k: i for i, k in enumerate(keys)}
         return parametrize([{**{pos[k]: v for k, v in con.coeffs.items()},
                              len(keys): con.rhs} for con in self.constraints],
@@ -219,28 +239,6 @@ def assemble_gram(f: Polynomial, with_lambda: bool = True) -> BlockSDP:
 # -- invariant restriction --------------------------------------------------------
 
 
-@dataclass
-class ReducedMap:
-    """Bookkeeping to lift reduced block solutions back to the full program."""
-
-    basis: SymmetryAdaptedBasis
-    segments: list[Segment]
-
-    def lift(self, block_values: Sequence[np.ndarray]) -> np.ndarray:
-        n = self.basis.size
-        t = self.basis.t_float()
-        d = np.zeros((n, n))
-        for seg, val in zip(self.segments, block_values):
-            a = seg.col_start
-            if seg.kind == "complex":
-                d[a:a + seg.width, a:a + seg.width] = val
-            else:
-                for j in range(seg.n_i):
-                    o = a + j * seg.m_i
-                    d[o:o + seg.m_i, o:o + seg.m_i] = val
-        return t @ d @ t.T
-
-
 def _functional_matrix(coeffs: dict[VarKey, Scalar]) -> SparseMatrix:
     """The symmetric matrix A of <A, X> on the single block, as nonzero entries."""
     m: SparseMatrix = {}
@@ -327,7 +325,8 @@ def _bilinear_block(rmat: dict[int, list[tuple[int, Scalar]]],
 
 
 def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
-                       basis: SymmetryAdaptedBasis) -> tuple[BlockSDP, ReducedMap]:
+                       basis: SymmetryAdaptedBasis
+                       ) -> tuple[BlockSDP, SymmetryAdaptedBasis]:
     """Fixed-point restriction plus block rotation of a single-block program.
 
     After ``check_invariance``, every functional is Reynolds-averaged by
@@ -338,8 +337,10 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
     copy blocks of a real segment, summed, so the reduced objective already
     carries the copy weights, and the whole block of a complex segment.  A
     floating basis rotates the exact average in numpy.  The reduced system is
-    row-reduced to an independent set, exactly for an exact basis.  Optimal
-    values are preserved.
+    row-reduced to an independent set, exactly (by the candidate program's
+    ``solution_set``) for an exact basis.  Optimal values are preserved.
+    Returns the reduced program and ``basis``, whose ``lift`` maps reduced
+    block solutions back to the full program.
     """
     if len(sdp.blocks) != 1:
         raise ValueError("restriction applies to single-block programs")
@@ -413,14 +414,14 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
     for con in cons:
         first.setdefault((frozenset(con.coeffs.items()), con.rhs), con)
     cons = list(first.values())
-    red = BlockSDP(blocks, list(sdp.free_vars), new_cost, cons)
+    candidate = BlockSDP(blocks, list(sdp.free_vars), new_cost, cons)
     if use_exact:
-        param = red.parametrize(red.var_order())
+        param = candidate.solution_set
         if param is None:
             raise AssemblyInfeasible("restricted constraint system is inconsistent")
         keep = param.sources
     else:
-        keypos = {k: i for i, k in enumerate(red.var_order())}
+        keypos = {k: i for i, k in enumerate(candidate.var_order())}
         kept: list[np.ndarray] = []
         keep = []
         for i, con in enumerate(cons):
@@ -434,8 +435,8 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
             if np.linalg.norm(w[:-1]) > 1e-9 * max(1.0, np.linalg.norm(vec)):
                 kept.append(w / np.linalg.norm(w))
                 keep.append(i)
-    red.constraints = [cons[i] for i in keep]
-    return red, ReducedMap(basis, list(basis.layout))
+    return BlockSDP(blocks, list(sdp.free_vars), new_cost,
+                    [cons[i] for i in keep]), basis
 
 
 # -- invariant SOS assembly ---------------------------------------------------------
@@ -501,13 +502,11 @@ def assemble_invariant_sos(ft: InvariantPoly, pres: InvariantPresentation,
         equation(0, zero_gamma).coeffs[("free", "lambda")] = Fraction(1)
         cost[("free", "lambda")] = Fraction(-1)
     cons = [eq[k] for k in sorted(eq)]
-    return BlockSDP(blocks, free, cost, cons,
-                    meta={"pis": pis, "envelopes": envelopes})
+    return BlockSDP(blocks, free, cost, cons)
 
 
-def with_interior_variable(sdp: BlockSDP, cap: Fraction = Fraction(1)
-                           ) -> tuple[BlockSDP, str]:
-    """Reformulate X = X' + t*I to maximize the feasibility margin t <= cap.
+def with_interior_variable(sdp: BlockSDP) -> tuple[BlockSDP, str]:
+    """Reformulate X = X' + t*I to maximize the feasibility margin t <= 1.
 
     Returns the shifted program (minimizing -t) plus the variable name; the
     original blocks are recovered by adding t* back to the diagonals.
@@ -525,8 +524,8 @@ def with_interior_variable(sdp: BlockSDP, cap: Fraction = Fraction(1)
             coeffs[("free", name)] = diag
         cons.append(LinearConstraint(coeffs, con.rhs))
     capcon = LinearConstraint({("free", name): Fraction(1),
-                               ("blk", len(sdp.blocks), 0, 0): Fraction(1)}, cap)
+                               ("blk", len(sdp.blocks), 0, 0): Fraction(1)},
+                              Fraction(1))
     cons.append(capcon)
     cost = {("free", name): Fraction(-1)}
-    return BlockSDP(blocks, list(sdp.free_vars) + [name], cost, cons,
-                    meta=dict(sdp.meta)), name
+    return BlockSDP(blocks, list(sdp.free_vars) + [name], cost, cons), name

@@ -1,10 +1,11 @@
 """Dense primal-dual interior-point solver for block-diagonal SDPs.
 
-Free scalar variables are eliminated exactly (``linalg.parametrize``) before
-the cone solve, avoiding the ill-conditioned positive/negative split.  The
-cone iteration is a standard Nesterov-Todd scaled path-following method with
-a Mehrotra predictor-corrector step, robust at the block sizes this package
-produces (tens of rows).
+Free scalar variables are eliminated exactly before the cone solve, avoiding
+the ill-conditioned positive/negative split: the solver reads the program's
+one elimination (``BlockSDP.solution_set``, free variables first), the same
+object rounding later reads.  The cone iteration is a standard Nesterov-Todd
+scaled path-following method with a Mehrotra predictor-corrector step, robust
+at the block sizes this package produces (tens of rows).
 
 The constraint matrices are built once per solve as one float stack of shape
 (m, s, s) per block.  The Schur complement M = sum_b A_b vec(W_b A_b W_b)^T
@@ -21,7 +22,7 @@ Infeasibility and unboundedness are reported heuristically, never certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,9 @@ from .scalars import Scalar, exact
 from .sdp import BlockSDP, VarKey
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 200
+MAX_ITER = 200
+POLISH_RANK_TOL = 1e-4  # the polish keeps eigenvalues above this share of the largest
+POLISH_ITERATIONS = 80
 
 
 class SolverBreakdown(RuntimeError):
@@ -45,16 +48,12 @@ class SDPSolution:
     objective: float               # original minimized cost (free vars recovered)
     dual_objective: float
     gap: float
-    blocks: list[np.ndarray]
-    block_names: list[str]
+    blocks: list[np.ndarray]       # one per program block, in program order
     free_values: dict[str, float]
     y: np.ndarray
     iterations: int
     primal_residual: float
     dual_residual: float
-
-    def block(self, name: str) -> np.ndarray:
-        return self.blocks[self.block_names.index(name)]
 
     @property
     def ok(self) -> bool:
@@ -75,10 +74,10 @@ class _Eliminated:
 
 
 def _eliminate_free(sdp: BlockSDP) -> _Eliminated:
-    entry_keys = [k for k in sdp.var_order() if k[0] == "blk"]
     nf = len(sdp.free_vars)
-    # free columns first, so every free variable that can be a pivot is one
-    param = sdp.parametrize([("free", f) for f in sdp.free_vars] + entry_keys)
+    entry_keys = sdp.var_order()[nf:]
+    # free columns come first, so every free variable that can be a pivot is one
+    param = sdp.solution_set
     if param is None:
         return _Eliminated(entry_keys, [], [], {}, Fraction(0), {},
                            status="infeasible")
@@ -165,17 +164,16 @@ def _step_to_boundary(lam: float) -> float:
 
 
 def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, verbose: bool = False) -> SDPSolution:
+          verbose: bool = False) -> SDPSolution:
     """Minimize the cost over the PSD blocks subject to the exact equations."""
     elim = _eliminate_free(sdp)
-    names = [b.name for b in sdp.blocks]
     if elim.status == "infeasible":
         return SDPSolution("infeasible-suspect", float("nan"), float("nan"),
-                           float("nan"), [], names, {},
+                           float("nan"), [], {},
                            np.zeros(0), 0, float("inf"), float("inf"))
     if elim.status == "unbounded":
         return SDPSolution("unbounded", float("-inf"), float("-inf"), float("nan"),
-                           [], names, {}, np.zeros(0), 0,
+                           [], {}, np.zeros(0), 0,
                            float("inf"), float("inf"))
     sizes = [b.size for b in sdp.blocks]
     m = len(elim.a_rows)
@@ -218,7 +216,7 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
         rp = float(np.linalg.norm(bvec - constraint_values(amats, xs, m)))
         rd = max((float(np.max(np.abs(r))) for r in dual_residual(zs, y)),
                  default=0.0)
-        return SDPSolution(status, pobj, dobj, gap, blocks, names,
+        return SDPSolution(status, pobj, dobj, gap, blocks,
                            frees, y, it, rp, rd)
 
     if m == 0:
@@ -228,7 +226,7 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
         if all(np.linalg.eigvalsh(_sym(c)).min() >= -1e-12 for c in cmats):
             return finish("optimal", xs, zs, np.zeros(0), 0)
         return SDPSolution("unbounded", float("-inf"), float("-inf"), float("nan"),
-                           all_blocks(xs), names, {}, np.zeros(0), 0, 0.0, 0.0)
+                           all_blocks(xs), {}, np.zeros(0), 0, 0.0, 0.0)
 
     scale = max(1.0, float(np.max(np.abs(bvec))),
                 max((float(np.max(np.abs(c))) for c in cmats), default=0.0))
@@ -242,9 +240,9 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
     total_dim = sum(sizes)
     best = None          # (score, xs, zs, y, it)
     best_age = 0
-    stall_window = max(25, max_iter // 8)
+    stall_window = max(25, MAX_ITER // 8)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rp = bvec - constraint_values(amats, xs, m)
         rds = dual_residual(zs, y)
         gap = inner(xs, zs)
@@ -372,8 +370,8 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
         xs, zs, lx, lz = xs_new, zs_new, lx_new, lz_new
         y = y + ad * dy
     if best is not None and best[0] <= tol:
-        return finish("optimal", best[1], best[2], best[3], max_iter)
-    return finish("max-iterations", xs, zs, y, max_iter)
+        return finish("optimal", best[1], best[2], best[3], MAX_ITER)
+    return finish("max-iterations", xs, zs, y, MAX_ITER)
 
 
 def face_residual_and_jacobian(amats: list[np.ndarray], fmat: np.ndarray,
@@ -394,8 +392,7 @@ def face_residual_and_jacobian(amats: list[np.ndarray], fmat: np.ndarray,
     return res, np.hstack(cols)
 
 
-def polish_solution(sdp: BlockSDP, sol: SDPSolution, rank_tol: float = 1e-4,
-                    iterations: int = 80) -> SDPSolution:
+def polish_solution(sdp: BlockSDP, sol: SDPSolution) -> SDPSolution:
     """Newton refinement on the rank-factorized form of the active face.
 
     Optima on degenerate faces (forced singular directions) stall at 1e-3-ish
@@ -415,7 +412,7 @@ def polish_solution(sdp: BlockSDP, sol: SDPSolution, rank_tol: float = 1e-4,
     for mat in sol.blocks:
         w, vecs = np.linalg.eigh((mat + mat.T) / 2)
         top = max(1.0, float(w[-1])) if w.size else 1.0
-        keep = [j for j in range(len(w)) if w[j] > rank_tol * top]
+        keep = [j for j in range(len(w)) if w[j] > POLISH_RANK_TOL * top]
         ranks.append(len(keep))
         factors.append(vecs[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
                        if keep else np.zeros((mat.shape[0], 0)))
@@ -446,7 +443,7 @@ def polish_solution(sdp: BlockSDP, sol: SDPSolution, rank_tol: float = 1e-4,
         return face_residual_and_jacobian(amats, fmat, rhs, u[:nf], unpack(u))
 
     u = u0
-    for _ in range(iterations):
+    for _ in range(POLISH_ITERATIONS):
         res, jac = residual_and_jac(u)
         step = np.linalg.lstsq(jac, -res, rcond=None)[0]
         if not np.all(np.isfinite(step)):
@@ -467,7 +464,5 @@ def polish_solution(sdp: BlockSDP, sol: SDPSolution, rank_tol: float = 1e-4,
     cmats = [c[0] for c in sdp.functional_matrices([sdp.cost])]
     keysum = float(sdp.free_coeff_vector(sdp.cost) @ u[:nf]) + \
         sum(float(np.tensordot(c, x)) for c, x in zip(cmats, mats))
-    return SDPSolution(sol.status, keysum, sol.dual_objective, sol.gap, mats,
-                       sol.block_names, frees, sol.y, sol.iterations,
-                       float(np.linalg.norm(residual_and_jac(u)[0])),
-                       sol.dual_residual)
+    return replace(sol, objective=keysum, blocks=mats, free_values=frees,
+                   primal_residual=float(np.linalg.norm(residual_and_jac(u)[0])))

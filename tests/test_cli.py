@@ -107,6 +107,23 @@ def test_malformed_group_spec(argv, capsys):
     assert repr(argv[2]) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--group", "dihedral:4:permutation", "--poly",
+     "x1^2 + x2^2 + x3^2 + x4^2 + 1"],
+    ["bound", "--group", "cyclic:4:permutation", "--poly",
+     "x1^2 + x2^2 + x3^2 + x4^2 + 1"],
+    ["generators", "--group", "dihedral:4:permutation"],
+    ["generators", "--group", "cyclic:4:permutation"]],
+    ids=lambda argv: " ".join(argv[:3]))
+def test_permutation_variant_has_no_presentation(argv, capsys):
+    # the planar presentation and module data belong to the planar variant only
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"no invariant presentation cataloged for {argv[2]!r}" in captured.err
+
+
 class TestGenerators:
     def test_dihedral_dump(self, capsys):
         rc = main(["generators", "--group", "dihedral:4"])

@@ -1,11 +1,19 @@
-"""The one exact elimination (``linalg.parametrize``) and its three callers."""
+"""The one exact elimination (``linalg.parametrize``) and its three callers.
+
+The solver, rounding and the restriction read a program's elimination
+through ``BlockSDP.solution_set``, which runs ``parametrize`` once per program.
+"""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symsos.certificates import Certificate, round_certificate
+import symsos.sdp
+from symsos.certificates import (CertBlock, Certificate, RoundingError,
+                                 round_certificate, sos_lower_bound,
+                                 verify_certificate)
+from symsos.fixtures import robinson_dihedral
 from symsos.groups import catalog
 from symsos.isotypic import induced_representation, symmetry_adapted_basis
 from symsos.linalg import InconsistentRow, RowBasis, parametrize, rank_exact
@@ -130,3 +138,48 @@ def test_inconsistent_system_from_restrict_invariant():
     sdp.constraints.append(LinearConstraint(dict(first.coeffs), first.rhs + 1))
     with pytest.raises(AssemblyInfeasible):
         restrict_invariant(sdp, rep, sab)
+
+
+def test_one_elimination_per_bound(monkeypatch):
+    # the rewrite's own eliminations go through the invariants binding and
+    # are not counted; the program's system is eliminated by the solve and
+    # read again, not redone, by rounding
+    calls = []
+    original = symsos.sdp.parametrize
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(symsos.sdp, "parametrize", counting)
+    f = robinson_dihedral()
+    _, cert = sos_lower_bound(f, "dihedral:4")
+    exact = round_certificate(cert, f)
+    assert exact.lam == Fraction(-3825, 4096)
+    assert verify_certificate(exact, f)[0]
+    assert calls == [len(cert.program.var_order())]
+
+
+def test_solution_set_puts_lambda_on_the_constant_equation():
+    sdp = assemble_gram(parse_polynomial("x^2 + 2*x + 3", ["x"]))
+    keys = sdp.var_order()
+    assert keys[0] == ("free", "lambda")
+    lam_rows = [(const, coeffs) for pc, const, coeffs in sdp.solution_set.pivots
+                if pc == 0]
+    # lambda = 3 - X00 over the Gram matrix of (1, x)
+    assert lam_rows == [(Fraction(3), {keys.index(("blk", 0, 0, 0)): Fraction(-1)})]
+
+
+def test_bound_trading_against_two_entries_is_refused():
+    # lambda + X00 + X11 = 1: lowering either diagonal entry raises lambda
+    lam = ("free", "lambda")
+    sdp = BlockSDP([BlockSpec("x", 2, 1)], ["lambda"], {lam: Fraction(-1)},
+                   [LinearConstraint({lam: Fraction(1), ("blk", 0, 0, 0): Fraction(1),
+                                      ("blk", 0, 1, 1): Fraction(1)}, Fraction(1))])
+    sol = solve(sdp)
+    assert abs(sol.free_values["lambda"] - 1) < 1e-6
+    fake = Certificate("invariant", "trivial:1", ["x"], sol.free_values["lambda"],
+                       exact=False, blocks=[CertBlock("x", [], sol.blocks[0], None)],
+                       program=sdp, status=sol.status)
+    with pytest.raises(RoundingError, match="2 diagonal entries"):
+        round_certificate(fake, parse_polynomial("x^2 + 1", ["x"]))

@@ -236,13 +236,15 @@ class TestRounding:
         assert out.lam <= Fraction(-3825, 4096)   # still a valid lower bound
 
     def test_infeasible_fixed_lambda_raises(self):
-        from symsos.certificates import Certificate
+        from symsos.certificates import CertBlock, Certificate
         from symsos.sdp import assemble_gram
         f = robinson_dihedral()
         lam = Fraction(-1, 2)                     # far above the SOS bound
         sdp = assemble_gram(f - lam, with_lambda=False)
+        zeros = [CertBlock(b.name, [], np.zeros((b.size, b.size)), None)
+                 for b in sdp.blocks]
         fake = Certificate("invariant", "trivial:2", ["x", "y"], lam, exact=False,
-                           objective="feasibility", program=sdp)
+                           blocks=zeros, objective="feasibility", program=sdp)
         with pytest.raises(RoundingError):
             round_certificate(fake, f, schedule=(100, 1000))
 

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from symsos.scalars import (Quad, continued_fraction_convergents, exact,
-                            round_to_denominator, squarefree_split)
+from symsos.scalars import Quad, exact, squarefree_split
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 small_ints = st.integers(min_value=1, max_value=30)
@@ -71,10 +70,3 @@ def test_float_conversion():
     assert abs(float(x) - (0.5 + 0.5 * 3 ** 0.5)) < 1e-15
     assert abs(float(x.to_mpf()) - float(x)) < 1e-15
 
-
-def test_continued_fraction_helpers():
-    x = Fraction(-3825, 4096)
-    conv = continued_fraction_convergents(x, 5000)
-    assert conv[-1] == x
-    assert round_to_denominator(Fraction(355, 113) + Fraction(1, 10 ** 9), 200) == \
-        Fraction(355, 113)

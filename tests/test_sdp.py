@@ -264,7 +264,7 @@ def _dense_restriction(sdp, rep, sab):
     cons = [LinearConstraint(reduce(con.coeffs), con.rhs) for con in sdp.constraints]
     red = BlockSDP(blocks, list(sdp.free_vars), reduce(sdp.cost), cons)
     if sab.is_exact:
-        keep = red.parametrize(red.var_order()).sources
+        keep = red.solution_set.sources
     else:
         keypos = {k: i for i, k in enumerate(red.var_order())}
         kept, keep = [], []
