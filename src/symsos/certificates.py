@@ -11,9 +11,8 @@ included: its one block is the plain Gram matrix over the x-monomials.
 The group-dependent stage runs once per process: ``algorithm_one`` keeps the
 bundle of each catalog spec string, and ``symmetric_bundle`` that of each
 (n, max_degree) pair, so every later bound on the same group reuses it.  A
-bundle is shared, and callers treat it as read-only.  An ``IrrepCatalog``
-object passed to ``algorithm_one`` (a user irrep table, say) is built afresh
-on every call.
+bundle is shared, and callers treat it as read-only.  Group data comes only
+from the catalog: a spec string names both the irreps and the presentation.
 
 Numeric optima are turned into exact certificates by rounding the free
 parameters of the exact elimination of the assembly a float certificate
@@ -94,17 +93,15 @@ _CATALOG_BUNDLES: dict[str, GeneratorBundle] = {}
 _SYMMETRIC_BUNDLES: dict[tuple[int, int], GeneratorBundle] = {}
 
 
-def algorithm_one(catalog: IrrepCatalog | str) -> GeneratorBundle:
+def algorithm_one(spec: str) -> GeneratorBundle:
     """Collect invariants, module bases and Pi matrices for a catalog group.
 
-    A spec string is built once per process and the shared bundle returned
-    afterwards; a catalog object is built on every call.
+    Built once per process for each spec string; later calls return the
+    shared bundle.
     """
-    if not isinstance(catalog, str):
-        return _catalog_bundle(catalog)
-    bundle = _CATALOG_BUNDLES.get(catalog)
+    bundle = _CATALOG_BUNDLES.get(spec)
     if bundle is None:
-        bundle = _CATALOG_BUNDLES[catalog] = _catalog_bundle(load_catalog(catalog))
+        bundle = _CATALOG_BUNDLES[spec] = _catalog_bundle(load_catalog(spec))
     return bundle
 
 

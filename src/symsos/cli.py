@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 usage error, 2 no certificate found, 3 verification failed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .certificates import (NoCertificateError, RoundingError, algorithm_one,
@@ -46,6 +47,10 @@ def _read_poly_arg(text_or_path: str, variables: list[str] | None):
 
 
 def _cmd_bound(args) -> int:
+    if args.out and not args.round:
+        raise ValueError("--out writes the exact certificate; it needs --round")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be a finite positive number, not {args.tol}")
     variables = args.vars.split(",") if args.vars else None
     f, variables = _read_poly_arg(args.poly, variables)
     try:
@@ -129,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     pb.add_argument("--vars", help="comma-separated variable names")
     pb.add_argument("--round", action="store_true",
                     help="round to an exact rational certificate")
-    pb.add_argument("--out", help="write the exact certificate to this file")
+    pb.add_argument("--out", help="write the exact certificate to this file "
+                    "(needs --round)")
     pb.add_argument("--tol", type=float, default=1e-8)
     pb.set_defaults(fn=_cmd_bound)
 

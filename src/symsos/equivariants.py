@@ -331,63 +331,6 @@ class MissingEquivariantData(KeyError):
     pass
 
 
-def render_equivariant_basis(basis: EquivariantBasis,
-                             variables: list[str]) -> str:
-    """Text form mirroring the presentation format; rational data only."""
-    from .poly import render_polynomial
-    lines = [f"equivariant-basis irrep={basis.irrep_label} "
-             f"components={len(basis.vectors[0])}"]
-    for vec in basis.vectors:
-        lines.append("vector " + " ; ".join(render_polynomial(p, variables)
-                                            for p in vec))
-    for m in basis.comp_images:
-        lines.append(f"image {len(m)}")
-        for row in m:
-            lines.append(" ".join(str(Fraction(v)) for v in row))
-    lines.append("end")
-    return "\n".join(lines)
-
-
-def load_equivariant_basis(text: str, variables: list[str],
-                           group_generators: list[Matrix]) -> EquivariantBasis:
-    """Parse a user-supplied module basis; equivariance is always re-verified.
-
-    Format: a header line, one "vector p1 ; p2 ; ..." line per module
-    generator, then per group generator an "image <c>" header followed by c
-    rows of rationals.
-    """
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
-    header = dict(kv.split("=") for kv in lines[0].split()[1:])
-    ncomp = int(header["components"])
-    vectors = []
-    images = []
-    i = 1
-    while i < len(lines) and lines[i].startswith("vector"):
-        parts = lines[i][7:].split(";")
-        if len(parts) != ncomp:
-            raise ValueError(f"vector needs {ncomp} components")
-        vectors.append(tuple(parse_polynomial(p.strip(), variables)
-                             for p in parts))
-        i += 1
-    while i < len(lines) and lines[i].startswith("image"):
-        size = int(lines[i].split()[1])
-        if size != ncomp:
-            raise ValueError("image size must match the component count")
-        rows = [[Fraction(tok) for tok in lines[i + 1 + r].split()]
-                for r in range(size)]
-        images.append(rows)
-        i += 1 + size
-    if i >= len(lines) or lines[i] != "end":
-        raise ValueError("missing 'end'")
-    if len(images) != len(group_generators):
-        raise ValueError("need one component image per group generator")
-    basis = EquivariantBasis(header["irrep"], len(variables), vectors, images,
-                             group_generators)
-    basis.verify()
-    return basis
-
-
 def equivariant_catalog(catalog: IrrepCatalog, pres: InvariantPresentation
                         ) -> tuple[dict[str, EquivariantBasis], list[str]]:
     """Verified module bases per irrep label, plus labels with no shipped data.

@@ -774,74 +774,3 @@ def catalog(spec: str) -> IrrepCatalog:
     if family == "dihedral":
         return dihedral_catalog(param, variant)
     return symmetric_catalog(param)
-
-
-# -- user-supplied irrep tables ----------------------------------------------------
-
-
-def _parse_rational(tok: str) -> Fraction:
-    return Fraction(tok)
-
-
-def _read_matrix(lines: list[str], pos: int) -> tuple[Matrix, int]:
-    header = lines[pos].split()
-    if header[0] != "matrix":
-        raise ValueError(f"expected 'matrix r c' at line {pos + 1}")
-    r, c = int(header[1]), int(header[2])
-    rows = []
-    for i in range(r):
-        rows.append([_parse_rational(t) for t in lines[pos + 1 + i].split()])
-        if len(rows[-1]) != c:
-            raise ValueError(f"row {i} has wrong width at line {pos + 2 + i}")
-    return rows, pos + 1 + r
-
-
-def load_irrep_table(text: str) -> IrrepCatalog:
-    """Parse the documented group/irrep text format (rational entries).
-
-    Format::
-
-        group n=<n>
-        generators <count>
-        matrix <r> <c>
-        <rows of space-separated rationals>
-        ...
-        irrep label=<label> dim=<d> kind=<absolutely-real|complex-type>
-        matrix <d> <d>     # one image per generator, in generator order
-        ...
-        end
-
-    The group is closed from the generators; every irrep is verified as a
-    homomorphism before the catalog is returned.
-    """
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
-    pos = 0
-    if not lines[pos].startswith("group"):
-        raise ValueError("file must start with 'group n=<n>'")
-    pos += 1
-    if not lines[pos].startswith("generators"):
-        raise ValueError("expected 'generators <count>'")
-    count = int(lines[pos].split()[1])
-    pos += 1
-    gens = []
-    for _ in range(count):
-        m, pos = _read_matrix(lines, pos)
-        gens.append(m)
-    action = close_group(gens)
-    irreps = []
-    while pos < len(lines) and lines[pos] != "end":
-        fields = dict(kv.split("=") for kv in lines[pos].split()[1:])
-        pos += 1
-        images = []
-        for _ in range(count):
-            m, pos = _read_matrix(lines, pos)
-            images.append(_freeze(m))
-        rep = RealIrrep(fields["label"], int(fields["dim"]), fields["kind"],
-                        action, images)
-        report = verify_representation(rep, action)
-        if not report.ok:
-            raise ValueError(f"irrep {fields['label']} fails verification: "
-                             f"{report.violations[:3]}")
-        irreps.append(rep)
-    return IrrepCatalog("user", action, irreps)

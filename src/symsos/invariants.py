@@ -329,7 +329,7 @@ def presentation(spec) -> InvariantPresentation:
     return pres
 
 
-# -- text format -----------------------------------------------------------------
+# -- rendering -------------------------------------------------------------------
 
 
 def render_presentation(pres: InvariantPresentation, variables: Sequence[str]) -> str:
@@ -340,32 +340,3 @@ def render_presentation(pres: InvariantPresentation, variables: Sequence[str]) -
               for s in pres.syzygies]
     lines.append("end")
     return "\n".join(lines)
-
-
-def load_presentation(text: str, variables: Sequence[str],
-                      generators: list[Matrix] | None = None) -> InvariantPresentation:
-    """Parse the presentation file format; always re-verifies the data."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("presentation"):
-        raise ValueError("expected 'presentation nvars=<n>' header")
-    nvars = int(dict(kv.split("=") for kv in lines[0].split()[1:])["nvars"])
-    if len(variables) != nvars:
-        raise ValueError("variable list does not match header")
-    theta, eta, syz_raw = [], [], []
-    for ln in lines[1:]:
-        if ln == "end":
-            break
-        tag, body = ln.split(None, 1)
-        if tag == "theta":
-            theta.append(parse_polynomial(body, variables))
-        elif tag == "eta":
-            eta.append(parse_polynomial(body, variables))
-        elif tag == "syzygy":
-            syz_raw.append(body)
-        else:
-            raise ValueError(f"unknown line tag {tag!r}")
-    pres = InvariantPresentation(nvars, theta, eta, [], generators or [])
-    pres.syzygies = [parse_polynomial(b, pres.symbol_names()) for b in syz_raw]
-    pres.verify()
-    return pres

@@ -57,7 +57,7 @@ class MatrixRep:
         return [m.inverse() if isinstance(m, SignedPerm) else None for m in self.mats]
 
     def conjugate(self, i: int, x):
-        """rho(g)^T X rho(g) for exact list-matrices, float ndarrays or sparse maps.
+        """rho(g)^T X rho(g) for exact list-matrices or sparse maps.
 
         A sparse map {(r, c): value} holds the nonzero entries of an exact
         matrix and comes back in the same form.  Under a signed permutation
@@ -72,12 +72,6 @@ class MatrixRep:
                 return {(perm[r], perm[c]): v if signs[r] == signs[c] else -v
                         for (r, c), v in x.items()}
             return sparse_matrix(self.conjugate(i, dense_matrix(x, self.size)))
-        if isinstance(x, np.ndarray):
-            if isinstance(m, SignedPerm):
-                p, s = np.array(m.perm), np.array(m.signs)
-                return s[:, None] * s[None, :] * x[np.ix_(p, p)]
-            d = to_ndarray(self.dense(i))
-            return d.T @ x @ d
         if isinstance(m, SignedPerm):
             n = self.size
             p, s = m.perm, m.signs
@@ -159,21 +153,16 @@ def dense_matrix(x: SparseMatrix, n: int) -> Matrix:
 
 
 def fixed_point_project(x, rep: MatrixRep):
-    """Reynolds average (1/|G|) sum_g rho(g)^T X rho(g); exact for exact input.
+    """Exact Reynolds average (1/|G|) sum_g rho(g)^T X rho(g).
 
-    X is a float ndarray, an exact list-matrix, or a sparse exact map
-    {(r, c): value}; the average comes back in the same form.  For a
+    X is an exact list-matrix or a sparse exact map {(r, c): value}; the
+    average comes back in the same form.  For a
     signed-permutation representation the exact average is an orbit sum: each
     nonzero entry is added, signed, at its image under every group element,
     O(nnz |G|) additions and no matrix products.  Other representations sum
     dense conjugates.
     """
     order = rep.action.order
-    if isinstance(x, np.ndarray):
-        acc = np.zeros_like(x, dtype=float)
-        for i in range(order):
-            acc += rep.conjugate(i, x)
-        return acc / order
     n = rep.size
     if isinstance(x, dict):
         sparse = x

@@ -7,7 +7,8 @@ free variables.  Entry coefficients are attached to upper-triangle positions
 so a functional <A, X> contributes 2*A[r][c] there.  A program is not
 changed after construction: its exact solution set (``solution_set``, free
 variables first, then the entries) is eliminated once, on first use, and the
-solver, rounding and the restriction all read that one elimination.
+solver, rounding and the restriction all read that one elimination.  A
+program lives in memory only; the certificate file is the one persisted form.
 
 Two assemblies produce these programs: the plain Gram formulation over a
 monomial vector, and the invariant formulation whose blocks are Gram matrices
@@ -16,12 +17,14 @@ of SOS factors paired with the equivariant Pi matrices.  The
 as sparse matrices (an orbit sum over index pairs for signed-permutation
 actions) and rotates each distinct average once into a symmetry-adapted
 basis, forming only the blocks it keeps: one small block per irrep with the
-copy multiplicity folded into the coefficients.
+copy multiplicity folded into the coefficients.  With an exact basis the
+reduced program inherits the elimination that picked its rows, so the
+isotypic route, too, eliminates its system once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -129,65 +132,6 @@ class BlockSDP:
         for j, name in enumerate(self.free_vars):
             out[j] = float(coeffs.get(("free", name), 0))
         return out
-
-    # -- text serialization --------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"blocksdp blocks={len(self.blocks)} free={len(self.free_vars)}"]
-        for b in self.blocks:
-            lines.append(f"block {b.name} {b.size} {b.weight}")
-        for name in self.free_vars:
-            lines.append(f"freevar {name}")
-
-        def keystr(k: VarKey) -> str:
-            return f"b{k[1]}[{k[2]},{k[3]}]" if k[0] == "blk" else k[1]
-
-        cost = " ".join(f"{keystr(k)}:{v}" for k, v in sorted(self.cost.items(),
-                                                              key=str))
-        lines.append(f"cost {cost}" if cost else "cost")
-        for con in self.constraints:
-            body = " ".join(f"{keystr(k)}:{v}" for k, v in sorted(con.coeffs.items(),
-                                                                  key=str))
-            lines.append(f"eq {body} = {con.rhs}")
-        lines.append("end")
-        return "\n".join(lines)
-
-    @staticmethod
-    def from_text(text: str) -> "BlockSDP":
-        lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-        if not lines[0].startswith("blocksdp"):
-            raise ValueError("missing blocksdp header")
-        blocks, frees = [], []
-        cost: dict[VarKey, Scalar] = {}
-        cons: list[LinearConstraint] = []
-
-        def parsekey(tok: str) -> VarKey:
-            if tok.startswith("b") and "[" in tok:
-                bi = int(tok[1:tok.index("[")])
-                r, c = tok[tok.index("[") + 1:-1].split(",")
-                return ("blk", bi, int(r), int(c))
-            return ("free", tok)
-
-        for ln in lines[1:]:
-            if ln == "end":
-                break
-            tag, *rest = ln.split()
-            if tag == "block":
-                blocks.append(BlockSpec(rest[0], int(rest[1]), int(rest[2])))
-            elif tag == "freevar":
-                frees.append(rest[0])
-            elif tag == "cost":
-                for tok in rest:
-                    k, v = tok.rsplit(":", 1)
-                    cost[parsekey(k)] = Fraction(v)
-            elif tag == "eq":
-                eqidx = rest.index("=")
-                coeffs = {}
-                for tok in rest[:eqidx]:
-                    k, v = tok.rsplit(":", 1)
-                    coeffs[parsekey(k)] = Fraction(v)
-                cons.append(LinearConstraint(coeffs, Fraction(rest[eqidx + 1])))
-        return BlockSDP(blocks, frees, cost, cons)
 
 
 class AssemblyInfeasible(ValueError):
@@ -338,7 +282,8 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
     carries the copy weights, and the whole block of a complex segment.  A
     floating basis rotates the exact average in numpy.  The reduced system is
     row-reduced to an independent set, exactly (by the candidate program's
-    ``solution_set``) for an exact basis.  Optimal values are preserved.
+    ``solution_set``, which the reduced program keeps as its own) for an
+    exact basis.  Optimal values are preserved.
     Returns the reduced program and ``basis``, whose ``lift`` maps reduced
     block solutions back to the full program.
     """
@@ -419,22 +364,26 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
         param = candidate.solution_set
         if param is None:
             raise AssemblyInfeasible("restricted constraint system is inconsistent")
-        keep = param.sources
-    else:
-        keypos = {k: i for i, k in enumerate(candidate.var_order())}
-        kept: list[np.ndarray] = []
-        keep = []
-        for i, con in enumerate(cons):
-            vec = np.zeros(len(keypos) + 1)
-            for k, v in con.coeffs.items():
-                vec[keypos[k]] = float(v)
-            vec[-1] = float(con.rhs)
-            w = vec.copy()
-            for u in kept:
-                w -= np.dot(w, u) * u
-            if np.linalg.norm(w[:-1]) > 1e-9 * max(1.0, np.linalg.norm(vec)):
-                kept.append(w / np.linalg.norm(w))
-                keep.append(i)
+        reduced = BlockSDP(blocks, list(sdp.free_vars), new_cost,
+                           [cons[i] for i in param.sources])
+        # a dependent row leaves no trace in the elimination, so the kept rows
+        # give the same pivots; only the source numbering changes
+        reduced.solution_set = replace(param, sources=list(range(len(param.sources))))
+        return reduced, basis
+    keypos = {k: i for i, k in enumerate(candidate.var_order())}
+    kept: list[np.ndarray] = []
+    keep = []
+    for i, con in enumerate(cons):
+        vec = np.zeros(len(keypos) + 1)
+        for k, v in con.coeffs.items():
+            vec[keypos[k]] = float(v)
+        vec[-1] = float(con.rhs)
+        w = vec.copy()
+        for u in kept:
+            w -= np.dot(w, u) * u
+        if np.linalg.norm(w[:-1]) > 1e-9 * max(1.0, np.linalg.norm(vec)):
+            kept.append(w / np.linalg.norm(w))
+            keep.append(i)
     return BlockSDP(blocks, list(sdp.free_vars), new_cost,
                     [cons[i] for i in keep]), basis
 

@@ -71,6 +71,27 @@ class TestBound:
             assert "the polynomial has 2" in err
 
 
+    def test_out_without_round_is_usage_error(self, tmp_path, capsys):
+        cert_path = tmp_path / "x.cert"
+        rc = main(["bound", "--group", "trivial:1", "--poly", "x^2 + 1",
+                   "--vars", "x", "--out", str(cert_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not cert_path.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_must_be_finite_and_positive(self, tol, capsys):
+        rc = main(["bound", "--group", "trivial:1", "--poly", "x^2 + 1",
+                   "--vars", "x", "--tol", tol])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--tol" in captured.err
+
+
 class TestMolien:
     def test_symmetric4_table(self, capsys):
         rc = main(["molien", "--group", "symmetric:4", "--dmax", "15"])

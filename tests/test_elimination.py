@@ -160,6 +160,33 @@ def test_one_elimination_per_bound(monkeypatch):
     assert calls == [len(cert.program.var_order())]
 
 
+def test_one_elimination_per_restricted_program(monkeypatch):
+    # the restriction eliminates its candidate program to pick the rows it
+    # keeps; the reduced program inherits that elimination, so the solve
+    # does not run a second one
+    cat = catalog("dihedral:4")
+    rep = induced_representation(cat.action, 3)
+    sab = symmetry_adapted_basis(rep, cat)
+    assert sab.is_exact
+    calls = []
+    original = symsos.sdp.parametrize
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(symsos.sdp, "parametrize", counting)
+    red, _ = restrict_invariant(assemble_gram(robinson_dihedral()), rep, sab)
+    sol = solve(red)
+    assert calls == [len(red.var_order())]
+    fresh = parametrize(
+        [{**{red.var_order().index(k): v for k, v in con.coeffs.items()},
+          len(red.var_order()): con.rhs} for con in red.constraints],
+        len(red.var_order()))
+    assert red.solution_set == fresh
+    assert sol.status == "optimal"
+
+
 def test_solution_set_puts_lambda_on_the_constant_equation():
     sdp = assemble_gram(parse_polynomial("x^2 + 2*x + 3", ["x"]))
     keys = sdp.var_order()

@@ -183,28 +183,6 @@ class TestEnvelopes:
         assert env == [[(0, 0)], []]
 
 
-class TestEquivariantFileFormat:
-    def test_round_trip_and_verification(self, d4):
-        from symsos.equivariants import (load_equivariant_basis,
-                                         render_equivariant_basis)
-        cat, pres, bases = d4
-        basis = bases["theta3"]
-        text = render_equivariant_basis(basis, ["x", "y"])
-        back = load_equivariant_basis(text, ["x", "y"], basis.group_generators)
-        assert back.vectors == basis.vectors
-        assert back.rank == 1
-
-    def test_non_equivariant_data_rejected(self, d4):
-        from symsos.equivariants import load_equivariant_basis
-        cat, pres, bases = d4
-        gens = bases["theta3"].group_generators
-        text = ("equivariant-basis irrep=bad components=1\n"
-                "vector x^2\n"
-                "image 1\n-1\nimage 1\n1\nend\n")
-        with pytest.raises(ValueError, match="equivariance"):
-            load_equivariant_basis(text, ["x", "y"], gens)
-
-
 @pytest.mark.slow
 def test_s5_discriminant_catalog_matches_recomputation():
     from symsos.equivariants import _S5_DISCRIMINANT

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from symsos.groups import (ClosureError, ComplexIrrep, RealIrrep, catalog,
-                           character_orthogonality, close_group,
-                           load_irrep_table, realify_pair, verify_representation)
+                           character_orthogonality, close_group, realify_pair,
+                           verify_representation)
 from symsos.linalg import mat_identity
 from symsos.scalars import Quad
 from symsos.fixtures import choi_group_generators
@@ -202,31 +202,3 @@ class TestRealify:
         im = [[[Fraction(0)]]]
         with pytest.raises(ValueError, match="absolutely real"):
             realify_pair(ComplexIrrep(1, re, im), ComplexIrrep(1, re, im), act)
-
-
-IRREP_TABLE = """
-group n=1
-generators 1
-matrix 1 1
--1
-irrep label=trivial dim=1 kind=absolutely-real
-matrix 1 1
-1
-irrep label=sign dim=1 kind=absolutely-real
-matrix 1 1
--1
-end
-"""
-
-
-class TestIrrepTableFormat:
-    def test_load_and_verify(self):
-        cat = load_irrep_table(IRREP_TABLE)
-        assert cat.action.order == 2
-        assert [r.label for r in cat.irreps] == ["trivial", "sign"]
-
-    def test_corrupted_table_rejected(self):
-        bad = IRREP_TABLE.replace("label=sign dim=1", "label=sign dim=1") \
-            .replace("matrix 1 1\n-1\nend", "matrix 1 1\n2\nend")
-        with pytest.raises(ValueError):
-            load_irrep_table(bad)

@@ -6,10 +6,9 @@ import pytest
 from symsos.groups import catalog
 from symsos.invariants import (InvariantPresentation, NotInvariantError,
                                RewriteError, elementary_symmetric,
-                               expand_invariants, load_presentation, presentation,
-                               render_presentation, rewrite_in_invariants,
-                               symmetric_presentation, theta_monomials,
-                               weighted_degree)
+                               expand_invariants, presentation,
+                               rewrite_in_invariants, symmetric_presentation,
+                               theta_monomials, weighted_degree)
 from symsos.isotypic import induced_representation
 from symsos.poly import Polynomial, parse_polynomial
 from symsos.fixtures import ROBINSON_D4_TEXT, S3_QUARTIC_TEXT
@@ -130,23 +129,6 @@ class TestThetaMonomials:
 
     def test_negative_budget_empty(self):
         assert theta_monomials([2], -1) == []
-
-
-class TestFileFormat:
-    def test_round_trip(self):
-        pres = presentation("cyclic:4")
-        text = render_presentation(pres, ["x", "y"])
-        back = load_presentation(text, ["x", "y"], generators=pres.generators)
-        assert back.theta == pres.theta
-        assert back.eta == pres.eta
-        assert len(back.syzygies) == 1
-
-    def test_bad_syzygy_rejected(self):
-        pres = presentation("cyclic:4")
-        text = render_presentation(pres, ["x", "y"]).replace(
-            "h2^2", "h2^2 + 1")
-        with pytest.raises(ValueError, match="syzygy"):
-            load_presentation(text, ["x", "y"], generators=pres.generators)
 
 
 def test_orbit_filter_agrees_with_dense_rewrite():
