@@ -489,21 +489,3 @@ def _exact_certificate(cert: Certificate, mats, lam: Fraction) -> Certificate:
     return Certificate("invariant", cert.group, cert.var_names, lam, exact=True,
                        pres=cert.pres, blocks=blocks, objective=cert.objective,
                        status=cert.status, margin=cert.margin)
-
-
-# -- exact SOS replay (Gram factorization to explicit squares) -----------------------
-
-
-def sos_squares_from_gram(gram, monomials, nvars: int) -> list[tuple[Fraction, Polynomial]]:
-    """Exact (weight, polynomial) pairs with sum w_i p_i^2 = Y^T Q Y."""
-    L, D, perm = ldl_decomposition(gram)
-    out = []
-    for k, d in enumerate(D):
-        if d == 0:
-            continue
-        poly = Polynomial.zero(nvars)
-        for i, mono in enumerate(monomials):
-            if L[i][k] != 0:
-                poly = poly + Polynomial.monomial(nvars, mono, L[i][k])
-        out.append((exact(d), poly))
-    return out

@@ -147,16 +147,11 @@ def _homogeneous_action(action: GroupAction, d: int):
     basis = monomial_vector(action.n, d, homogeneous=True)
     index = basis.index()
     maps = []
-    for e in action.elements:
-        sp = e.sp
+    for g in action.elements:
         out = []
         for mono in basis.entries:
-            new = tuple(mono[sp.perm[l]] for l in range(action.n))
-            sign = 1
-            for l in range(action.n):
-                if new[l] % 2 and sp.signs[l] < 0:
-                    sign = -sign
-            out.append((sign, index[new]))
+            sign, image = g.monomial_image(mono)
+            out.append((sign, index[image]))
         maps.append(out)
     return basis, maps
 

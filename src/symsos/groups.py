@@ -1,15 +1,15 @@
-"""Finite orthogonal group actions and their real irreducible representations.
+"""Finite signed-permutation group actions and their real irreducible representations.
 
-Groups are given by exact orthogonal generator matrices on R^n and closed by
-breadth-first multiplication with exact deduplication.  All shipped catalog
-actions are signed permutations (coordinate permutations with sign flips), so
-group elements carry a fast signed-permutation form next to the dense exact
-matrix.
+Every group acts on R^n by signed permutations: coordinate permutations with
+sign flips, which are exactly the orthogonal matrices with one nonzero entry
+per column.  A group is given by such generator matrices and closed by
+breadth-first composition; ``close_group`` refuses any other generator.
 
 Catalogs:
   * ``c2n:n``        sign flips of n coordinates, 2^n one-dimensional irreps
   * ``cyclic:m``     planar rotation for m in {1,2,4}, else m-cycle on vertices
   * ``dihedral:m``   planar for m in {1,2,4}, else vertex permutation action
+                     (refused for m <= 2, where it is not faithful)
   * ``symmetric:n``  coordinate permutations, n <= 5, Young orthogonal irreps
   * ``trivial:n``    the one-element group on R^n
 
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import mpmath
 
-from .linalg import Matrix, is_orthogonal, mat_identity, mat_mul, mat_transpose
+from .linalg import Matrix, mat_identity, mat_mul, mat_transpose
 from .scalars import Quad, Scalar, exact
 
 DEFAULT_MAX_ORDER = 10080
@@ -72,6 +72,20 @@ class SignedPerm:
             m[p][i] = Fraction(self.signs[i])
         return m
 
+    def monomial_image(self, mono: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """(sign, exponent) with x^mono(M x) = sign * x^exponent.
+
+        Substituting x -> M x sends x_k to signs[l] * x_l with perm[l] = k,
+        so the image exponent at position l is mono[perm[l]], and signs[l]
+        survives where that exponent is odd.
+        """
+        image = tuple(mono[p] for p in self.perm)
+        sign = 1
+        for e, s in zip(image, self.signs):
+            if e % 2 and s < 0:
+                sign = -sign
+        return sign, image
+
     def signed_cycles(self) -> list[tuple[int, int]]:
         """(length, sign product) per cycle of the underlying permutation."""
         n = len(self.perm)
@@ -91,14 +105,16 @@ class SignedPerm:
 
 
 def as_signed_perm(m: Matrix) -> SignedPerm | None:
+    """The signed permutation whose exact matrix is m, or None if there is none."""
     n = len(m)
     perm, signs = [0] * n, [0] * n
     for col in range(n):
-        hits = [(row, m[row][col]) for row in range(n) if m[row][col] != 0]
-        if len(hits) != 1 or abs(hits[0][1]) != 1:
+        hits = [row for row in range(n) if m[row][col] != 0]
+        if len(hits) != 1 or m[hits[0]][col] not in (1, -1):
             return None
-        perm[col], signs[col] = hits[0][0], int(hits[0][1] if isinstance(hits[0][1], Fraction)
-                                                else hits[0][1].as_fraction())
+        perm[col], signs[col] = hits[0], int(m[hits[0]][col])
+    if len(set(perm)) != n:
+        return None
     return SignedPerm(tuple(perm), tuple(signs))
 
 
@@ -109,52 +125,27 @@ def _freeze(m: Matrix) -> tuple:
     return tuple(tuple(exact(x) for x in row) for row in m)
 
 
-@dataclass
-class GroupElement:
-    index: int
-    matrix: tuple
-    sp: SignedPerm | None = None
-
-
 class GroupAction:
-    """Finite matrix group: element list (identity first) plus index tables."""
+    """Finite signed-permutation group: element list (identity first) plus index tables."""
 
-    def __init__(self, n: int, elements: list[GroupElement],
+    def __init__(self, n: int, elements: list[SignedPerm],
                  parents: list[tuple[int, int]], generators: list[int]):
         self.n = n
         self.elements = elements
         self.parents = parents          # (parent index, generator position), identity = (-1, -1)
         self.generators = generators    # element indices of the generators
-        self._key_index = {self._key(e): e.index for e in elements}
-        self.inverse_table = [self._invert(e) for e in elements]
-
-    @staticmethod
-    def _key(e: GroupElement):
-        return ("sp", e.sp.perm, e.sp.signs) if e.sp is not None else e.matrix
-
-    def _invert(self, e: GroupElement) -> int:
-        if e.sp is not None:
-            inv = e.sp.inverse()
-            return self._key_index[("sp", inv.perm, inv.signs)]
-        return self._key_index[_freeze(mat_transpose([list(r) for r in e.matrix]))]
+        self._key_index = {e: i for i, e in enumerate(elements)}
+        self.inverse_table = [self._key_index[e.inverse()] for e in elements]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def mult(self, i: int, j: int) -> int:
-        a, b = self.elements[i], self.elements[j]
-        if a.sp is not None and b.sp is not None:
-            c = a.sp.compose(b.sp)
-            return self._key_index[("sp", c.perm, c.signs)]
-        prod = mat_mul([list(r) for r in a.matrix], [list(r) for r in b.matrix])
-        return self._key_index[_freeze(prod)]
+        return self._key_index[self.elements[i].compose(self.elements[j])]
 
     def matrix(self, i: int) -> Matrix:
-        return [list(row) for row in self.elements[i].matrix]
-
-    def is_signed_permutation_action(self) -> bool:
-        return all(e.sp is not None for e in self.elements)
+        return self.elements[i].matrix()
 
     @cached_property
     def classes(self) -> list[tuple[int, ...]]:
@@ -189,55 +180,39 @@ class ClosureError(ValueError):
 
 
 def close_group(generators: Sequence[Matrix], max_order: int = DEFAULT_MAX_ORDER) -> GroupAction:
-    """BFS closure of exactly orthogonal generators, identity first."""
+    """BFS closure of signed-permutation generators, identity first.
+
+    A generator that is not an orthogonal signed permutation matrix raises
+    ClosureError.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     n = len(generators[0])
-    gens: list[GroupElement] = []
+    gens: list[SignedPerm] = []
     for g in generators:
         g = [[exact(x) for x in row] for row in g]
         if len(g) != n or any(len(r) != n for r in g):
             raise ValueError("generators must be square matrices of equal size")
-        if not is_orthogonal(g):
-            raise ClosureError("generator is not exactly orthogonal")
-        gens.append(GroupElement(-1, _freeze(g), as_signed_perm(g)))
-
-    use_sp = all(e.sp is not None for e in gens)
-    if not use_sp:
-        gens = [GroupElement(-1, e.matrix, None) for e in gens]
-    ident = GroupElement(0, _freeze(mat_identity(n)),
-                         SignedPerm.identity(n) if use_sp else None)
-    elements = [ident]
+        sp = as_signed_perm(g)
+        if sp is None:
+            raise ClosureError("generator is not an orthogonal signed permutation")
+        gens.append(sp)
+    elements = [SignedPerm.identity(n)]
     parents: list[tuple[int, int]] = [(-1, -1)]
-    seen = {GroupAction._key(ident): 0}
-    queue = [0]
-    while queue:
-        cur = queue.pop(0)
-        cur_el = elements[cur]
+    seen = {elements[0]: 0}
+    cur = 0
+    while cur < len(elements):           # elements grow in breadth-first order
         for gi, gen in enumerate(gens):
-            if use_sp:
-                sp = cur_el.sp.compose(gen.sp)
-                key = ("sp", sp.perm, sp.signs)
-                mat = None
-            else:
-                prod = mat_mul([list(r) for r in cur_el.matrix],
-                               [list(r) for r in gen.matrix])
-                key = _freeze(prod)
-                sp, mat = None, key
-            if key in seen:
+            sp = elements[cur].compose(gen)
+            if sp in seen:
                 continue
-            idx = len(elements)
-            if idx >= max_order:
+            if len(elements) >= max_order:
                 raise ClosureError(f"closure exceeds max_order={max_order}")
-            if use_sp:
-                mat = _freeze(sp.matrix())
-            elements.append(GroupElement(idx, mat, sp))
+            seen[sp] = len(elements)
+            elements.append(sp)
             parents.append((cur, gi))
-            seen[key] = idx
-            queue.append(idx)
-    action = GroupAction(n, elements, parents, [])
-    action.generators = [action._key_index[GroupAction._key(g)] for g in gens]
-    return action
+        cur += 1
+    return GroupAction(n, elements, parents, [seen[g] for g in gens])
 
 
 # -- real irreducible representations -------------------------------------------
@@ -487,14 +462,13 @@ def c2n_catalog(n: int) -> IrrepCatalog:
     action = close_group(gens, max_order=2 ** n + 1)
     # one irrep per subset, ordered by (type r, subset); value = product of signs
     irreps = []
-    sign_vectors = [e.sp.signs for e in action.elements]
     for subset in sorted(itertools.chain.from_iterable(
             itertools.combinations(range(n), r) for r in range(n + 1)),
             key=lambda s: (len(s), s)):
         label = "chi_" + ("0" if not subset else "".join(str(i + 1) for i in subset))
         images = []
         for gidx in action.generators:
-            sg = sign_vectors[gidx]
+            sg = action.elements[gidx].signs
             val = 1
             for i in subset:
                 val *= sg[i]
@@ -561,39 +535,39 @@ def cyclic_catalog(m: int, variant: str | None = None) -> IrrepCatalog:
 
 
 def _dihedral_action(m: int, variant: str) -> GroupAction:
+    swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     if variant == "planar":
         if m not in (1, 2, 4):
             raise ValueError("planar dihedral action is only exact (and monomial-"
                              "permuting) for m in {1,2,4}; use the permutation variant")
         if m == 1:
-            return close_group([[[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]])
+            return close_group([swap])
         rot, _ = rotation_matrix(m, 1)
-        swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
         return close_group([rot, swap])
+    if m <= 2:
+        raise ValueError(f"catalog spec 'dihedral:{m}:permutation' is not a faithful "
+                         f"action: the reflection fixes every vertex for m <= 2; "
+                         f"use the planar variant")
     rot = [[Fraction(1) if r == (c + 1) % m else Fraction(0) for c in range(m)]
            for r in range(m)]
     refl = [[Fraction(1) if r == (-c) % m else Fraction(0) for c in range(m)]
             for r in range(m)]
-    if m == 1:
-        return close_group([[[Fraction(1)]]])
     return close_group([rot, refl])
 
 
 def _dihedral_irreps(m: int, action: GroupAction) -> list[RealIrrep]:
-    # generator order follows the action: [rotation, reflection]
-    ngens = len(action.generators)
+    # generator order follows the action: [rotation, reflection], or the
+    # reflection alone for m = 1
     one = ((Fraction(1),),)
     neg = ((Fraction(-1),),)
-    irreps = [RealIrrep("t", 1, "absolutely-real", action, [one] * ngens,
-                        molien_meta=("dihedral", m, 0, 1, 1))]
-    if ngens > 1:
-        irreps.append(RealIrrep("t", 1, "absolutely-real", action, [one, neg],
-                                molien_meta=("dihedral", m, 0, 1, -1)))
-        if m % 2 == 0 and m > 2:
-            irreps.append(RealIrrep("t", 1, "absolutely-real", action, [neg, one],
-                                    molien_meta=("dihedral", m, m // 2, 1, 1)))
-            irreps.append(RealIrrep("t", 1, "absolutely-real", action, [neg, neg],
-                                    molien_meta=("dihedral", m, m // 2, 1, -1)))
+    if m == 1:
+        characters = [[one], [neg]]
+    else:
+        characters = [[one, one], [one, neg]]
+        if m % 2 == 0:
+            characters += [[neg, one], [neg, neg]]
+    irreps = [RealIrrep("t", 1, "absolutely-real", action, images)
+              for images in characters]
     for j in range(1, (m + 1) // 2 if m % 2 else m // 2):
         rot, approx = rotation_matrix(m, j)
         refl = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]

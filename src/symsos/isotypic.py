@@ -1,9 +1,11 @@
-"""Isotypic decomposition machinery for orthogonal matrix representations.
+"""Isotypic decomposition machinery for signed-permutation representations.
 
 Covers the induced representation on graded monomial spaces, the Reynolds
 (group-average) projection onto the fixed-point subspace of symmetric
 matrices, component-projection symmetry-adapted bases, and the resulting
-block diagonalization of invariant matrices.
+block diagonalization of invariant matrices.  Every group acts by signed
+permutations, and so does its induced representation on monomials: each
+element is stored as a ``SignedPerm`` of the basis.
 
 Bases are exact (entries in the quadratic tower) whenever the projections
 admit exact orthonormalization; otherwise the segment is computed in 50-digit
@@ -21,8 +23,7 @@ import mpmath
 import numpy as np
 
 from .groups import GroupAction, IrrepCatalog, RealIrrep, SignedPerm
-from .linalg import (Matrix, dot, gram_schmidt_exact, mat_mul, mat_transpose,
-                     mat_vec, to_ndarray)
+from .linalg import Matrix, dot, gram_schmidt_exact, mat_mul, mat_vec, to_ndarray
 from .poly import MonomialVector, monomial_vector
 from .scalars import Quad, Scalar, exact
 
@@ -34,51 +35,40 @@ SparseMatrix = dict[tuple[int, int], Scalar]   # nonzero entries {(r, c): value}
 
 @dataclass
 class MatrixRep:
-    """Orthogonal matrices, one per group element, indexed like the action."""
+    """Signed-permutation matrices, one per group element, indexed like the action."""
 
     action: GroupAction
-    mats: list  # SignedPerm or exact Matrix per element
+    mats: list[SignedPerm]
 
     @property
     def size(self) -> int:
-        m = self.mats[0]
-        return len(m.perm) if isinstance(m, SignedPerm) else len(m)
-
-    def is_signed_perm(self) -> bool:
-        return all(isinstance(m, SignedPerm) for m in self.mats)
+        return len(self.mats[0].perm)
 
     def dense(self, i: int) -> Matrix:
-        m = self.mats[i]
-        return m.matrix() if isinstance(m, SignedPerm) else [list(r) for r in m]
+        return self.mats[i].matrix()
 
     @cached_property
     def inverse_perms(self) -> list[SignedPerm]:
-        """rho(g)^{-1} = rho(g)^T per signed-permutation element, else None."""
-        return [m.inverse() if isinstance(m, SignedPerm) else None for m in self.mats]
+        """rho(g)^{-1} = rho(g)^T per element."""
+        return [m.inverse() for m in self.mats]
 
     def conjugate(self, i: int, x):
         """rho(g)^T X rho(g) for exact list-matrices or sparse maps.
 
         A sparse map {(r, c): value} holds the nonzero entries of an exact
-        matrix and comes back in the same form.  Under a signed permutation
-        the entry at (r, c) moves to (p^-1(r), p^-1(c)) with the product of
-        the two signs; other matrices go through the dense product.
+        matrix and comes back in the same form.  The signed permutation moves
+        the entry at (r, c) to (p^-1(r), p^-1(c)) with the product of the two
+        signs; no matrix product is formed.
         """
-        m = self.mats[i]
         if isinstance(x, dict):
-            if isinstance(m, SignedPerm):
-                q = self.inverse_perms[i]
-                perm, signs = q.perm, q.signs
-                return {(perm[r], perm[c]): v if signs[r] == signs[c] else -v
-                        for (r, c), v in x.items()}
-            return sparse_matrix(self.conjugate(i, dense_matrix(x, self.size)))
-        if isinstance(m, SignedPerm):
-            n = self.size
-            p, s = m.perm, m.signs
-            return [[exact(Fraction(s[a] * s[b]) * x[p[a]][p[b]]) for b in range(n)]
-                    for a in range(n)]
-        d = self.dense(i)
-        return mat_mul(mat_transpose(d), mat_mul(x, d))
+            q = self.inverse_perms[i]
+            perm, signs = q.perm, q.signs
+            return {(perm[r], perm[c]): v if signs[r] == signs[c] else -v
+                    for (r, c), v in x.items()}
+        n = self.size
+        p, s = self.mats[i].perm, self.mats[i].signs
+        return [[exact(Fraction(s[a] * s[b]) * x[p[a]][p[b]]) for b in range(n)]
+                for a in range(n)]
 
 
 @dataclass
@@ -91,51 +81,32 @@ class InducedRep(MatrixRep):
 
 def action_rep(action: GroupAction) -> MatrixRep:
     """The defining representation itself, wrapped for basis computations."""
-    mats = [e.sp if e.sp is not None else [list(r) for r in e.matrix]
-            for e in action.elements]
-    return MatrixRep(action, mats)
+    return MatrixRep(action, list(action.elements))
 
 
 def induced_representation(action: GroupAction, d: int) -> InducedRep:
     """Representation induced on monomials of degree <= d.
 
-    When the action is by signed permutations the induced matrices are signed
-    permutations of the monomial basis and are stored in that compressed form.
+    A signed permutation of the variables sends each monomial to a signed
+    monomial, so every induced matrix is a signed permutation of the
+    monomial basis and is stored in that compressed form.
     """
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
     basis = monomial_vector(action.n, d)
     index = basis.index()
     mats = []
-    if action.is_signed_permutation_action():
-        for e in action.elements:
-            sp = e.sp
-            perm = [0] * len(basis)
-            signs = [1] * len(basis)
-            for i, mono in enumerate(basis.entries):
-                # substituting x -> theta(g) x sends x_k to sign * x_{q(k)}
-                # with q the inverse permutation, so the image exponent at
-                # position l is mono[perm[l]]
-                new = tuple(mono[sp.perm[l]] for l in range(action.n))
-                sign = 1
-                for l in range(action.n):
-                    if new[l] % 2 and sp.signs[l] < 0:
-                        sign = -sign
-                j = index[new]
-                # row i of rho(g) hits column j: as a signed permutation,
-                # column j maps to row i with this sign
-                perm[j] = i
-                signs[j] = sign
-            mats.append(SignedPerm(tuple(perm), tuple(signs)))
-    else:
-        from .poly import Polynomial, substitute_linear
-        for e in action.elements:
-            theta = [list(r) for r in e.matrix]
-            rows = []
-            for mono in basis.entries:
-                img = substitute_linear(Polynomial.monomial(action.n, mono), theta)
-                rows.append([img.coefficient(m) for m in basis.entries])
-            mats.append(rows)
+    for g in action.elements:
+        perm = [0] * len(basis)
+        signs = [1] * len(basis)
+        for i, mono in enumerate(basis.entries):
+            sign, image = g.monomial_image(mono)
+            # row i of rho(g) hits column j: as a signed permutation, column
+            # j maps to row i with this sign
+            j = index[image]
+            perm[j] = i
+            signs[j] = sign
+        mats.append(SignedPerm(tuple(perm), tuple(signs)))
     return InducedRep(action, mats, degree=d, basis=basis)
 
 
@@ -156,11 +127,10 @@ def fixed_point_project(x, rep: MatrixRep):
     """Exact Reynolds average (1/|G|) sum_g rho(g)^T X rho(g).
 
     X is an exact list-matrix or a sparse exact map {(r, c): value}; the
-    average comes back in the same form.  For a
-    signed-permutation representation the exact average is an orbit sum: each
-    nonzero entry is added, signed, at its image under every group element,
-    O(nnz |G|) additions and no matrix products.  Other representations sum
-    dense conjugates.
+    average comes back in the same form.  The representation is by signed
+    permutations, so the exact average is an orbit sum: each nonzero entry is
+    added, signed, at its image under every group element, O(nnz |G|)
+    additions and no matrix products.
     """
     order = rep.action.order
     n = rep.size
@@ -190,15 +160,8 @@ def _accumulate_projection(rep: MatrixRep, coeffs: list[Scalar]) -> Matrix:
         if c == 0:
             continue
         m = rep.mats[gi]
-        if isinstance(m, SignedPerm):
-            for a in range(n):
-                acc[m.perm[a]][a] = exact(acc[m.perm[a]][a] + c * m.signs[a])
-        else:
-            for a in range(n):
-                row = m[a]
-                for b in range(n):
-                    if row[b] != 0:
-                        acc[a][b] = exact(acc[a][b] + c * row[b])
+        for a in range(n):
+            acc[m.perm[a]][a] = exact(acc[m.perm[a]][a] + c * m.signs[a])
     return acc
 
 

@@ -15,9 +15,9 @@ computed once and shared by all of its irreps; classes with equal determinants
 share a term, and the terms are added over the least common multiple of the
 determinants with a single reduction per irrep.
 
-Determinants come from signed cycle structure when the action permutes
-coordinates, and from exact Newton-identity characteristic polynomials
-otherwise.  Rotation irreps whose matrices are only stored
+Every action is by signed permutations, so each determinant is a product
+over the element's signed cycles: a cycle of length l and sign product s
+contributes 1 - s xi^l.  Rotation irreps whose matrices are only stored
 approximately (cyclic/dihedral with m in {5,7,9,10,11}) use an integer
 Ramanujan-sum character average instead of matrix traces, so their series are
 exact as well.
@@ -159,32 +159,12 @@ def series_coefficients(f: RationalFunction, d_max: int) -> list[Fraction]:
 
 
 def det_one_minus_xi(action: GroupAction, i: int) -> Coeffs:
-    """det(I - xi * theta(g)) as an exact polynomial in xi."""
-    el = action.elements[i]
-    if el.sp is not None:
-        out = [Fraction(1)]
-        for length, sign in el.sp.signed_cycles():
-            factor = [Fraction(1)] + [Fraction(0)] * (length - 1) + [Fraction(-sign)]
-            out = _pmul(out, factor)
-        return out
-    # Newton identities from power-sum traces; exact for any orthogonal matrix
-    from .linalg import mat_mul
-    m = [list(r) for r in el.matrix]
-    n = len(m)
-    power = [list(r) for r in el.matrix]
-    traces = []
-    for k in range(1, n + 1):
-        traces.append(exact(sum((Quad.of(power[j][j]) for j in range(n)), Quad(0))))
-        if k < n:
-            power = mat_mul(power, m)
-    e = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = Quad(0)
-        for j in range(1, k + 1):
-            acc = acc + Quad.of(e[k - j]) * Quad.of(traces[j - 1]) * ((-1) ** (j - 1))
-        e.append(exact(acc * Fraction(1, k)))
-    # det(I - xi M) = sum_k (-1)^k e_k xi^k
-    return _strip([exact(Fraction((-1) ** k) * e[k]) for k in range(n + 1)])
+    """det(I - xi * theta(g)) as an exact polynomial in xi, from signed cycles."""
+    out = [Fraction(1)]
+    for length, sign in action.elements[i].signed_cycles():
+        factor = [Fraction(1)] + [Fraction(0)] * (length - 1) + [Fraction(-sign)]
+        out = _pmul(out, factor)
+    return out
 
 
 # -- Ramanujan sums ----------------------------------------------------------------

@@ -285,9 +285,6 @@ class MonomialVector:
     def index(self) -> dict[Monomial, int]:
         return {m: i for i, m in enumerate(self.entries)}
 
-    def polynomials(self) -> list[Polynomial]:
-        return [Polynomial.monomial(self.nvars, m) for m in self.entries]
-
 
 def _exponents_of_degree(n: int, d: int) -> Iterable[Monomial]:
     if n == 1:

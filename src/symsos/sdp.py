@@ -54,10 +54,6 @@ class LinearConstraint:
     coeffs: dict[VarKey, Scalar]
     rhs: Scalar
 
-    def scaled(self, c: Scalar) -> "LinearConstraint":
-        return LinearConstraint({k: exact(v * c) for k, v in self.coeffs.items()},
-                                exact(self.rhs * c))
-
 
 @dataclass
 class BlockSDP:

@@ -163,9 +163,14 @@ def _step_to_boundary(lam: float) -> float:
     return 1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam)
 
 
-def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
-          verbose: bool = False) -> SDPSolution:
-    """Minimize the cost over the PSD blocks subject to the exact equations."""
+def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL) -> SDPSolution:
+    """Minimize the cost over the PSD blocks subject to the exact equations.
+
+    ``tol`` bounds the relative gap and both residuals at an optimal stop; a
+    value that is not finite and positive raises ValueError.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
     elim = _eliminate_free(sdp)
     if elim.status == "infeasible":
         return SDPSolution("infeasible-suspect", float("nan"), float("nan"),
@@ -254,9 +259,6 @@ def solve(sdp: BlockSDP, tol: float = DEFAULT_TOL,
         relgap = gap / (1 + abs(pobj) + abs(dobj))
         nrp = np.linalg.norm(rp) / (1 + np.linalg.norm(bvec))
         nrd = max((np.max(np.abs(r)) for r in rds), default=0) / (1 + scale)
-        if verbose:
-            print(f"  it {it:3d} mu {mu:.3e} relgap {relgap:.3e} "
-                  f"rp {nrp:.2e} rd {nrd:.2e}")
         if relgap <= tol and nrp <= tol and nrd <= tol:
             return finish("optimal", xs, zs, y, it)
         score = max(relgap, nrp, nrd)

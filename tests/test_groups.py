@@ -7,11 +7,15 @@ from symsos.groups import (ClosureError, ComplexIrrep, RealIrrep, catalog,
                            character_orthogonality, close_group, realify_pair,
                            verify_representation)
 from symsos.linalg import mat_identity
+from symsos.poly import Polynomial, monomial_vector, substitute_linear
 from symsos.scalars import Quad
 from symsos.fixtures import choi_group_generators
 
-CATALOG_SPECS = ["c2n:1", "c2n:3", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
-                 "cyclic:8", "cyclic:12", "dihedral:4", "dihedral:5", "dihedral:6",
+CATALOG_SPECS = ["trivial:1", "c2n:1", "c2n:3", "cyclic:1", "cyclic:2", "cyclic:3",
+                 "cyclic:4", "cyclic:4:permutation", "cyclic:5", "cyclic:6",
+                 "cyclic:8", "cyclic:12", "dihedral:1", "dihedral:1:planar",
+                 "dihedral:2", "dihedral:2:planar", "dihedral:4",
+                 "dihedral:4:permutation", "dihedral:5", "dihedral:6",
                  "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5"]
 
 
@@ -27,7 +31,7 @@ class TestClosure:
         act = close_group([d, s])
         assert act.order == 8
         # identity first, multiplication table consistent on sampled triples
-        assert act.elements[0].matrix == tuple(map(tuple, mat_identity(2)))
+        assert act.matrix(0) == mat_identity(2)
         random.seed(0)
         for _ in range(30):
             a, b, c = (random.randrange(8) for _ in range(3))
@@ -45,6 +49,19 @@ class TestClosure:
         d = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
         with pytest.raises(ClosureError, match="max_order"):
             close_group([d], max_order=3)
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_monomial_image_matches_substitution(self, spec):
+        # the signed-permutation map against the general linear substitution
+        action = catalog(spec).action
+        n = action.n
+        monos = monomial_vector(n, 3).entries
+        for i, g in enumerate(action.elements):
+            theta = action.matrix(i)
+            for mono in monos:
+                sign, image = g.monomial_image(mono)
+                want = substitute_linear(Polynomial.monomial(n, mono), theta)
+                assert Polynomial.monomial(n, image, sign) == want, (spec, i, mono)
 
 
 class TestCatalogs:
@@ -105,7 +122,9 @@ class TestCatalogs:
     @pytest.mark.parametrize("spec", ["symmetric", "dihedral", "cyclic", "c2n",
                                       "symmetric:4:foo", "c2n:2:planar",
                                       "trivial:2:x", "cyclic:4:planar:x",
-                                      "cyclic:5:foo", "symmetric:x"])
+                                      "cyclic:5:foo", "symmetric:x",
+                                      "dihedral:1:permutation",
+                                      "dihedral:2:permutation"])
     def test_malformed_spec_names_itself(self, spec):
         with pytest.raises(ValueError, match=repr(spec)):
             catalog(spec)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symsos.groups import IrrepCatalog, RealIrrep, catalog, close_group, \
-    verify_representation
+from symsos.groups import ClosureError, IrrepCatalog, RealIrrep, catalog, \
+    close_group, rotation_matrix, verify_representation
 from symsos.isotypic import (action_rep, block_diagonalize,
                              fixed_point_project, induced_representation,
                              symmetry_adapted_basis)
@@ -40,7 +40,6 @@ class TestInducedRepresentation:
         cat = catalog("dihedral:4")
         rep = induced_representation(cat.action, 3)
         assert rep.size == 10
-        assert rep.is_signed_perm()
         assert verify_representation(rep.dense, cat.action).ok
 
 
@@ -74,7 +73,6 @@ class TestOrbitSum:
     @pytest.mark.parametrize("spec,d", CATALOG_REPS)
     def test_matches_dense_definition_and_is_idempotent(self, spec, d):
         rep = induced_representation(catalog(spec).action, d)
-        assert rep.is_signed_perm()
         n, order = rep.size, rep.action.order
         x = _random_exact(n, random.Random(spec))
         dense = [[Fraction(0)] * n for _ in range(n)]
@@ -92,18 +90,15 @@ class TestOrbitSum:
             (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)
             if v != 0}
 
-    def test_general_matrices_average_densely(self):
-        # a reflection that is no signed permutation: {I, R} with R^2 = I
-        r = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
-        rep = action_rep(close_group([r]))
-        assert not rep.is_signed_perm()
-        x = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
-        rxr = mat_mul(r, mat_mul(x, r))
-        want = [[(a + b) / 2 for a, b in zip(ra, rb)] for ra, rb in zip(x, rxr)]
-        assert fixed_point_project(x, rep) == want
-        sparse = {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(3)}
-        assert fixed_point_project(sparse, rep) == {
-            (i, j): v for i, row in enumerate(want) for j, v in enumerate(row) if v}
+    def test_general_matrices_are_refused(self):
+        # a reflection {I, R} with R^2 = I, and a 60-degree rotation with
+        # entries 1/2 and sqrt(3)/2: orthogonal, but no signed permutations
+        refl = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+        rot, approx = rotation_matrix(6, 1)
+        assert not approx and isinstance(rot[1][0], Quad)
+        for g in (refl, rot):
+            with pytest.raises(ClosureError, match="orthogonal signed permutation"):
+                close_group([g])
 
     @pytest.mark.parametrize("spec,d", CATALOG_REPS)
     def test_sparse_conjugate_matches_dense(self, spec, d):

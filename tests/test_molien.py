@@ -32,9 +32,12 @@ S5_TABLE = {
               3060, 3876],
 }
 
-EVERY_CATALOG = ["trivial:2", "c2n:1", "c2n:2", "c2n:3", "cyclic:3", "cyclic:4",
+EVERY_CATALOG = ["trivial:1", "trivial:2", "c2n:1", "c2n:2", "c2n:3", "cyclic:1",
+                 "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:4:permutation",
                  "cyclic:5", "cyclic:6", "cyclic:7", "cyclic:8", "cyclic:9",
-                 "cyclic:10", "cyclic:11", "cyclic:12", "dihedral:3", "dihedral:4",
+                 "cyclic:10", "cyclic:11", "cyclic:12", "dihedral:1",
+                 "dihedral:1:planar", "dihedral:2", "dihedral:2:planar",
+                 "dihedral:3", "dihedral:4", "dihedral:4:permutation",
                  "dihedral:5", "dihedral:6", "dihedral:7", "dihedral:8",
                  "dihedral:12", "symmetric:2", "symmetric:3", "symmetric:4",
                  "symmetric:5"]

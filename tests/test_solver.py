@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symsos.certificates import sos_lower_bound
 from symsos.poly import parse_polynomial
 from symsos.sdp import BlockSDP, BlockSpec, LinearConstraint, assemble_gram
 from symsos.solver import (adjoint, constraint_values, face_residual_and_jacobian,
@@ -25,6 +26,16 @@ class TestBasics:
                                          Fraction(3))])
         sol = solve(sdp)
         assert sol.ok and abs(sol.objective - 3) < 1e-7
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        sdp = BlockSDP([BlockSpec("b", 1, 1)], [], {("blk", 0, 0, 0): Fraction(1)},
+                       [LinearConstraint({("blk", 0, 0, 0): Fraction(1)},
+                                         Fraction(3))])
+        with pytest.raises(ValueError, match="tol"):
+            solve(sdp, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            sos_lower_bound(parse_polynomial("x^2+1", ["x"]), "trivial:1", tol=tol)
 
     def test_unconstrained_trace_min_is_cone_vertex(self):
         sdp = BlockSDP([BlockSpec("b", 3, 1)], [],
