@@ -101,12 +101,10 @@ _S5_DISCRIMINANT = {
 }
 
 
-def pi_matrix(basis: EquivariantBasis, pres: InvariantPresentation,
-              use_catalog_shortcuts: bool = True) -> PiMatrix:
+def pi_matrix(basis: EquivariantBasis, pres: InvariantPresentation) -> PiMatrix:
     """Gram matrix of the module generators, rewritten in (theta, eta)."""
     r = basis.rank
-    if use_catalog_shortcuts and pres.name == "symmetric:5" and \
-            basis.irrep_label in ("sign", "theta7") and r == 1:
+    if pres.name == "symmetric:5" and basis.irrep_label in ("sign", "theta7") and r == 1:
         disc = Polynomial(5, {m: Fraction(c) for m, c in _S5_DISCRIMINANT.items()})
         return PiMatrix(basis.irrep_label, [[InvariantPoly(5, {0: disc})]])
     entries: list[list[InvariantPoly]] = [[None] * r for _ in range(r)]
@@ -157,7 +155,7 @@ def _homogeneous_action(action: GroupAction, d: int):
 
 
 def find_equivariant_generators(action: GroupAction, comp_rep: RealIrrep,
-                                thetas: list[Polynomial], degrees: list[int],
+                                pres: InvariantPresentation, degrees: list[int],
                                 expected: dict[int, int] | None = None
                                 ) -> list[tuple[Polynomial, ...]]:
     """Module generators of maps b with b(theta(g)x) = M_g b(x), degree by degree.
@@ -165,11 +163,12 @@ def find_equivariant_generators(action: GroupAction, comp_rep: RealIrrep,
     Works for exact rational component representations over signed-permutation
     actions.  At each degree the Reynolds average projects coordinate vectors
     onto the equivariant space; generators are the directions independent of
-    the span of theta-multiples of lower-degree generators.
+    the span of theta-multiples of lower-degree generators, each multiplier
+    theta^alpha taken from the presentation's product table.
     """
     c = comp_rep.dim
     inv = action.inverse_table
-    theta_degs = [p.degree() for p in thetas]
+    theta_degs = pres.theta_degrees
     gens: list[tuple[Polynomial, ...]] = []
     gens_with_degree: list[tuple[int, tuple[Polynomial, ...]]] = []
     for d in degrees:
@@ -195,13 +194,9 @@ def find_equivariant_generators(action: GroupAction, comp_rep: RealIrrep,
             if gd >= d:
                 continue
             for alpha in theta_monomials(theta_degs, d - gd, exactly=d - gd):
-                mult = Polynomial.constant(action.n, 1)
-                for i, e in enumerate(alpha):
-                    for _ in range(e):
-                        mult = mult * thetas[i]
                 row = [Fraction(0)] * ncols
                 for comp in range(c):
-                    prod = mult * gvec[comp]
+                    prod = pres.product(0, alpha) * gvec[comp]
                     for m, coef in prod.terms.items():
                         row[comp * h + index[m]] = coef
                 module.add(row)
@@ -251,7 +246,8 @@ def _vandermonde(n: int) -> Polynomial:
     return out
 
 
-def _symmetric_bases(n: int, catalog: IrrepCatalog | None) -> dict[str, EquivariantBasis]:
+def _symmetric_bases(n: int, catalog: IrrepCatalog, pres: InvariantPresentation
+                     ) -> dict[str, EquivariantBasis]:
     """Trivial, embedded standard, sign modules; S4 additionally gets the
     two-dimensional and sign-twisted-standard modules."""
     gens = transposition_generators(n)
@@ -280,7 +276,7 @@ def _symmetric_bases(n: int, catalog: IrrepCatalog | None) -> dict[str, Equivari
         m23 = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
         out["standard"] = EquivariantBasis("standard", 3, [b1, b2],
                                            [m12, m23], gens)
-    if n == 4 and catalog is not None:
+    if n == 4:
         names = ["x1", "x2", "x3", "x4"]
         u1 = _poly("x1*x2 + x3*x4", names)
         u2 = _poly("x1*x3 + x2*x4", names)
@@ -301,9 +297,7 @@ def _symmetric_bases(n: int, catalog: IrrepCatalog | None) -> dict[str, Equivari
         twisted = RealIrrep("perm_sign", 4, "absolutely-real", catalog.action,
                             [tuple(tuple(v for v in row) for row in m)
                              for m in twisted_images])
-        from .invariants import elementary_symmetric
-        vecs = find_equivariant_generators(catalog.action, twisted,
-                                           elementary_symmetric(4), [3, 4, 5],
+        vecs = find_equivariant_generators(catalog.action, twisted, pres, [3, 4, 5],
                                            expected={3: 1, 4: 1, 5: 1})
         if len(vecs) != 3:
             raise ValueError("sign-twisted standard module search failed")
@@ -381,7 +375,7 @@ def equivariant_catalog(catalog: IrrepCatalog, pres: InvariantPresentation
             out[irrep.label] = EquivariantBasis(irrep.label, 2, vecs, images, gens)
     elif family == "symmetric":
         import dataclasses
-        modules = _symmetric_bases(param, catalog)
+        modules = _symmetric_bases(param, catalog, pres)
         table = _SYM_IRREP_MODULE[param]
         missing = [r.label for r in catalog.irreps if r.label not in table]
         for irrep in catalog.irreps:

@@ -6,6 +6,10 @@ expansions of all products eta_j * theta^alpha of matching degree, and the
 Hironaka decomposition guarantees a unique solution whenever the input is
 really invariant.  No Groebner machinery is needed at these degrees.
 
+Each presentation keeps one table of those products in x, filled on demand
+by ``InvariantPresentation.product``; rewriting and ``expand_invariants`` both
+read it.  A certificate read from a file has its own presentation and table.
+
 Abstract symbols are rendered t1..ts for the primary and h1..ht for the
 secondary invariants (h1 = 1 is implicit and never printed).
 """
@@ -18,7 +22,8 @@ from typing import Iterable, Sequence
 
 from .groups import parse_spec, transposition_generators
 from .linalg import Matrix, parametrize
-from .poly import Polynomial, parse_polynomial, render_polynomial, substitute_linear
+from .poly import (Polynomial, compose, parse_polynomial, render_polynomial,
+                   substitute_linear)
 
 
 def elementary_symmetric(n: int) -> list[Polynomial]:
@@ -45,6 +50,8 @@ class InvariantPresentation:
     # canonical orbit representative of a monomial, when one is cheap to
     # compute; rewriting then matches coefficients on representatives only
     orbit_representative: object = None
+    # (j, alpha) -> eta_j * theta^alpha expanded in x, filled by product()
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.eta or self.eta[0] != Polynomial.constant(self.nvars, 1):
@@ -65,37 +72,31 @@ class InvariantPresentation:
 
     def verify(self) -> None:
         """Invariance of every generator and exactness of every syzygy."""
-        for g in self.generators:
-            for p in self.theta + self.eta:
-                if substitute_linear(p, g) != p:
-                    raise ValueError("presentation polynomial is not invariant")
+        if not all(verify_invariant(p, self.generators) for p in self.theta + self.eta):
+            raise ValueError("presentation polynomial is not invariant")
         for s in self.syzygies:
             if not self.expand_symbol_poly(s).is_zero():
                 raise ValueError("syzygy does not expand to zero")
 
     def expand_symbol_poly(self, sp: Polynomial) -> Polynomial:
         """Expand a polynomial in (t1..ts, h2..ht) back into the x variables."""
-        s, t = len(self.theta), len(self.eta)
-        if sp.nvars != s + t - 1:
-            raise ValueError("symbol polynomial has wrong variable count")
-        values = self.theta + self.eta[1:]
-        powers: dict[tuple[int, int], Polynomial] = {}
+        return compose(sp, self.theta + self.eta[1:])
 
-        def pw(i: int, e: int) -> Polynomial:
-            if e == 0:
-                return Polynomial.constant(self.nvars, 1)
-            if (i, e) not in powers:
-                powers[(i, e)] = pw(i, e - 1) * values[i]
-            return powers[(i, e)]
+    def product(self, j: int, alpha: tuple[int, ...]) -> Polynomial:
+        """eta_j * theta^alpha expanded in x, built once per presentation.
 
-        out = Polynomial.zero(self.nvars)
-        for m, c in sp.terms.items():
-            term = Polynomial.constant(self.nvars, c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * pw(i, e)
-            out = out + term
-        return out
+        The first call multiplies eta_j * theta^(alpha - e_i) by theta_i, for
+        the last i with alpha_i > 0; later calls read the table.
+        """
+        key = (j, alpha)
+        if key not in self._products:
+            i = max((k for k, e in enumerate(alpha) if e), default=None)
+            if i is None:
+                self._products[key] = self.eta[j]
+            else:
+                prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                self._products[key] = self.product(j, prev) * self.theta[i]
+        return self._products[key]
 
 
 @dataclass
@@ -148,29 +149,16 @@ def weighted_degree(f: InvariantPoly, pres: InvariantPresentation) -> int:
 
 
 def expand_invariants(f: InvariantPoly, pres: InvariantPresentation) -> Polynomial:
-    """Full expansion of sum_j eta_j f_j(theta) in the original variables."""
+    """Full expansion of sum_j eta_j f_j(theta): the sum of c * pres.product(j, alpha)
+    over the terms c * theta^alpha of each f_j, built as one polynomial."""
     if f.s != len(pres.theta):
         raise ValueError("symbol count mismatch with the presentation")
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def pw(i: int, e: int) -> Polynomial:
-        if e == 0:
-            return Polynomial.constant(pres.nvars, 1)
-        if (i, e) not in powers:
-            powers[(i, e)] = pw(i, e - 1) * pres.theta[i]
-        return powers[(i, e)]
-
-    out = Polynomial.zero(pres.nvars)
+    out: dict = {}
     for j, part in f.parts.items():
-        acc = Polynomial.zero(pres.nvars)
-        for m, c in part.terms.items():
-            term = Polynomial.constant(pres.nvars, c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * pw(i, e)
-            acc = acc + term
-        out = out + pres.eta[j] * acc
-    return out
+        for alpha, c in part.terms.items():
+            for m, v in pres.product(j, alpha).terms.items():
+                out[m] = out.get(m, Fraction(0)) + c * v
+    return Polynomial(pres.nvars, out)
 
 
 class NotInvariantError(ValueError):
@@ -190,7 +178,8 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
     """Unique representation of an invariant p as sum_j eta_j f_j(theta).
 
     Solved degree by degree: candidates are all products eta_j * theta^alpha
-    of the right total degree, compared coefficientwise against p.  Raises
+    of the right total degree, read from the presentation's product table (a
+    repeated rewrite multiplies nothing), compared coefficientwise against p.  Raises
     NotInvariantError / RewriteError accordingly.
     """
     if p.nvars != pres.nvars:
@@ -201,20 +190,6 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
     degs = pres.theta_degrees
     etadegs = pres.eta_degrees
     parts: dict[int, dict] = {}
-    cache: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
-
-    def candidate(j: int, alpha: tuple[int, ...]) -> Polynomial:
-        key = (j, alpha)
-        if key not in cache:
-            for i in range(s - 1, -1, -1):
-                if alpha[i]:
-                    prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                    cache[key] = candidate(j, prev) * pres.theta[i]
-                    break
-            else:
-                cache[key] = pres.eta[j]
-        return cache[key]
-
     for d in p.degrees_present():
         comp = p.graded_part(d)
         cands: list[tuple[int, tuple[int, ...]]] = []
@@ -225,7 +200,7 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
             cands.extend((j, a) for a in theta_monomials(degs, rem, exactly=rem))
         if not cands:
             raise RewriteError(f"no invariant products of degree {d} exist")
-        expanded = [candidate(j, a) for j, a in cands]
+        expanded = [pres.product(j, a) for j, a in cands]
         monos = sorted({m for q in expanded for m in q.terms} | set(comp.terms))
         if pres.orbit_representative is not None:
             # all rows are invariant, so matching the coefficients of one

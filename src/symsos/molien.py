@@ -20,7 +20,9 @@ over the element's signed cycles: a cycle of length l and sign product s
 contributes 1 - s xi^l.  Rotation irreps whose matrices are only stored
 approximately (cyclic/dihedral with m in {5,7,9,10,11}) use an integer
 Ramanujan-sum character average instead of matrix traces, so their series are
-exact as well.
+exact as well.  The sign characters of ``c2n:n`` skip the class sum, which
+has 2^n classes: the series of the character on the coordinates S is
+xi^|S|/(1-xi^2)^n in closed form.
 """
 
 from __future__ import annotations
@@ -213,6 +215,13 @@ def _rotation_class_dets(action: GroupAction, m: int) -> dict[int, Coeffs]:
 
 def _molien_meta(catalog: IrrepCatalog, irrep: RealIrrep) -> RationalFunction:
     kind = irrep.molien_meta[0]
+    if kind == "c2n":
+        # character and determinant both factor over the coordinates: the sign
+        # average is xi/(1-xi^2) on each coordinate in S and 1/(1-xi^2) elsewhere
+        _, n, subset = irrep.molien_meta
+        den = [0] * (2 * n + 1)
+        den[::2] = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+        return RationalFunction.of([0] * len(subset) + [1], den)
     if kind == "cyclic-pair":
         _, m, j = irrep.molien_meta
         dets = _rotation_class_dets(catalog.action, m)
@@ -231,7 +240,7 @@ def _molien_meta(catalog: IrrepCatalog, irrep: RealIrrep) -> RationalFunction:
         for g, det in dets.items():
             total = total + RationalFunction.of([2 * ramanujan_sum(m // g, j)], det)
         return total.scale(Fraction(1, 2 * m))
-    raise ValueError(f"no exact Molien route for approximate irrep {irrep.label}")
+    raise ValueError(f"no exact Molien route for irrep {irrep.label}")
 
 
 ClassTerms = tuple[Coeffs, list[tuple[Coeffs, list[tuple[int, int]]]]]
@@ -273,7 +282,7 @@ def molien_series(catalog: IrrepCatalog, irrep: RealIrrep) -> RationalFunction:
     class's determinant is computed once; the terms are added over one
     common denominator and reduced once.
     """
-    if irrep.approximate:
+    if irrep.approximate or irrep.molien_meta and irrep.molien_meta[0] == "c2n":
         return _molien_meta(catalog, irrep)
     action = catalog.action
     den, terms = _class_terms(action)

@@ -318,7 +318,7 @@ def substitute_linear(p: Polynomial, matrix: Sequence[Sequence[Scalar]]) -> Poly
 
     When every row of M has exactly one nonzero entry (a scaled signed
     permutation, as for every shipped catalog generator) each term maps to
-    one term; other matrices expand powers of the linear forms.
+    one term; other matrices compose p with the linear forms.
     """
     n = p.nvars
     if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -330,24 +330,30 @@ def substitute_linear(p: Polynomial, matrix: Sequence[Sequence[Scalar]]) -> Poly
                                      for i, cols in enumerate(support)])
     forms = [Polynomial(n, {tuple(1 if j == k else 0 for k in range(n)): matrix[i][j]
                             for j in range(n)}) for i in range(n)]
-    powers: dict[tuple[int, int], Polynomial] = {}
+    return compose(p, forms)
 
-    def pw(i: int, e: int) -> Polynomial:
-        if e == 0:
-            return Polynomial.constant(n, 1)
-        key = (i, e)
-        if key not in powers:
-            powers[key] = pw(i, e - 1) * forms[i]
-        return powers[key]
 
-    out = Polynomial.zero(n)
+def compose(p: Polynomial, values: Sequence[Polynomial]) -> Polynomial:
+    """p(values[0], ..., values[-1]) fully expanded; the values share one nvars.
+
+    Each power of a value is built once per call, from the power below it.
+    """
+    if len(values) != p.nvars:
+        raise ValueError("compose needs one value per variable")
+    n = values[0].nvars
+    powers = [[Polynomial.constant(n, 1)] for _ in values]
+    out: dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
         term = Polynomial.constant(n, c)
         for i, e in enumerate(m):
             if e:
-                term = term * pw(i, e)
-        out = out + term
-    return out
+                row = powers[i]
+                while len(row) <= e:
+                    row.append(row[-1] * values[i])
+                term = term * row[e]
+        for mm, v in term.terms.items():
+            out[mm] = out.get(mm, Fraction(0)) + v
+    return Polynomial(n, out)
 
 
 def _substitute_monomial(p: Polynomial, target: list[int],

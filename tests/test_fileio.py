@@ -44,6 +44,18 @@ class TestCertificateFormat:
         ok, report = verify_certificate(back, symmetric_quartic())
         assert not ok
 
+    def test_tampered_theta_fails_after_catalog_products_are_built(self):
+        # the bound fills the product table of the dihedral:4 presentation;
+        # the parsed certificate must expand with its own (tampered) theta
+        f = robinson_dihedral()
+        _, cert = sos_lower_bound(f, "dihedral:4")
+        text = certificate_to_text(round_certificate(cert, f))
+        assert verify_certificate(certificate_from_text(text), f)[0]
+        bad = text.replace("theta y^2 + x^2\n", "theta 2*y^2 + x^2\n", 1)
+        assert bad != text
+        ok, report = verify_certificate(certificate_from_text(bad), f)
+        assert not ok and "identity fails" in report[0]
+
     def test_float_certificate_not_serializable(self):
         f = robinson_dihedral()
         _, cert = sos_lower_bound(f, "dihedral:4")

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from symsos.groups import catalog
-from symsos.invariants import (InvariantPresentation, NotInvariantError,
+from symsos.invariants import (InvariantPoly, InvariantPresentation,
+                               NotInvariantError,
                                RewriteError, elementary_symmetric,
                                expand_invariants, presentation,
                                rewrite_in_invariants, symmetric_presentation,
@@ -49,6 +50,37 @@ class TestRewrite:
             "t1^3 - t1^2 - 4*t1*t2 - t1 + 5*t2 + 1", ["t1", "t2"])
         assert weighted_degree(ft, pres) == 6
         assert expand_invariants(ft, pres) == f
+
+    def test_product_tables_are_per_presentation(self):
+        xy = ["x", "y"]
+        one = Polynomial.constant(2, 1)
+        a = InvariantPresentation(2, [parse_polynomial("x^2+y^2", xy),
+                                      parse_polynomial("x^2*y^2", xy)], [one],
+                                  name="dihedral:4")
+        b = InvariantPresentation(2, [parse_polynomial("x^2+2*y^2", xy),
+                                      parse_polynomial("x^2*y^2", xy)], [one],
+                                  name="dihedral:4")
+        f = InvariantPoly(2, {0: parse_polynomial("t1^2 - t2", ["t1", "t2"])})
+        assert expand_invariants(f, a) == parse_polynomial("x^4 + x^2*y^2 + y^4", xy)
+        assert expand_invariants(f, b) == parse_polynomial(
+            "x^4 + 3*x^2*y^2 + 4*y^4", xy)
+
+    def test_repeated_rewrite_multiplies_nothing(self, monkeypatch):
+        f = parse_polynomial(S3_QUARTIC_TEXT, ["x", "y", "z"])
+        pres, fresh = presentation("symmetric:3"), presentation("symmetric:3")
+        first = rewrite_in_invariants(f, pres)
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counting_mul(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        assert rewrite_in_invariants(f, pres) == first
+        assert calls == []
+        assert rewrite_in_invariants(f, fresh) == first
+        assert calls                  # a fresh presentation builds its own
 
     def test_symmetric_quartic_rewrite(self):
         pres = presentation("symmetric:3")

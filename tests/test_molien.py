@@ -159,6 +159,18 @@ def test_class_sum_equals_element_sum(spec):
         assert (psi.num, psi.den) == (want.num, want.den), (spec, irrep.label)
 
 
+def test_c2n_ten_closed_form_table():
+    # xi^r/(1-xi^2)^n has coefficient C(n-1+k, k) at xi^(r+2k)
+    n, dmax = 10, 8
+    cat = catalog("c2n:10")
+    table = dimension_table(cat, dmax)
+    for irrep in cat.irreps:
+        r = len(irrep.molien_meta[2])
+        want = [math.comb(n - 1 + (d - r) // 2, n - 1) if d >= r and (d - r) % 2 == 0
+                else 0 for d in range(dmax + 1)]
+        assert table[irrep.label] == want, irrep.label
+
+
 class TestRamanujan:
     def test_known_values(self):
         assert ramanujan_sum(1, 0) == 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from symsos.scalars import Quad
 from symsos.poly import (MINUS_INFINITY, Polynomial, PolynomialSyntaxError,
-                         evaluate, monomial_vector, parse_polynomial, poly_arith,
+                         compose, evaluate, monomial_vector, parse_polynomial, poly_arith,
                          render_polynomial, substitute_linear)
 
 ROBINSON = "x^6+y^6-x^4*y^2-x^2*y^4-x^4-y^4-x^2-y^2+3*x^2*y^2+1"
@@ -233,3 +233,16 @@ class TestKernels:
         image = substitute_linear(p, m)
         for pt in _rational_points(3):
             assert evaluate(image, pt) == evaluate(p, _image(m, pt))
+
+    def test_compose_with_polynomial_values(self):
+        # p in two variables, values in three: compose changes the ring
+        p = parse_polynomial("a^3*b - 2/5*b^2 + a*b - 7", ["a", "b"])
+        values = [parse_polynomial("x*y - 1/3*z", self.XYZ),
+                  parse_polynomial("1/2*y^2 + x - 2", self.XYZ)]
+        image = compose(p, values)
+        assert image.nvars == 3
+        for pt in _rational_points(3):
+            assert evaluate(image, pt) == \
+                evaluate(p, [evaluate(v, pt) for v in values])
+        with pytest.raises(ValueError):
+            compose(p, values[:1])
