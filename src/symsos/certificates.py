@@ -24,9 +24,9 @@ with the program's blocks by position.  With the free variables first, the
 bound pivots the constant equation, lambda = c - X00 - ..., where X00 is a
 free diagonal entry no other pivot uses; rounding sets X00 to the least
 value that keeps its block PSD, read from the LDL^T of the minor X00
-leaves alone, and lambda follows exactly.  Each Gram block is screened for
-an exact negative direction and then tested PSD via rational LDL^T
-(``linalg.ldl_psd``).  Rounding does not replay the identity.
+leaves alone, and lambda follows exactly.  Each Gram block is screened once
+for an exact negative direction and then factored by the rational LDL^T
+(``linalg.ldl_decomposition``).  Rounding does not replay the identity.
 ``verify_certificate`` is the one literal replay: every block tested by
 ``ldl_psd``, then sum_i <S_i, Pi_i> collected per (eta_j, theta^gamma) and
 expanded into the original variables once.  Refusal reasons name a block, a
@@ -43,13 +43,11 @@ import numpy as np
 
 from .equivariants import (EquivariantBasis, MissingEquivariantData, PiMatrix,
                            equivariant_catalog, monomial_envelope, pi_matrix)
-from .groups import (IrrepCatalog, catalog as load_catalog, parse_spec,
-                     transposition_generators)
-from .invariants import (InvariantPoly, InvariantPresentation, NotInvariantError,
+from .groups import IrrepCatalog, catalog as load_catalog, parse_spec
+from .invariants import (InvariantPoly, InvariantPresentation,
                          presentation as load_presentation_for,
                          rewrite_in_invariants, expand_invariants,
-                         verify_invariant, weighted_degree,
-                         symmetric_presentation)
+                         weighted_degree, symmetric_presentation)
 from .linalg import (NotPSD, Parametrization, dot, ldl_decomposition, ldl_psd,
                      negative_direction)
 from .poly import Monomial, Polynomial, default_variables
@@ -106,7 +104,7 @@ def algorithm_one(spec: str) -> GeneratorBundle:
 
 
 def _catalog_bundle(catalog: IrrepCatalog) -> GeneratorBundle:
-    pres = load_presentation_for(catalog.name)
+    pres = load_presentation_for(catalog)
     bases, missing = equivariant_catalog(catalog, pres)
     pis = {label: pi_matrix(basis, pres) for label, basis in bases.items()}
     return GeneratorBundle(catalog.name, catalog, pres, bases, pis, missing)
@@ -129,7 +127,7 @@ def symmetric_bundle(n: int, max_degree: int) -> GeneratorBundle:
 def _symmetric_bundle(n: int, max_degree: int) -> GeneratorBundle:
     from .equivariants import _power_sum_centered
     pres = symmetric_presentation(n)
-    gens = transposition_generators(n)
+    gens = pres.generators
     one = Polynomial.constant(n, 1)
     bases: dict[str, EquivariantBasis] = {
         "trivial": EquivariantBasis("trivial", n, [(one,)],
@@ -138,7 +136,8 @@ def _symmetric_bundle(n: int, max_degree: int) -> GeneratorBundle:
     std_vecs = [_power_sum_centered(n, k) for k in range(1, n)
                 if 2 * k <= max_degree]
     if std_vecs:
-        bases["standard"] = EquivariantBasis("standard", n, std_vecs, gens, gens)
+        bases["standard"] = EquivariantBasis("standard", n, std_vecs,
+                                             [g.matrix() for g in gens], gens)
     for b in bases.values():
         b.verify()
     pis = {label: pi_matrix(basis, pres) for label, basis in bases.items()}
@@ -243,9 +242,7 @@ def _invariant_sdp(f: Polynomial, bundle: GeneratorBundle,
                    with_lambda: bool) -> tuple[BlockSDP, BlockData]:
     """The assembly for f, and the (Pi, envelope) of each block, in block order."""
     pres = bundle.pres
-    if pres.generators and not verify_invariant(f, pres.generators):
-        raise NotInvariantError("polynomial is not invariant under the group")
-    ft = rewrite_in_invariants(f, pres, check_invariance=False)
+    ft = rewrite_in_invariants(f, pres)
     target = weighted_degree(ft, pres)
     kept = []
     for label in bundle.irrep_labels:
@@ -407,10 +404,10 @@ def round_certificate(cert: Certificate, f: Polynomial,
     continued fractions under each denominator bound of the schedule, and
     the pivot entries are recomputed exactly, so the polynomial identity with
     ``f`` (from which the program was assembled) holds by construction and is
-    not replayed here.  Blocks are screened by ``negative_direction`` before
-    any exact LDL^T.  A bound reads lambda = c + gamma * X_rr + ... with one
-    free diagonal entry X_rr (``_traded_entry``): the other blocks and the
-    minor without row r are tested first, X_rr is set to the least value
+    not replayed here.  Each block is screened once by ``negative_direction``
+    before any exact LDL^T.  A bound reads lambda = c + gamma * X_rr + ...
+    with one free diagonal entry X_rr (``_traded_entry``): the other blocks
+    and the minor without row r are tested first, X_rr is set to the least value
     that keeps its block PSD, read from the factorization of that minor, and
     lambda follows exactly.  That snaps boundary optima with small rational
     vertices to their exact value.  A bound is accepted on the first schedule
@@ -443,9 +440,16 @@ def round_certificate(cert: Certificate, f: Polynomial,
     fallback: Certificate | None = None
 
     def psd(mats, screened=()) -> bool:
-        """Screen ``mats`` and ``screened`` for a negative direction, then LDL^T ``mats``."""
-        return all(negative_direction(m) is None for m in (*mats, *screened)) and \
-            all(ldl_psd(m)[0] for m in mats)
+        """Screen ``mats`` and ``screened`` once for a negative direction, then
+        LDL^T ``mats``."""
+        if any(negative_direction(m) is not None for m in (*mats, *screened)):
+            return False
+        try:
+            for m in mats:
+                ldl_decomposition(m)
+        except NotPSD:
+            return False
+        return True
 
     for max_den in schedule:
         free_vals = {j: Fraction(x).limit_denominator(max_den)

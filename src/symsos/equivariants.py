@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import (GroupAction, IrrepCatalog, RealIrrep, parse_spec,
-                     transposition_generators)
+from .groups import GroupAction, IrrepCatalog, RealIrrep, SignedPerm, parse_spec
 from .invariants import (InvariantPoly, InvariantPresentation, rewrite_in_invariants,
                          theta_monomials, weighted_degree)
 from .linalg import Matrix, RowBasis
-from .poly import Monomial, Polynomial, monomial_vector, parse_polynomial, \
-    substitute_linear
+from .poly import Monomial, Polynomial, monomial_vector, parse_polynomial
 from .scalars import Quad, exact
 
 
@@ -35,7 +33,7 @@ class EquivariantBasis:
     nvars: int
     vectors: list[tuple[Polynomial, ...]]
     comp_images: list[Matrix]        # component transform per group generator
-    group_generators: list[Matrix]
+    group_generators: list[SignedPerm]
 
     @property
     def rank(self) -> int:
@@ -49,7 +47,7 @@ class EquivariantBasis:
         """b(theta(g) x) = M_g b(x) exactly, for every generator and vector."""
         for g, m in zip(self.group_generators, self.comp_images):
             for b in self.vectors:
-                lhs = [substitute_linear(p, g) for p in b]
+                lhs = [g.substitute(p) for p in b]
                 rhs = [sum((Polynomial.constant(self.nvars, m[r][c]) * b[c]
                             for c in range(len(b))), Polynomial.zero(self.nvars))
                        for r in range(len(b))]
@@ -250,15 +248,15 @@ def _symmetric_bases(n: int, catalog: IrrepCatalog, pres: InvariantPresentation
                      ) -> dict[str, EquivariantBasis]:
     """Trivial, embedded standard, sign modules; S4 additionally gets the
     two-dimensional and sign-twisted-standard modules."""
-    gens = transposition_generators(n)
+    gens = pres.generators
+    perms = [g.matrix() for g in gens]     # the standard module's components
     one = Polynomial.constant(n, 1)
     out: dict[str, EquivariantBasis] = {}
-    ident1 = [((Fraction(1),),) for _ in gens]
     out["trivial"] = EquivariantBasis("trivial", n, [(one,)],
                                       [[[Fraction(1)]] for _ in gens], gens)
     out["standard"] = EquivariantBasis(
         "standard", n, [_power_sum_centered(n, k) for k in range(1, n)],
-        gens, gens)
+        perms, gens)
     out["sign"] = EquivariantBasis("sign", n, [(_vandermonde(n),)],
                                    [[[Fraction(-1)]] for _ in gens], gens)
     if n == 3:
@@ -293,7 +291,7 @@ def _symmetric_bases(n: int, catalog: IrrepCatalog, pres: InvariantPresentation
         out["two_dim"] = EquivariantBasis("two_dim", 4, [b1, b2],
                                           [m_u2u3, m_u1u2, m_u2u3], gens)
         # sign-twisted standard: components transform by -P(g) on transpositions
-        twisted_images = [[[Fraction(-v) for v in row] for row in g] for g in gens]
+        twisted_images = [[[-v for v in row] for row in p] for p in perms]
         twisted = RealIrrep("perm_sign", 4, "absolutely-real", catalog.action,
                             [tuple(tuple(v for v in row) for row in m)
                              for m in twisted_images])
@@ -329,16 +327,16 @@ def equivariant_catalog(catalog: IrrepCatalog, pres: InvariantPresentation
     """
     family, param, variant = parse_spec(catalog.name)
     planar = variant in (None, "planar")       # the default at 4
+    gens = catalog.action.generator_perms
     missing: list[str] = []
     out: dict[str, EquivariantBasis] = {}
     if family == "trivial":
         # the whole ring is the invariant ring; the module basis is eta = (1)
         n = catalog.action.n
         out["theta1"] = EquivariantBasis("theta1", n, [(Polynomial.constant(n, 1),)],
-                                         [[[Fraction(1)]]], [catalog.action.matrix(0)])
+                                         [[[Fraction(1)]]], gens)
     elif family == "c2n":
         n = param
-        gens = [catalog.action.matrix(g) for g in catalog.action.generators]
         for irrep in catalog.irreps:
             subset = irrep.molien_meta[2]
             mono = tuple(1 if i in subset else 0 for i in range(n))
@@ -347,7 +345,6 @@ def equivariant_catalog(catalog: IrrepCatalog, pres: InvariantPresentation
             out[irrep.label] = EquivariantBasis(irrep.label, n, [vec], images, gens)
     elif family == "dihedral" and param == 4 and planar:
         names = ["x", "y"]
-        gens = [catalog.action.matrix(g) for g in catalog.action.generators]
         data = {
             "theta1": [( _poly("1", names),)],
             "theta2": [(_poly("x^3*y - x*y^3", names),)],
@@ -362,7 +359,6 @@ def equivariant_catalog(catalog: IrrepCatalog, pres: InvariantPresentation
             out[irrep.label] = EquivariantBasis(irrep.label, 2, vecs, images, gens)
     elif family == "cyclic" and param == 4 and planar:
         names = ["x", "y"]
-        gens = [catalog.action.matrix(g) for g in catalog.action.generators]
         data = {
             "theta1": [(_poly("1", names),), (_poly("x^3*y - x*y^3", names),)],
             "theta2": [(_poly("x*y", names),), (_poly("x^2 - y^2", names),)],

@@ -3,7 +3,11 @@
 Every group acts on R^n by signed permutations: coordinate permutations with
 sign flips, which are exactly the orthogonal matrices with one nonzero entry
 per column.  A group is given by such generator matrices and closed by
-breadth-first composition; ``close_group`` refuses any other generator.
+breadth-first composition; ``close_group`` refuses any other generator, and
+``as_signed_perm`` is the one place where an exact matrix becomes a
+``SignedPerm``.  A catalog action's ``generator_perms`` are the generators
+every presentation, module basis and invariance check uses, and
+``SignedPerm.substitute`` is the one substitution p(x) -> p(M x) for them.
 
 Catalogs:
   * ``c2n:n``        sign flips of n coordinates, 2^n one-dimensional irreps
@@ -13,9 +17,11 @@ Catalogs:
   * ``symmetric:n``  coordinate permutations, n <= 5, Young orthogonal irreps
   * ``trivial:n``    the one-element group on R^n
 
-Irrep matrices are exact (rational or quadratic-extension entries) except for
-cyclic/dihedral rotation blocks at m in {5,7,9,10,11}, whose entries are
-flagged 50-digit rational approximations.
+Each conjugate pair of complex cyclic characters e^{+-2 pi i j/m} is carried
+by one complex-type real irrep: its realified block [[Re, -Im], [Im, Re]] is
+the rotation by 2 pi j/m.  Irrep matrices are exact (rational or
+quadratic-extension entries) except for cyclic/dihedral rotation blocks at m
+in {5,7,9,10,11}, whose entries are flagged 50-digit rational approximations.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Callable, Sequence
 import mpmath
 
 from .linalg import Matrix, mat_identity, mat_mul, mat_transpose
+from .poly import Polynomial
 from .scalars import Quad, Scalar, exact
 
 DEFAULT_MAX_ORDER = 10080
@@ -85,6 +92,16 @@ class SignedPerm:
             if e % 2 and s < 0:
                 sign = -sign
         return sign, image
+
+    def substitute(self, p: Polynomial) -> Polynomial:
+        """p(M x), term by term through ``monomial_image``."""
+        if p.nvars != len(self.perm):
+            raise ValueError("permutation size does not match polynomial variables")
+        out = {}
+        for mono, c in p.terms.items():
+            sign, image = self.monomial_image(mono)
+            out[image] = c if sign > 0 else -c
+        return Polynomial(p.nvars, out)
 
     def signed_cycles(self) -> list[tuple[int, int]]:
         """(length, sign product) per cycle of the underlying permutation."""
@@ -143,6 +160,10 @@ class GroupAction:
 
     def mult(self, i: int, j: int) -> int:
         return self._key_index[self.elements[i].compose(self.elements[j])]
+
+    @property
+    def generator_perms(self) -> list[SignedPerm]:
+        return [self.elements[i] for i in self.generators]
 
     def matrix(self, i: int) -> Matrix:
         return self.elements[i].matrix()
@@ -336,58 +357,6 @@ def character_orthogonality(catalog: IrrepCatalog, tol: float | None = None) -> 
     return RepReport(violations)
 
 
-# -- realification of conjugate complex pairs ------------------------------------
-
-
-@dataclass
-class ComplexIrrep:
-    """Complex irrep split into exact real and imaginary parts per generator."""
-
-    dim: int
-    re_images: list[Matrix]
-    im_images: list[Matrix]
-
-
-def realify_pair(first: ComplexIrrep, second: ComplexIrrep, action: GroupAction,
-                 label: str = "pair", approximate: bool = False) -> RealIrrep:
-    """Merge a conjugate pair of complex irreps into one real irrep.
-
-    The result acts by [[Re, -Im], [Im, Re]] blocks and has twice the complex
-    dimension.  Raises if the inputs are not a genuine conjugate pair (in
-    particular, if the imaginary parts vanish identically).
-    """
-    if first.dim != second.dim or len(first.re_images) != len(second.re_images):
-        raise ValueError("not a conjugate pair: shape mismatch")
-    some_imag = False
-    for re1, im1, re2, im2 in zip(first.re_images, first.im_images,
-                                  second.re_images, second.im_images):
-        for r in range(first.dim):
-            for c in range(first.dim):
-                if exact(re1[r][c]) != exact(re2[r][c]) or \
-                        exact(im1[r][c]) != exact(-Quad.of(im2[r][c])):
-                    raise ValueError("not a conjugate pair: second is not the conjugate")
-                if im1[r][c] != 0:
-                    some_imag = True
-    if not some_imag:
-        raise ValueError("not a conjugate pair: representation is absolutely real")
-    d = first.dim
-    images = []
-    for re, im in zip(first.re_images, first.im_images):
-        block = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
-        for r in range(d):
-            for c in range(d):
-                block[r][c] = exact(re[r][c])
-                block[r][c + d] = exact(-Quad.of(im[r][c]))
-                block[r + d][c] = exact(im[r][c])
-                block[r + d][c + d] = exact(re[r][c])
-        images.append(_freeze(block))
-    rep = RealIrrep(label, 2 * d, "complex-type", action, images, approximate=approximate)
-    report = verify_representation(rep, action, tol=1e-40 if approximate else None)
-    if not report.ok:
-        raise ValueError(f"realified pair fails verification: {report.violations[:3]}")
-    return rep
-
-
 # -- rotation entries ------------------------------------------------------------
 
 _EXACT_COS: dict[tuple[int, int], tuple[Quad, Quad]] = {}
@@ -498,28 +467,14 @@ def _cyclic_action(m: int, variant: str) -> GroupAction:
 
 def _cyclic_irreps(m: int, action: GroupAction) -> list[RealIrrep]:
     irreps = []
-    triv = RealIrrep("theta1", 1, "absolutely-real", action, [((Fraction(1),),)],
-                     molien_meta=("cyclic", m, 0))
-    irreps.append(triv)
+    irreps.append(RealIrrep("t", 1, "absolutely-real", action, [((Fraction(1),),)]))
     if m % 2 == 0 and m > 1:
-        irreps.append(RealIrrep(f"theta{len(irreps) + 1}", 1, "absolutely-real", action,
-                                [((Fraction(-1),),)], molien_meta=("cyclic", m, m // 2)))
+        irreps.append(RealIrrep("t", 1, "absolutely-real", action, [((Fraction(-1),),)]))
     for j in range(1, (m + 1) // 2):
+        # the conjugate pair e^{+-2 pi i j/m} realifies to the rotation by 2 pi j/m
         rot, approx = rotation_matrix(m, j)
-        if approx:
-            re = [[rot[0][0]]]
-            im = [[rot[1][0]]]
-            re2 = [[rot[0][0]]]
-            im2 = [[-rot[1][0]]]
-        else:
-            c, s = _cos_sin(m, j)
-            re, im = [[c]], [[s]]
-            re2, im2 = [[c]], [[-1 * s]]
-        pair = realify_pair(ComplexIrrep(1, [re], [im]),
-                            ComplexIrrep(1, [re2], [im2]), action,
-                            label=f"rot{j}", approximate=approx)
-        pair.molien_meta = ("cyclic-pair", m, j)
-        irreps.append(pair)
+        irreps.append(RealIrrep("t", 2, "complex-type", action, [_freeze(rot)],
+                                approximate=approx, molien_meta=("cyclic-pair", m, j)))
     for i, r in enumerate(irreps):
         r.label = f"theta{i + 1}"
     return irreps
@@ -573,8 +528,7 @@ def _dihedral_irreps(m: int, action: GroupAction) -> list[RealIrrep]:
         refl = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
         images = [_freeze(rot), _freeze(refl)]
         irreps.append(RealIrrep("t", 2, "absolutely-real", action, images,
-                                approximate=approx,
-                                molien_meta=("dihedral", m, j, 2, 0)))
+                                approximate=approx, molien_meta=("dihedral", m, j)))
     for i, r in enumerate(irreps):
         r.label = f"theta{i + 1}"
     return irreps
@@ -594,7 +548,7 @@ def dihedral_catalog(m: int, variant: str | None = None) -> IrrepCatalog:
         d_img = _freeze([[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]])
         s_img = _freeze([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
         irreps[4] = RealIrrep("theta5", 2, "absolutely-real", action, [d_img, s_img],
-                              molien_meta=("dihedral", 4, 1, 2, 0))
+                              molien_meta=("dihedral", 4, 1))
     return IrrepCatalog(f"dihedral:{m}:{variant}", action, irreps)
 
 

@@ -6,6 +6,11 @@ expansions of all products eta_j * theta^alpha of matching degree, and the
 Hironaka decomposition guarantees a unique solution whenever the input is
 really invariant.  No Groebner machinery is needed at these degrees.
 
+A presentation's group generators are the catalog action's signed
+permutations (``GroupAction.generator_perms``), and invariance is checked with
+``SignedPerm.substitute``; ``symmetric_presentation`` converts the same
+adjacent transpositions the catalog closes, so it serves any n.
+
 Each presentation keeps one table of those products in x, filled on demand
 by ``InvariantPresentation.product``; rewriting and ``expand_invariants`` both
 read it.  A certificate read from a file has its own presentation and table.
@@ -20,10 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .groups import parse_spec, transposition_generators
-from .linalg import Matrix, parametrize
-from .poly import (Polynomial, compose, parse_polynomial, render_polynomial,
-                   substitute_linear)
+from .groups import (IrrepCatalog, SignedPerm, as_signed_perm, catalog,
+                     parse_spec, transposition_generators)
+from .linalg import parametrize
+from .poly import Polynomial, compose, parse_polynomial, render_polynomial
 
 
 def elementary_symmetric(n: int) -> list[Polynomial]:
@@ -45,7 +50,7 @@ class InvariantPresentation:
     theta: list[Polynomial]
     eta: list[Polynomial]                 # eta[0] is the constant 1
     syzygies: list[Polynomial] = field(default_factory=list)  # in symbol variables
-    generators: list[Matrix] = field(default_factory=list)    # group generators
+    generators: list[SignedPerm] = field(default_factory=list)  # group generators
     name: str = ""
     # canonical orbit representative of a monomial, when one is cheap to
     # compute; rewriting then matches coefficients on representatives only
@@ -169,12 +174,11 @@ class RewriteError(ValueError):
     pass
 
 
-def verify_invariant(p: Polynomial, generators: Iterable[Matrix]) -> bool:
-    return all(substitute_linear(p, g) == p for g in generators)
+def verify_invariant(p: Polynomial, generators: Iterable[SignedPerm]) -> bool:
+    return all(g.substitute(p) == p for g in generators)
 
 
-def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
-                          check_invariance: bool = True) -> InvariantPoly:
+def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation) -> InvariantPoly:
     """Unique representation of an invariant p as sum_j eta_j f_j(theta).
 
     Solved degree by degree: candidates are all products eta_j * theta^alpha
@@ -184,7 +188,7 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
     """
     if p.nvars != pres.nvars:
         raise ValueError("variable count mismatch")
-    if check_invariance and pres.generators and not verify_invariant(p, pres.generators):
+    if pres.generators and not verify_invariant(p, pres.generators):
         raise NotInvariantError("polynomial is not invariant under the group")
     s = len(pres.theta)
     degs = pres.theta_degrees
@@ -233,73 +237,71 @@ def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation,
 
 
 def symmetric_presentation(n: int) -> InvariantPresentation:
-    """theta = elementary symmetric polynomials, no secondary invariants."""
+    """theta = elementary symmetric polynomials, no secondary invariants.
+
+    The generators are the adjacent transpositions the catalog closes; the
+    group itself is never closed, so this serves any n.
+    """
+    gens = [as_signed_perm(g) for g in transposition_generators(n)]
     return InvariantPresentation(n, elementary_symmetric(n),
-                                 [Polynomial.constant(n, 1)], [],
-                                 transposition_generators(n),
+                                 [Polynomial.constant(n, 1)], [], gens,
                                  name=f"symmetric:{n}",
                                  orbit_representative=lambda m: tuple(
                                      sorted(m, reverse=True)))
 
 
-def c2n_presentation(n: int) -> InvariantPresentation:
+def c2n_presentation(n: int, gens: list[SignedPerm]) -> InvariantPresentation:
     theta = [Polynomial.monomial(n, tuple(2 if j == i else 0 for j in range(n)))
              for i in range(n)]
-    gens = []
-    for i in range(n):
-        g = [[Fraction(-1) if r == c == i else (Fraction(1) if r == c else Fraction(0))
-              for c in range(n)] for r in range(n)]
-        gens.append(g)
     return InvariantPresentation(n, theta, [Polynomial.constant(n, 1)], [], gens,
                                  name=f"c2n:{n}")
 
 
-def dihedral4_presentation() -> InvariantPresentation:
+def dihedral4_presentation(gens: list[SignedPerm]) -> InvariantPresentation:
     theta1 = parse_polynomial("x^2+y^2", ["x", "y"])
     theta2 = parse_polynomial("x^2*y^2", ["x", "y"])
-    d = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
-    s = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     return InvariantPresentation(2, [theta1, theta2],
-                                 [Polynomial.constant(2, 1)], [], [d, s],
+                                 [Polynomial.constant(2, 1)], [], gens,
                                  name="dihedral:4")
 
 
-def cyclic4_presentation() -> InvariantPresentation:
+def cyclic4_presentation(gens: list[SignedPerm]) -> InvariantPresentation:
     theta1 = parse_polynomial("x^2+y^2", ["x", "y"])
     theta2 = parse_polynomial("x^2*y^2", ["x", "y"])
     eta2 = parse_polynomial("x^3*y - x*y^3", ["x", "y"])
     # eta2^2 + 4 theta2^2 - theta1^2 theta2 = 0 in the symbols (t1, t2, h2)
     syzygy = parse_polynomial("h2^2 + 4*t2^2 - t1^2*t2", ["t1", "t2", "h2"])
-    d = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
     return InvariantPresentation(2, [theta1, theta2],
-                                 [Polynomial.constant(2, 1), eta2], [syzygy], [d],
+                                 [Polynomial.constant(2, 1), eta2], [syzygy], gens,
                                  name="cyclic:4")
 
 
-def presentation(spec) -> InvariantPresentation:
+def presentation(spec: str | IrrepCatalog) -> InvariantPresentation:
     """Presentation for a catalog or "family:param[:variant]" spec string.
 
-    The order-8 dihedral and order-4 cyclic groups have one only in their
-    planar variant, which is the default at 4.
+    The generators are the catalog action's.  The order-8 dihedral and
+    order-4 cyclic groups have a presentation only in their planar variant,
+    which is the default at 4.
     """
-    name = spec if isinstance(spec, str) else spec.name
-    family, n, variant = parse_spec(name)
-    planar = variant in (None, "planar")
+    cat = catalog(spec) if isinstance(spec, str) else spec
+    family, n, variant = parse_spec(cat.name)
+    planar = variant == "planar"        # a catalog name spells out its variant
+    gens = cat.action.generator_perms
     pres = None
     if family == "symmetric":
         pres = symmetric_presentation(n)
     elif family == "c2n":
-        pres = c2n_presentation(n)
+        pres = c2n_presentation(n, gens)
     elif family == "dihedral" and n == 4 and planar:
-        pres = dihedral4_presentation()
+        pres = dihedral4_presentation(gens)
     elif family == "cyclic" and n == 4 and planar:
-        pres = cyclic4_presentation()
+        pres = cyclic4_presentation(gens)
     elif family == "trivial":
         pres = InvariantPresentation(
             n, [Polynomial.variable(n, i) for i in range(n)],
-            [Polynomial.constant(n, 1)], [], [], name=name)
+            [Polynomial.constant(n, 1)], [], [], name=cat.name)
     if pres is None:
-        raise KeyError(f"no invariant presentation cataloged for {name!r}")
+        raise KeyError(f"no invariant presentation cataloged for {cat.name!r}")
     pres.verify()
     return pres
 

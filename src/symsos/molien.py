@@ -232,9 +232,7 @@ def _molien_meta(catalog: IrrepCatalog, irrep: RealIrrep) -> RationalFunction:
             total = total + RationalFunction.of([ramanujan_sum(m // g, j)], det)
         return total.scale(Fraction(1, m))
     if kind == "dihedral":
-        _, m, j, dim, _ = irrep.molien_meta
-        if dim != 2:
-            raise ValueError("meta route only applies to two-dimensional irreps")
+        _, m, j = irrep.molien_meta
         dets = _rotation_class_dets(catalog.action, m)
         total = RationalFunction.of([0], [1])
         for g, det in dets.items():

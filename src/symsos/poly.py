@@ -316,18 +316,13 @@ def monomial_vector(n: int, d: int, homogeneous: bool = False) -> MonomialVector
 def substitute_linear(p: Polynomial, matrix: Sequence[Sequence[Scalar]]) -> Polynomial:
     """Replace each variable x_i by the i-th entry of M x, fully expanded.
 
-    When every row of M has exactly one nonzero entry (a scaled signed
-    permutation, as for every shipped catalog generator) each term maps to
-    one term; other matrices compose p with the linear forms.
+    The general reference substitution: p is composed with the linear forms
+    of M, whatever M is.  Signed permutations substitute term by term through
+    ``groups.SignedPerm.substitute``.
     """
     n = p.nvars
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix dimension does not match polynomial variables")
-    support = [[j for j in range(n) if matrix[i][j] != 0] for i in range(n)]
-    if all(len(cols) == 1 for cols in support):
-        return _substitute_monomial(p, [cols[0] for cols in support],
-                                    [exact(matrix[i][cols[0]])
-                                     for i, cols in enumerate(support)])
     forms = [Polynomial(n, {tuple(1 if j == k else 0 for k in range(n)): matrix[i][j]
                             for j in range(n)}) for i in range(n)]
     return compose(p, forms)
@@ -353,23 +348,6 @@ def compose(p: Polynomial, values: Sequence[Polynomial]) -> Polynomial:
                 term = term * row[e]
         for mm, v in term.terms.items():
             out[mm] = out.get(mm, Fraction(0)) + v
-    return Polynomial(n, out)
-
-
-def _substitute_monomial(p: Polynomial, target: list[int],
-                         scale: list[Scalar]) -> Polynomial:
-    """p with x_i replaced by scale[i] * x_target[i]."""
-    n = p.nvars
-    out: dict[Monomial, Scalar] = {}
-    for m, c in p.terms.items():
-        e = [0] * n
-        for i, k in enumerate(m):
-            if k:
-                e[target[i]] += k
-                if scale[i] != 1:
-                    c = c * scale[i] ** k
-        mono = tuple(e)
-        out[mono] = out[mono] + c if mono in out else c
     return Polynomial(n, out)
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from symsos.groups import (ClosureError, ComplexIrrep, RealIrrep, catalog,
-                           character_orthogonality, close_group, realify_pair,
+from symsos.groups import (ClosureError, RealIrrep, catalog,
+                           character_orthogonality, close_group,
                            verify_representation)
 from symsos.linalg import mat_identity
 from symsos.poly import Polynomial, monomial_vector, substitute_linear
@@ -56,12 +56,16 @@ class TestClosure:
         action = catalog(spec).action
         n = action.n
         monos = monomial_vector(n, 3).entries
+        rng, pool = random.Random(spec), monomial_vector(n, 4).entries
+        p = Polynomial(n, {rng.choice(pool): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                           for _ in range(8)})
         for i, g in enumerate(action.elements):
             theta = action.matrix(i)
             for mono in monos:
                 sign, image = g.monomial_image(mono)
                 want = substitute_linear(Polynomial.monomial(n, mono), theta)
                 assert Polynomial.monomial(n, image, sign) == want, (spec, i, mono)
+            assert g.substitute(p) == substitute_linear(p, theta), (spec, i)
 
 
 class TestCatalogs:
@@ -214,10 +218,3 @@ class TestRealify:
         assert m[0][0] == Fraction(-1, 2)
         assert m[1][0] == Quad.root(3, Fraction(1, 2))
         assert verify_representation(rot, cat.action).ok
-
-    def test_absolutely_real_input_rejected(self):
-        act = close_group([[[Fraction(-1)]]])
-        re = [[[Fraction(-1)]]]
-        im = [[[Fraction(0)]]]
-        with pytest.raises(ValueError, match="absolutely real"):
-            realify_pair(ComplexIrrep(1, re, im), ComplexIrrep(1, re, im), act)

@@ -36,6 +36,12 @@ class TestPresentations:
         assert len(pres.syzygies) == 1
         assert pres.expand_symbol_poly(pres.syzygies[0]).is_zero()
 
+    @pytest.mark.parametrize("spec", ["c2n:1", "c2n:2", "c2n:3", "dihedral:4",
+                                      "cyclic:4", "symmetric:2", "symmetric:3",
+                                      "symmetric:4", "symmetric:5"])
+    def test_generators_are_the_catalogs(self, spec):
+        assert presentation(spec).generators == catalog(spec).action.generator_perms
+
     def test_unknown_group_rejected(self):
         with pytest.raises(KeyError):
             presentation("dihedral:6")

@@ -149,9 +149,20 @@ class TestBounds:
         assert abs(lam) < 1e-6
 
     def test_not_invariant_rejected(self):
-        bundle = algorithm_one("dihedral:4")
-        with pytest.raises(NotInvariantError):
-            algorithm_two(parse_polynomial("x^2 + x*y", ["x", "y"]), bundle)
+        for spec, text in [
+                ("dihedral:4", "x^2 + x*y"),
+                # fixed by the quarter turn, odd under the swap
+                ("dihedral:4", "x^3*y - x*y^3 + 1"),
+                # fixed by the flip of x, odd under the flip of y
+                ("c2n:2", "x^2*y^2 + x^2*y + 1")]:
+            bundle = algorithm_one(spec)
+            with pytest.raises(NotInvariantError):
+                algorithm_two(parse_polynomial(text, ["x", "y"]), bundle)
+
+    def test_rotation_invariant_bounds_on_cyclic4(self):
+        f = parse_polynomial("x^3*y - x*y^3 + x^4 + y^4 + 1", ["x", "y"])
+        _, cert = sos_lower_bound(f, "cyclic:4")
+        assert cert.status == "optimal"
 
     def test_no_sos_detected(self):
         # dehomogenized Motzkin: nonnegative but not a sum of squares
@@ -222,6 +233,25 @@ class TestRounding:
     def test_already_exact_returned_unchanged(self):
         cert = s3_published_certificate()
         assert round_certificate(cert, symmetric_quartic()) is cert
+
+    def test_each_block_screened_once(self, monkeypatch):
+        import symsos.certificates as certificates
+        import symsos.linalg as linalg
+        f = robinson_dihedral()
+        _, cert = sos_lower_bound(f, "dihedral:4")
+        screen = linalg.negative_direction
+        seen = []     # references keep every id alive, so none is reused
+
+        def once(m):
+            assert not any(m is s for s in seen), "block screened twice"
+            seen.append(m)
+            return screen(m)
+
+        monkeypatch.setattr(certificates, "negative_direction", once)
+        monkeypatch.setattr(linalg, "negative_direction", once)
+        exact = round_certificate(cert, f)
+        assert exact.lam == Fraction(-3825, 4096)
+        assert seen
 
     def test_boundary_overshoot_falls_back_to_valid_bound(self):
         f = robinson_dihedral()
