@@ -16,8 +16,7 @@ from .invariants import InvariantPresentation, presentation, \
     rewrite_in_invariants, expand_invariants
 from .molien import dimension_table, hilbert_consistency, molien_series
 from .poly import (MINUS_INFINITY, MonomialVector, Polynomial, evaluate,
-                   monomial_vector, parse_polynomial, poly_arith,
-                   render_polynomial, substitute_linear)
+                   monomial_vector, parse_polynomial, render_polynomial)
 from .scalars import Quad
 
 __all__ = [
@@ -26,9 +25,9 @@ __all__ = [
     "Polynomial", "Quad", "RoundingError", "algorithm_one", "algorithm_two",
     "catalog", "close_group", "dimension_table", "evaluate",
     "expand_invariants", "hilbert_consistency", "molien_series",
-    "monomial_vector", "parse_polynomial", "poly_arith", "presentation",
+    "monomial_vector", "parse_polynomial", "presentation",
     "render_polynomial", "rewrite_in_invariants", "round_certificate",
-    "sos_lower_bound", "substitute_linear", "verify_certificate",
+    "sos_lower_bound", "verify_certificate",
 ]
 
 __version__ = "0.1.0"

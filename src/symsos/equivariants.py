@@ -70,41 +70,9 @@ class PiMatrix:
         return [weighted_degree(self.entries[k][k], pres) for k in range(self.rank)]
 
 
-# discriminant of the monic quintic in elementary symmetric coordinates:
-# the Gram entry of the alternating module generator for five letters.
-# Recomputing it through the graded rewrite takes about 20 s on a 2-core
-# x86-64 machine, so the catalog value is frozen; a slow test re-derives it
-# from scratch.
-_S5_DISCRIMINANT = {
-    (0, 0, 0, 0, 4): 3125, (0, 0, 0, 5, 0): 256, (0, 0, 1, 3, 1): -1600,
-    (0, 0, 2, 1, 2): 2250, (0, 0, 4, 2, 0): -27, (0, 0, 5, 0, 1): 108,
-    (0, 1, 0, 2, 2): 2000, (0, 1, 1, 0, 3): -3750, (0, 1, 2, 3, 0): 144,
-    (0, 1, 3, 1, 1): -630, (0, 2, 0, 4, 0): -128, (0, 2, 1, 2, 1): 560,
-    (0, 2, 2, 0, 2): 825, (0, 3, 0, 1, 2): -900, (0, 3, 2, 2, 0): -4,
-    (0, 3, 3, 0, 1): 16, (0, 4, 0, 3, 0): 16, (0, 4, 1, 1, 1): -72,
-    (0, 5, 0, 0, 2): 108, (1, 0, 0, 1, 3): -2500, (1, 0, 1, 4, 0): -192,
-    (1, 0, 2, 2, 1): 1020, (1, 0, 3, 0, 2): -900, (1, 1, 0, 3, 1): 160,
-    (1, 1, 1, 1, 2): -2050, (1, 1, 3, 2, 0): 18, (1, 1, 4, 0, 1): -72,
-    (1, 2, 0, 0, 3): 2250, (1, 2, 1, 3, 0): -80, (1, 2, 2, 1, 1): 356,
-    (1, 3, 0, 2, 1): 24, (1, 3, 1, 0, 2): -630, (2, 0, 0, 2, 2): -50,
-    (2, 0, 1, 0, 3): 2000, (2, 0, 2, 3, 0): -6, (2, 0, 3, 1, 1): 24,
-    (2, 1, 0, 4, 0): 144, (2, 1, 1, 2, 1): -746, (2, 1, 2, 0, 2): 560,
-    (2, 2, 0, 1, 2): 1020, (2, 2, 2, 2, 0): 1, (2, 2, 3, 0, 1): -4,
-    (2, 3, 0, 3, 0): -4, (2, 3, 1, 1, 1): 18, (2, 4, 0, 0, 2): -27,
-    (3, 0, 0, 3, 1): -36, (3, 0, 1, 1, 2): 160, (3, 0, 3, 2, 0): -4,
-    (3, 0, 4, 0, 1): 16, (3, 1, 0, 0, 3): -1600, (3, 1, 1, 3, 0): 18,
-    (3, 1, 2, 1, 1): -80, (3, 2, 0, 2, 1): -6, (3, 2, 1, 0, 2): 144,
-    (4, 0, 0, 4, 0): -27, (4, 0, 1, 2, 1): 144, (4, 0, 2, 0, 2): -128,
-    (4, 1, 0, 1, 2): -192, (5, 0, 0, 0, 3): 256,
-}
-
-
 def pi_matrix(basis: EquivariantBasis, pres: InvariantPresentation) -> PiMatrix:
     """Gram matrix of the module generators, rewritten in (theta, eta)."""
     r = basis.rank
-    if pres.name == "symmetric:5" and basis.irrep_label in ("sign", "theta7") and r == 1:
-        disc = Polynomial(5, {m: Fraction(c) for m, c in _S5_DISCRIMINANT.items()})
-        return PiMatrix(basis.irrep_label, [[InvariantPoly(5, {0: disc})]])
     entries: list[list[InvariantPoly]] = [[None] * r for _ in range(r)]
     for k in range(r):
         for l in range(k, r):

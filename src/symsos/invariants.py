@@ -1,10 +1,12 @@
 """Primary/secondary invariant presentations and exact rewriting.
 
 Invariant polynomials are rewritten as f = sum_j eta_j * f_j(theta) by
-solving one exact linear system per graded component: the columns are the
-expansions of all products eta_j * theta^alpha of matching degree, and the
-Hironaka decomposition guarantees a unique solution whenever the input is
-really invariant.  No Groebner machinery is needed at these degrees.
+division by leading terms in lex order (the straightening of a Hironaka
+decomposition): the products eta_j * theta^alpha have distinct lex-leading
+exponents, so the largest monomial of the remainder names the one product
+to subtract, and a monomial that names none is outside the span.  The
+decomposition makes the result unique whenever the input is really
+invariant.  No Groebner machinery is needed at these degrees.
 
 A presentation's group generators are the catalog action's signed
 permutations (``GroupAction.generator_perms``), and invariance is checked with
@@ -13,7 +15,9 @@ adjacent transpositions the catalog closes, so it serves any n.
 
 Each presentation keeps one table of those products in x, filled on demand
 by ``InvariantPresentation.product``; rewriting and ``expand_invariants`` both
-read it.  A certificate read from a file has its own presentation and table.
+read it; its table of leading exponents (``InvariantPresentation.leading``)
+multiplies nothing.  A certificate read from a file has its own presentation
+and tables.
 
 Abstract symbols are rendered t1..ts for the primary and h1..ht for the
 secondary invariants (h1 = 1 is implicit and never printed).
@@ -27,8 +31,7 @@ from typing import Iterable, Sequence
 
 from .groups import (IrrepCatalog, SignedPerm, as_signed_perm, catalog,
                      parse_spec, transposition_generators)
-from .linalg import parametrize
-from .poly import Polynomial, compose, parse_polynomial, render_polynomial
+from .poly import Monomial, Polynomial, compose, parse_polynomial, render_polynomial
 
 
 def elementary_symmetric(n: int) -> list[Polynomial]:
@@ -52,11 +55,13 @@ class InvariantPresentation:
     syzygies: list[Polynomial] = field(default_factory=list)  # in symbol variables
     generators: list[SignedPerm] = field(default_factory=list)  # group generators
     name: str = ""
-    # canonical orbit representative of a monomial, when one is cheap to
-    # compute; rewriting then matches coefficients on representatives only
+    # the lex-largest monomial of a monomial's orbit, when one is cheap to
+    # compute; rewriting then divides on representatives only
     orbit_representative: object = None
     # (j, alpha) -> eta_j * theta^alpha expanded in x, filled by product()
     _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # degree -> {leading exponent: (j, alpha)}, filled by leading()
+    _leading: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.eta or self.eta[0] != Polynomial.constant(self.nvars, 1):
@@ -102,6 +107,30 @@ class InvariantPresentation:
                 prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
                 self._products[key] = self.product(j, prev) * self.theta[i]
         return self._products[key]
+
+    def leading(self, d: int) -> dict[Monomial, tuple[int, tuple[int, ...]]]:
+        """Lex-leading exponent -> (j, alpha) over the products of degree d.
+
+        LT(eta_j * theta^alpha) = LT(eta_j) + sum_i alpha_i LT(theta_i), so the
+        table is exponent arithmetic and multiplies no polynomial.  Two
+        products with one leading exponent make the rewrite ambiguous.
+        """
+        if d not in self._leading:
+            lt_theta = [max(t.terms) for t in self.theta]
+            table = {}
+            for j, (eta, e) in enumerate(zip(self.eta, self.eta_degrees)):
+                lt_eta = max(eta.terms)
+                for alpha in theta_monomials(self.theta_degrees, d - e, exactly=d - e):
+                    lead = lt_eta
+                    for a, lt in zip(alpha, lt_theta):
+                        if a:
+                            lead = tuple(x + a * y for x, y in zip(lead, lt))
+                    if lead in table:
+                        raise RewriteError("rewrite is not unique; "
+                                           "presentation is malformed")
+                    table[lead] = (j, alpha)
+            self._leading[d] = table
+        return self._leading[d]
 
 
 @dataclass
@@ -181,52 +210,44 @@ def verify_invariant(p: Polynomial, generators: Iterable[SignedPerm]) -> bool:
 def rewrite_in_invariants(p: Polynomial, pres: InvariantPresentation) -> InvariantPoly:
     """Unique representation of an invariant p as sum_j eta_j f_j(theta).
 
-    Solved degree by degree: candidates are all products eta_j * theta^alpha
-    of the right total degree, read from the presentation's product table (a
-    repeated rewrite multiplies nothing), compared coefficientwise against p.  Raises
+    Division by leading terms in lex order: the largest monomial of the
+    remainder is the leading exponent of one product eta_j * theta^alpha
+    (``InvariantPresentation.leading``), and that product's multiple is
+    subtracted, so only the products the answer uses are built.  Raises
     NotInvariantError / RewriteError accordingly.
     """
     if p.nvars != pres.nvars:
         raise ValueError("variable count mismatch")
     if pres.generators and not verify_invariant(p, pres.generators):
         raise NotInvariantError("polynomial is not invariant under the group")
-    s = len(pres.theta)
-    degs = pres.theta_degrees
-    etadegs = pres.eta_degrees
-    parts: dict[int, dict] = {}
-    for d in p.degrees_present():
-        comp = p.graded_part(d)
-        cands: list[tuple[int, tuple[int, ...]]] = []
-        for j in range(len(pres.eta)):
-            rem = d - etadegs[j]
-            if rem < 0:
-                continue
-            cands.extend((j, a) for a in theta_monomials(degs, rem, exactly=rem))
-        if not cands:
-            raise RewriteError(f"no invariant products of degree {d} exist")
-        expanded = [pres.product(j, a) for j, a in cands]
-        monos = sorted({m for q in expanded for m in q.terms} | set(comp.terms))
-        if pres.orbit_representative is not None:
-            # all rows are invariant, so matching the coefficients of one
-            # representative per orbit decides the whole identity
-            rep = pres.orbit_representative
-            monos = [m for m in monos if rep(m) == m]
-        # one elimination of [A | b] decides consistency, uniqueness and the
-        # solution: an inconsistent system means b is outside the span, and
-        # fewer pivots than candidates means the rewrite is not unique
-        ncols = len(cands)
-        param = parametrize([{**{col: q.terms[m] for col, q in enumerate(expanded)
-                                 if m in q.terms}, ncols: comp.terms.get(m, 0)}
-                             for m in monos], ncols)
-        if param is None:
+    rep = pres.orbit_representative
+    # the remainder stays invariant, and the lex-leading monomial of an
+    # invariant is its own orbit representative, so the remainder keeps
+    # representative monomials only
+    keep = (lambda m: True) if rep is None else (lambda m: rep(m) == m)
+    rem = {m: c for m, c in p.terms.items() if keep(m)}
+    found: dict[tuple, Fraction] = {}
+    while rem:
+        lead = max(rem)
+        d = sum(lead)
+        key = pres.leading(d).get(lead)
+        if key is None:
             raise RewriteError(f"degree-{d} component is outside the span of the "
                                "presentation (incomplete presentation?)")
-        if len(param.pivots) < ncols:
-            raise RewriteError("rewrite is not unique; presentation is malformed")
-        for col, c, _ in sorted(param.pivots, key=lambda p: p[0]):  # candidate order
-            if c != 0:
-                j, alpha = cands[col]
-                parts.setdefault(j, {})[alpha] = c
+        prod = pres.product(*key)
+        c = rem[lead] / prod.terms[lead]
+        found[(d, *key)] = c
+        for m, v in prod.terms.items():
+            if keep(m):
+                left = rem.get(m, 0) - c * v
+                if left:
+                    rem[m] = left
+                else:
+                    del rem[m]
+    parts: dict[int, dict] = {}
+    for (_, j, alpha), c in sorted(found.items()):      # by degree, j, alpha
+        parts.setdefault(j, {})[alpha] = c
+    s = len(pres.theta)
     out_parts = {j: Polynomial(s, terms) for j, terms in parts.items()}
     if not out_parts:
         out_parts = {0: Polynomial.zero(s)}

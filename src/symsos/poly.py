@@ -234,19 +234,6 @@ def _integer_product(nvars: int, a: tuple[dict[Monomial, int], int],
         nvars, {m: Fraction(v, den) for m, v in out.items() if v})
 
 
-def poly_arith(op: str, p: Polynomial, q) -> Polynomial:
-    """Dispatch helper mirroring the documented operation set."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        return p.scale(q)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def evaluate(p: Polynomial, point: Sequence[Scalar]):
     """Exact value of p at a rational (or quadratic) point."""
     if len(point) != p.nvars:

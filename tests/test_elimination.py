@@ -1,4 +1,4 @@
-"""The one exact elimination (``linalg.parametrize``) and its three callers.
+"""The one exact elimination (``linalg.parametrize``) and its one caller.
 
 The solver, rounding and the restriction read a program's elimination
 through ``BlockSDP.solution_set``, which runs ``parametrize`` once per program.
@@ -141,9 +141,8 @@ def test_inconsistent_system_from_restrict_invariant():
 
 
 def test_one_elimination_per_bound(monkeypatch):
-    # the rewrite's own eliminations go through the invariants binding and
-    # are not counted; the program's system is eliminated by the solve and
-    # read again, not redone, by rounding
+    # the program's system is eliminated by the solve and read again, not
+    # redone, by rounding
     calls = []
     original = symsos.sdp.parametrize
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symsos.certificates import algorithm_one
 from symsos.equivariants import (equivariant_catalog, monomial_envelope,
                                  pi_matrix)
 from symsos.groups import catalog
@@ -183,14 +184,34 @@ class TestEnvelopes:
         assert env == [[(0, 0)], []]
 
 
-@pytest.mark.slow
+# discriminant of the monic quintic in elementary symmetric coordinates: the
+# Gram entry of the alternating module generator for five letters
+S5_DISCRIMINANT = {
+    (0, 0, 0, 0, 4): 3125, (0, 0, 0, 5, 0): 256, (0, 0, 1, 3, 1): -1600,
+    (0, 0, 2, 1, 2): 2250, (0, 0, 4, 2, 0): -27, (0, 0, 5, 0, 1): 108,
+    (0, 1, 0, 2, 2): 2000, (0, 1, 1, 0, 3): -3750, (0, 1, 2, 3, 0): 144,
+    (0, 1, 3, 1, 1): -630, (0, 2, 0, 4, 0): -128, (0, 2, 1, 2, 1): 560,
+    (0, 2, 2, 0, 2): 825, (0, 3, 0, 1, 2): -900, (0, 3, 2, 2, 0): -4,
+    (0, 3, 3, 0, 1): 16, (0, 4, 0, 3, 0): 16, (0, 4, 1, 1, 1): -72,
+    (0, 5, 0, 0, 2): 108, (1, 0, 0, 1, 3): -2500, (1, 0, 1, 4, 0): -192,
+    (1, 0, 2, 2, 1): 1020, (1, 0, 3, 0, 2): -900, (1, 1, 0, 3, 1): 160,
+    (1, 1, 1, 1, 2): -2050, (1, 1, 3, 2, 0): 18, (1, 1, 4, 0, 1): -72,
+    (1, 2, 0, 0, 3): 2250, (1, 2, 1, 3, 0): -80, (1, 2, 2, 1, 1): 356,
+    (1, 3, 0, 2, 1): 24, (1, 3, 1, 0, 2): -630, (2, 0, 0, 2, 2): -50,
+    (2, 0, 1, 0, 3): 2000, (2, 0, 2, 3, 0): -6, (2, 0, 3, 1, 1): 24,
+    (2, 1, 0, 4, 0): 144, (2, 1, 1, 2, 1): -746, (2, 1, 2, 0, 2): 560,
+    (2, 2, 0, 1, 2): 1020, (2, 2, 2, 2, 0): 1, (2, 2, 3, 0, 1): -4,
+    (2, 3, 0, 3, 0): -4, (2, 3, 1, 1, 1): 18, (2, 4, 0, 0, 2): -27,
+    (3, 0, 0, 3, 1): -36, (3, 0, 1, 1, 2): 160, (3, 0, 3, 2, 0): -4,
+    (3, 0, 4, 0, 1): 16, (3, 1, 0, 0, 3): -1600, (3, 1, 1, 3, 0): 18,
+    (3, 1, 2, 1, 1): -80, (3, 2, 0, 2, 1): -6, (3, 2, 1, 0, 2): 144,
+    (4, 0, 0, 4, 0): -27, (4, 0, 1, 2, 1): 144, (4, 0, 2, 0, 2): -128,
+    (4, 1, 0, 1, 2): -192, (5, 0, 0, 0, 3): 256,
+}
+
+
 def test_s5_discriminant_catalog_matches_recomputation():
-    from symsos.equivariants import _S5_DISCRIMINANT
-    cat = catalog("symmetric:5")
-    pres = presentation("symmetric:5")
-    bases, _ = equivariant_catalog(cat, pres)
-    # pi_matrix returns the frozen value; rewrite the Gram entry from scratch
-    (vec,) = bases["theta7"].vectors
-    square = sum((p * p for p in vec), Polynomial.zero(5))
-    part = rewrite_in_invariants(square, pres).part(0)
-    assert part.terms == {m: Fraction(c) for m, c in _S5_DISCRIMINANT.items()}
+    (row,) = algorithm_one("symmetric:5").pis["theta7"].entries
+    (entry,) = row
+    assert set(entry.parts) == {0}
+    assert entry.part(0).terms == {m: Fraction(c) for m, c in S5_DISCRIMINANT.items()}

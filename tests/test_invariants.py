@@ -42,6 +42,15 @@ class TestPresentations:
     def test_generators_are_the_catalogs(self, spec):
         assert presentation(spec).generators == catalog(spec).action.generator_perms
 
+    @pytest.mark.parametrize("spec", ["symmetric:4", "c2n:3", "dihedral:4",
+                                      "cyclic:4", "trivial:3"])
+    def test_leading_exponents_name_one_product_each(self, spec):
+        pres = presentation(spec)
+        for d in range(9):
+            table = pres.leading(d)     # a collision raises RewriteError
+            for lead, (j, alpha) in table.items():
+                assert max(pres.product(j, alpha).terms) == lead
+
     def test_unknown_group_rejected(self):
         with pytest.raises(KeyError):
             presentation("dihedral:6")
@@ -88,6 +97,21 @@ class TestRewrite:
         assert rewrite_in_invariants(f, fresh) == first
         assert calls                  # a fresh presentation builds its own
 
+    def test_rewrite_builds_only_the_products_it_subtracts(self, monkeypatch):
+        pres = presentation("c2n:8")
+        f = Polynomial.monomial(8, (2, 2, 0, 0, 0, 0, 0, 0))
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counting_mul(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        ft = rewrite_in_invariants(f, pres)
+        assert ft.part(0) == Polynomial.monomial(8, (1, 1, 0, 0, 0, 0, 0, 0))
+        assert len(calls) <= 2        # theta1 * theta2, built from 1 * theta1
+
     def test_symmetric_quartic_rewrite(self):
         pres = presentation("symmetric:3")
         f = parse_polynomial(S3_QUARTIC_TEXT, ["x", "y", "z"])
@@ -116,7 +140,9 @@ class TestRewrite:
         assert ft.part(0) == parse_polynomial("t1^2*t2 - 4*t2^2", ["t1", "t2"])
 
     @pytest.mark.parametrize("spec,d", [("dihedral:4", 6), ("cyclic:4", 6),
-                                        ("symmetric:3", 5), ("c2n:2", 6)])
+                                        ("symmetric:3", 5), ("c2n:2", 6),
+                                        ("symmetric:4", 6), ("c2n:3", 6),
+                                        ("trivial:2", 4)])
     def test_round_trip_on_reynolds_averages(self, spec, d):
         pres = presentation(spec)
         cat = catalog(spec)
