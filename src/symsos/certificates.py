@@ -24,9 +24,13 @@ with the program's blocks by position.  With the free variables first, the
 bound pivots the constant equation, lambda = c - X00 - ..., where X00 is a
 free diagonal entry no other pivot uses; rounding sets X00 to the least
 value that keeps its block PSD, read from the LDL^T of the minor X00
-leaves alone, and lambda follows exactly.  Each Gram block is screened once
-for an exact negative direction and then factored by the rational LDL^T
-(``linalg.ldl_decomposition``).  Rounding does not replay the identity.
+leaves alone, and lambda follows exactly.  The other blocks are screened
+once for an exact negative direction and factored by the rational LDL^T
+(``linalg.ldl_decomposition``), and so is that minor M.  The traded block is
+then PSD by construction: with M PSD, the rest v of column 0 in the range of
+M, and X00 = v^T M^+ v, its Schur complement is zero, so it is not factored
+again.  Each rounded block is factored once.  Rounding does not replay the
+identity.
 ``verify_certificate`` is the one literal replay: every block tested by
 ``ldl_psd``, then sum_i <S_i, Pi_i> collected per (eta_j, theta^gamma) and
 expanded into the original variables once.  Refusal reasons name a block, a
@@ -35,7 +39,9 @@ row and a sign, never an entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from operator import add
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,7 +56,7 @@ from .invariants import (InvariantPoly, InvariantPresentation,
                          weighted_degree, symmetric_presentation)
 from .linalg import (NotPSD, Parametrization, dot, ldl_decomposition, ldl_psd,
                      negative_direction)
-from .poly import Monomial, Polynomial, default_variables
+from .poly import Monomial, Polynomial, _integer_form, default_variables
 from .scalars import Scalar, exact
 from .sdp import (AssemblyInfeasible, BlockSDP, VarKey, assemble_invariant_sos,
                   with_interior_variable)
@@ -191,23 +197,45 @@ def expand_certificate(cert: Certificate) -> Polynomial:
     """The literal replay: sum_i <S_i, Pi_i> expanded into x.
 
     Products of Gram and Pi entries are collected per (eta_j, theta^gamma)
-    and the collected sum is expanded once.
+    over each block's upper triangle, off-diagonal pairs doubled (Grams and
+    Pi are symmetric; ``verify_certificate`` checks the Grams first), in
+    integers over one denominator: the lcm of the Gram denominators times
+    the lcm of the Pi denominators.  The collected sum is expanded once.
     """
     s = len(cert.pres.theta)
-    parts: dict[int, dict[Monomial, Scalar]] = {}
-    for block in cert.blocks:
+    # pairs list the rows in order, so a <= b reads Pi only at k <= l
+    pis = [{(k, l): [(j, _integer_form(part.terms))
+                     for j, part in block.pi.entries[k][l].parts.items()]
+            for k in range(block.pi.rank) for l in range(k, block.pi.rank)}
+           for block in cert.blocks]
+    forms = [form for pi in pis for entry in pi.values() for _, form in entry]
+    if None in forms:
+        raise ValueError("a Pi matrix of the certificate is not rational")
+    pden = math.lcm(*(d for _, d in forms))
+    gden = math.lcm(*(g.denominator for block in cert.blocks
+                      for row in block.gram for g in row))
+    parts: dict[int, dict[Monomial, int]] = {}
+    for block, pi in zip(cert.blocks, pis):
         pairs = [(k, alpha) for k, row in enumerate(block.rows) for alpha in row]
         for a, (k, alpha) in enumerate(pairs):
-            for b, (l, beta) in enumerate(pairs):
-                g = block.gram[a][b]
-                if g == 0:
+            grow = block.gram[a]
+            for b in range(a, len(pairs)):
+                g = grow[b]
+                if not g:
                     continue
-                for j, part in block.pi.entries[k][l].parts.items():
+                l, beta = pairs[b]
+                g = g.numerator * (gden // g.denominator) * (1 if a == b else 2)
+                ab = tuple(map(add, alpha, beta))
+                for j, (nums, d) in pi[k, l]:
+                    scale = g * (pden // d)
                     bucket = parts.setdefault(j, {})
-                    for delta, coef in part.terms.items():
-                        gamma = tuple(x + y + z for x, y, z in zip(alpha, beta, delta))
-                        bucket[gamma] = bucket.get(gamma, 0) + g * coef
-    collected = InvariantPoly(s, {j: Polynomial(s, t) for j, t in parts.items()})
+                    get = bucket.get
+                    for delta, v in nums.items():
+                        gamma = tuple(map(add, ab, delta))
+                        bucket[gamma] = get(gamma, 0) + scale * v
+    den = gden * pden
+    collected = InvariantPoly(s, {j: Polynomial._from_canonical(
+        s, {m: Fraction(v, den) for m, v in t.items() if v}) for j, t in parts.items()})
     return expand_invariants(collected, cert.pres)
 
 
@@ -408,7 +436,8 @@ def round_certificate(cert: Certificate, f: Polynomial,
     before any exact LDL^T.  A bound reads lambda = c + gamma * X_rr + ...
     with one free diagonal entry X_rr (``_traded_entry``): the other blocks
     and the minor without row r are tested first, X_rr is set to the least value
-    that keeps its block PSD, read from the factorization of that minor, and
+    that keeps its block PSD, read from the factorization of that minor (the
+    block is then PSD by the Schur complement, and is not factored again), and
     lambda follows exactly.  That snaps boundary optima with small rational
     vertices to their exact value.  A bound is accepted on the first schedule
     entry that stays within ROUNDING_QUALITY of the floating bound; if none
@@ -471,9 +500,9 @@ def round_certificate(cert: Certificate, f: Polynomial,
         least = _least_diagonal(mats[bi], r)
         if least is None:
             continue
+        # PSD by the Schur complement: the minor is, v is in its range, and
+        # X_rr - v^T M^+ v = 0
         mats[bi][r][r] = least
-        if not psd([mats[bi]]):
-            continue
         out = _exact_certificate(cert, mats, exact(vals[lam_col] + gamma * least))
         if float(out.lam) >= lam_float - ROUNDING_QUALITY:
             return out

@@ -14,8 +14,10 @@ permutations (``GroupAction.generator_perms``), and invariance is checked with
 adjacent transpositions the catalog closes, so it serves any n.
 
 Each presentation keeps one table of those products in x, filled on demand
-by ``InvariantPresentation.product``; rewriting and ``expand_invariants`` both
-read it; its table of leading exponents (``InvariantPresentation.leading``)
+by ``InvariantPresentation.product``; rewriting reads it, and
+``expand_invariants`` reads its integer forms
+(``InvariantPresentation.integer_product``) and sums in integers over one
+denominator; its table of leading exponents (``InvariantPresentation.leading``)
 multiplies nothing.  A certificate read from a file has its own presentation
 and tables.
 
@@ -25,13 +27,15 @@ secondary invariants (h1 = 1 is implicit and never printed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .groups import (IrrepCatalog, SignedPerm, as_signed_perm, catalog,
                      parse_spec, transposition_generators)
-from .poly import Monomial, Polynomial, compose, parse_polynomial, render_polynomial
+from .poly import (Monomial, Polynomial, _integer_form, compose, parse_polynomial,
+                   render_polynomial)
 
 
 def elementary_symmetric(n: int) -> list[Polynomial]:
@@ -60,6 +64,9 @@ class InvariantPresentation:
     orbit_representative: object = None
     # (j, alpha) -> eta_j * theta^alpha expanded in x, filled by product()
     _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (j, alpha) -> the integer form of that product, filled by integer_product()
+    _integer_products: dict = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
     # degree -> {leading exponent: (j, alpha)}, filled by leading()
     _leading: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -107,6 +114,15 @@ class InvariantPresentation:
                 prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
                 self._products[key] = self.product(j, prev) * self.theta[i]
         return self._products[key]
+
+    def integer_product(self, j: int, alpha: tuple[int, ...]
+                        ) -> tuple[dict[Monomial, int], int] | None:
+        """``poly._integer_form`` of ``product(j, alpha)``, built once per
+        presentation; None if a coefficient is a Quad."""
+        key = (j, alpha)
+        if key not in self._integer_products:
+            self._integer_products[key] = _integer_form(self.product(j, alpha).terms)
+        return self._integer_products[key]
 
     def leading(self, d: int) -> dict[Monomial, tuple[int, tuple[int, ...]]]:
         """Lex-leading exponent -> (j, alpha) over the products of degree d.
@@ -184,15 +200,33 @@ def weighted_degree(f: InvariantPoly, pres: InvariantPresentation) -> int:
 
 def expand_invariants(f: InvariantPoly, pres: InvariantPresentation) -> Polynomial:
     """Full expansion of sum_j eta_j f_j(theta): the sum of c * pres.product(j, alpha)
-    over the terms c * theta^alpha of each f_j, built as one polynomial."""
+    over the terms c * theta^alpha of each f_j, built as one polynomial.
+
+    All-rational input is summed in integers over one denominator, the lcm
+    of the products of each term's and each product's denominators, so each
+    output coefficient is one ``Fraction``; a ``Quad`` coefficient takes the
+    term-by-term loop.
+    """
     if f.s != len(pres.theta):
         raise ValueError("symbol count mismatch with the presentation")
+    terms = [(j, alpha, c)
+             for j, part in f.parts.items() for alpha, c in part.terms.items()]
+    forms = [pres.integer_product(j, alpha) if type(c) is Fraction else None
+             for j, alpha, c in terms]
     out: dict = {}
-    for j, part in f.parts.items():
-        for alpha, c in part.terms.items():
+    if None in forms:
+        for j, alpha, c in terms:
             for m, v in pres.product(j, alpha).terms.items():
                 out[m] = out.get(m, Fraction(0)) + c * v
-    return Polynomial(pres.nvars, out)
+        return Polynomial(pres.nvars, out)
+    den = math.lcm(*(c.denominator * d for (_, _, c), (_, d) in zip(terms, forms)))
+    get = out.get
+    for (_, _, c), (nums, d) in zip(terms, forms):
+        scale = c.numerator * (den // (c.denominator * d))
+        for m, v in nums.items():
+            out[m] = get(m, 0) + scale * v
+    return Polynomial._from_canonical(
+        pres.nvars, {m: Fraction(v, den) for m, v in out.items() if v})
 
 
 class NotInvariantError(ValueError):

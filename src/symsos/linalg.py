@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -153,17 +154,37 @@ class Parametrization:
         taken = {pc for pc, _, _ in self.pivots}
         return [j for j in range(self.ncols) if j not in taken]
 
-    def point(self, free_values: dict[int, Scalar]) -> list[Scalar]:
-        """The solution with the given free values (missing ones are zero)."""
-        vals: list[Scalar] = [Fraction(0)] * self.ncols
-        for j in self.free:
-            vals[j] = free_values.get(j, Fraction(0))
+    @cached_property
+    def _integer_rows(self) -> list[tuple[int, int, list[tuple[int, int]], int]]:
+        """Each rational pivot row over the lcm of its denominators:
+        (pivot column, constant numerator, [(free column, numerator)], lcm)."""
+        out = []
         for pc, const, coeffs in self.pivots:
-            acc = const
-            for j, c in coeffs.items():
-                if vals[j] != 0:
-                    acc = exact(acc + c * vals[j])
-            vals[pc] = acc
+            den = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+            out.append((pc, const.numerator * (den // const.denominator),
+                        [(j, c.numerator * (den // c.denominator))
+                         for j, c in coeffs.items()], den))
+        return out
+
+    def point(self, free_values: dict[int, Fraction]) -> list[Fraction]:
+        """The solution with the given rational free values (missing ones are zero).
+
+        The free values are put over their common denominator, so each pivot
+        is one integer dot product with its row's integer form and one
+        ``Fraction``.
+        """
+        vals: list[Fraction] = [Fraction(0)] * self.ncols
+        free = [j for j in self.free if free_values.get(j)]
+        den = math.lcm(*(free_values[j].denominator for j in free))
+        nums = [0] * self.ncols
+        for j in free:
+            v = vals[j] = free_values[j]
+            nums[j] = v.numerator * (den // v.denominator)
+        for pc, const, coeffs, rden in self._integer_rows:
+            acc = const * den
+            for j, c in coeffs:
+                acc += c * nums[j]
+            vals[pc] = Fraction(acc, rden * den)
         return vals
 
 

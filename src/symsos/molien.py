@@ -93,8 +93,31 @@ def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
     return _strip(q), _strip(a)
 
 
+def _primitive(p: Coeffs) -> list[int]:
+    """The integer polynomial with coprime coefficients proportional to p."""
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints) or 1
+    return [v // g for v in ints]
+
+
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Monic gcd.  All-rational inputs run a primitive remainder sequence on
+    integer coefficients, removing the content of each remainder; others run
+    Euclid's algorithm on exact scalars."""
     a, b = _strip(list(a)), _strip(list(b))
+    if all(type(c) is Fraction for c in a + b):
+        a, b = _primitive(a), _primitive(b)
+        while b:
+            lead = b[-1]
+            while len(a) >= len(b):      # pseudo-remainder of a by b
+                c, k = a[-1], len(a) - len(b)
+                a = [v * lead for v in a]
+                for i, v in enumerate(b):
+                    a[k + i] -= c * v
+                _strip(a)
+            a, b = b, _primitive(a)
+        return [Fraction(v, a[-1]) for v in a] if a else a
     while b:
         a, b = b, _pdivmod(a, b)[1]
     if a:

@@ -347,27 +347,21 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>[-+*/^()]))")
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
+                    r"|(?P<space>\s+)|(?P<bad>.)", re.S)
 
 
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos >= len(text):
-                break
-            raise PolynomialSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "int" or m.group("int"):
-            out.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, position) per token, closed by an ("end", None, len(text))."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "bad":
+            raise PolynomialSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        out.append((kind, int(m.group()) if kind == "int" else m.group(), m.start()))
+    out.append(("end", None, len(text)))
     return out
 
 
@@ -375,74 +369,71 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse a +/- joined sum of rational-coefficient monomial products.
 
     Grammar: term = [rational][*] var^int [* ...] with rationals written as
-    "p/q" or plain integers.  Raises :class:`PolynomialSyntaxError` with the
-    offending position, ValueError for unknown variables or bad exponents.
+    "p/q" or plain integers; a "*" needs a factor after it.  Raises
+    :class:`PolynomialSyntaxError` with the offending position, ValueError
+    for unknown variables or bad exponents.  A term's coefficient is kept as
+    an integer numerator and denominator and becomes one ``Fraction``.
     """
     n = len(variables)
     if n < 1:
         raise ValueError("need at least one variable")
     var_index = {v: i for i, v in enumerate(variables)}
     toks = _tokenize(text)
-    if not toks:
+    if len(toks) == 1:
         raise PolynomialSyntaxError("empty polynomial", 0)
-    result: dict[Monomial, Scalar] = {}
+    result: dict[Monomial, Fraction] = {}
     i = 0
-
-    def peek(k=0):
-        return toks[i + k] if i + k < len(toks) else ("end", None, len(text))
-
-    while i < len(toks):
-        sign = Fraction(1)
-        while peek()[0] == "op" and peek()[1] in "+-":
-            if peek()[1] == "-":
-                sign = -sign
+    kind, val, pos = toks[0]
+    while kind != "end":
+        num, den = 1, 1
+        while val == "+" or val == "-":
+            if val == "-":
+                num = -num
             i += 1
-        coeff = sign
+            kind, val, pos = toks[i]
         expo = [0] * n
         saw_factor = False
         while True:
-            kind, val, pos = peek()
             if kind == "int":
-                num = Fraction(val)
+                num *= val
                 i += 1
-                if peek()[0] == "op" and peek()[1] == "/":
+                if toks[i][1] == "/":
                     i += 1
-                    dk, dv, dp = peek()
+                    dk, dv, dp = toks[i]
                     if dk != "int" or dv == 0:
                         raise PolynomialSyntaxError("expected nonzero denominator", dp)
-                    num /= dv
+                    den *= dv
                     i += 1
-                coeff *= num
-                saw_factor = True
             elif kind == "name":
                 if val not in var_index:
                     raise ValueError(f"unknown variable name {val!r}")
-                e = 1
                 i += 1
-                if peek()[0] == "op" and peek()[1] == "^":
+                e = 1
+                if toks[i][1] == "^":
                     i += 1
-                    ek, ev, ep = peek()
+                    ek, e, ep = toks[i]
                     if ek != "int":
                         raise PolynomialSyntaxError("non-integer exponent", ep)
-                    e = ev
                     i += 1
                 expo[var_index[val]] += e
-                saw_factor = True
             else:
                 break
-            if peek()[0] == "op" and peek()[1] == "*":
+            saw_factor = True
+            kind, val, pos = toks[i]
+            if val == "*":
                 i += 1
-                continue
-            if peek()[0] in ("int", "name"):
-                continue  # implicit multiplication
-            break
+                kind, val, pos = toks[i]
+                if kind == "end" or val == "+" or val == "-":
+                    raise PolynomialSyntaxError("expected a factor after '*'", pos)
+            elif kind != "int" and kind != "name":    # else implicit multiplication
+                break
         if not saw_factor:
-            raise PolynomialSyntaxError("expected a term", peek()[2])
-        kind, val, pos = peek()
-        if kind == "op" and val not in "+-":
+            raise PolynomialSyntaxError("expected a term", pos)
+        if kind == "op" and val != "+" and val != "-":
             raise PolynomialSyntaxError(f"unexpected {val!r}", pos)
         m = tuple(expo)
-        result[m] = result.get(m, Fraction(0)) + coeff
+        c = Fraction(num, den)
+        result[m] = result[m] + c if m in result else c
     return Polynomial(n, result)
 
 

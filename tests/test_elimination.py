@@ -60,6 +60,20 @@ def test_exact_points_satisfy_every_row(system, frees):
         assert sum((x * v for x, v in zip(row, point)), Fraction(0)) == row[n]
 
 
+@settings(max_examples=150, deadline=None)
+@given(consistent_systems(),
+       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                min_size=6, max_size=6))
+def test_points_with_mixed_denominators_satisfy_the_source_rows(system, frees):
+    n, rows = system
+    param = parametrize(rows, n)
+    values = dict(zip(param.free, frees))
+    point = param.point(values)
+    assert all(point[j] == values.get(j, 0) for j in param.free)
+    for i in param.sources:
+        assert sum((x * v for x, v in zip(rows[i], point)), Fraction(0)) == rows[i][n]
+
+
 @settings(max_examples=100, deadline=None)
 @given(consistent_systems())
 def test_dict_rows_give_the_dense_parametrization(system):

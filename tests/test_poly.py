@@ -58,6 +58,35 @@ class TestParsing:
         with pytest.raises(PolynomialSyntaxError, match="non-integer exponent"):
             parse_polynomial("x^y", ["x", "y"])
 
+    @pytest.mark.parametrize("text,position", [("2*-x", 2), ("x^2 + 3*", 8)])
+    def test_dangling_star_is_refused(self, text, position):
+        # a "*" before a sign or the end used to be dropped: 2 - x, x^2 + 3
+        with pytest.raises(PolynomialSyntaxError,
+                           match=r"expected a factor after '\*'") as err:
+            parse_polynomial(text, ["x"])
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("1/2/3", "unexpected '/'", 3),
+        ("x^2^3", "unexpected '^'", 3),
+        ("x * * y", "unexpected '*'", 4),
+        ("x +", "expected a term", 3),
+        ("", "empty polynomial", 0),
+        ("x^y", "non-integer exponent", 2),
+        ("1/0*x^2", "expected nonzero denominator", 2),
+    ])
+    def test_error_messages_and_positions(self, text, message, position):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, ["x", "y"])
+        assert type(err.value) is PolynomialSyntaxError
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_term_coefficients_are_reduced_fractions(self):
+        p = parse_polynomial("6/4*x 2 - 3/9 + 1/3 + x*y", ["x", "y"])
+        assert p.terms == {(1, 0): Fraction(3), (1, 1): Fraction(1)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+
 
 class TestMonomialVector:
     def test_documented_lengths(self):

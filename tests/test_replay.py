@@ -16,11 +16,11 @@ from symsos.invariants import InvariantPoly, expand_invariants, theta_monomials
 from symsos.poly import Polynomial, evaluate
 
 
-def _by_construction(group: str, degree: int, seed: int):
+def _by_construction(group: str, degree: int, seed: int, q: int = 1):
     """f and an exact certificate of f - c, by the degree-20 smoke recipe.
 
-    Every Gram is L L^T for an integer L with two columns, over homogeneous
-    weighted-degree envelopes; f collects sum_i <S_i, Pi_i> per
+    Every Gram is L L^T / q for an integer L with two columns, over
+    homogeneous weighted-degree envelopes; f collects sum_i <S_i, Pi_i> per
     (eta_j, theta^gamma), expands it once and adds a constant c.
     """
     bundle = algorithm_one(group)
@@ -41,7 +41,7 @@ def _by_construction(group: str, degree: int, seed: int):
         if not pairs:
             continue
         low = [[Fraction(rng.randint(-2, 2)) for _ in range(2)] for _ in pairs]
-        gram = [[la[0] * lb[0] + la[1] * lb[1] for lb in low] for la in low]
+        gram = [[(la[0] * lb[0] + la[1] * lb[1]) / q for lb in low] for la in low]
         for a, (k, alpha) in enumerate(pairs):
             for b, (l, beta) in enumerate(pairs):
                 for j, part in pi.entries[k][l].parts.items():
@@ -87,10 +87,20 @@ def _pairing_at(cert: Certificate, point) -> Fraction:
     return total
 
 
-@pytest.mark.parametrize("group,degree", [("symmetric:4", 6), ("symmetric:4", 8),
-                                          ("c2n:3", 4), ("cyclic:4", 4)])
-def test_replay_of_by_construction_certificates(group, degree):
-    f, cert = _by_construction(group, degree, seed=degree)
+@pytest.mark.parametrize("group,degree,q", [
+    pytest.param("symmetric:4", 6, 1, id="symmetric:4-6"),
+    pytest.param("symmetric:4", 8, 1, id="symmetric:4-8"),
+    pytest.param("c2n:3", 4, 1, id="c2n:3-4"),
+    pytest.param("cyclic:4", 4, 1, id="cyclic:4-4"),
+    # rational Grams: the replay's one denominator is lcm(Gram) * lcm(Pi)
+    pytest.param("symmetric:4", 6, 6, id="symmetric:4-6-q6"),
+    pytest.param("symmetric:4", 8, 6, id="symmetric:4-8-q6"),
+])
+def test_replay_of_by_construction_certificates(group, degree, q):
+    f, cert = _by_construction(group, degree, seed=degree, q=q)
+    if q > 1:
+        assert any(g.denominator > 1 for block in cert.blocks
+                   for row in block.gram for g in row)
     assert f.degree() == degree
     assert expand_certificate(cert) == f - cert.lam
     assert verify_certificate(cert, f)[0]
@@ -165,6 +175,18 @@ def test_rounding_does_not_replay(monkeypatch):
     exact = round_certificate(cert, f)
     assert calls == []
     assert exact.lam == Fraction(-3825, 4096)
+    assert verify_certificate(exact, f)[0]
+
+
+def test_rounding_factors_each_block_once(monkeypatch):
+    # the others and the minor of the traded block; the traded block itself
+    # is PSD by the Schur complement and is not factored again
+    f = robinson_dihedral()
+    _, cert = sos_lower_bound(f, "dihedral:4")
+    calls = _count_calls(monkeypatch, certificates, "ldl_decomposition")
+    exact = round_certificate(cert, f)
+    assert exact.lam == Fraction(-3825, 4096)      # the first schedule entry
+    assert len(calls) == len(cert.program.blocks) == 4
     assert verify_certificate(exact, f)[0]
 
 
