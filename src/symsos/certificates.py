@@ -19,7 +19,9 @@ parameters of the exact elimination of the assembly a float certificate
 carries (``Certificate.program``; an exact certificate drops it).  That is
 the elimination the solve built, ``BlockSDP.solution_set``, so each bound
 eliminates its system once: pivot entries are recomputed exactly, so the
-polynomial identity holds by construction.  The certificate's blocks pair
+polynomial identity holds by construction.  Each free value's continued
+fraction is expanded once, in integers, and read at every denominator bound
+of the rounding schedule (``ContinuedFraction``).  The certificate's blocks pair
 with the program's blocks by position.  With the free variables first, the
 bound pivots the constant equation, lambda = c - X00 - ..., where X00 is a
 free diagonal entry no other pivot uses; rounding sets X00 to the least
@@ -40,6 +42,7 @@ row and a sign, never an entry.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import add
 from fractions import Fraction
@@ -372,6 +375,49 @@ def sos_lower_bound(f: Polynomial, group_spec: str,
 # -- rational rounding --------------------------------------------------------------
 
 
+class ContinuedFraction:
+    """The continued-fraction expansion of a float, read at any denominator bound.
+
+    The partial quotients are computed in integers from ``x.as_integer_ratio()``,
+    once each and only as far as the largest bound read so far.  ``limit(m)``
+    equals ``Fraction(x).limit_denominator(m)``: of the last convergent with a
+    denominator at most m and the semiconvergent with the largest such
+    denominator, the one nearer x, the convergent on a tie.
+    """
+
+    def __init__(self, x: float):
+        self.num, self.den = x.as_integer_ratio()
+        # (p0, q0, p1, q1, n, d) before each partial quotient: the last two
+        # convergents p0/q0 and p1/q1 and the remainder n/d; reached holds the
+        # denominator of the convergent that quotient makes
+        self._states: list[tuple[int, int, int, int, int, int]] = []
+        self._reached: list[int] = []
+        self._next = (0, 1, 1, 0, self.num, self.den)
+
+    def limit(self, max_den: int) -> Fraction:
+        if max_den < 1:
+            raise ValueError("max_denominator should be at least 1")
+        if self.den <= max_den:
+            return Fraction(self.num, self.den)
+        # the last convergent has denominator den > max_den, so this stops
+        # before the remainder runs out
+        reached = self._reached
+        while not reached or reached[-1] <= max_den:
+            p0, q0, p1, q1, n, d = state = self._next
+            a = n // d
+            self._states.append(state)
+            reached.append(q0 + a * q1)
+            self._next = (p1, q1, p0 + a * p1, reached[-1], d, n - a * d)
+        p0, q0, p1, q1, _, _ = self._states[bisect_right(reached, max_den)]
+        k = (max_den - q0) // q1
+        pk, qk = p0 + k * p1, q0 + k * q1
+        # |p1/q1 - x| <= |pk/qk - x|, both sides times q1 * qk * den
+        if abs(p1 * self.den - self.num * q1) * qk <= \
+                abs(pk * self.den - self.num * qk) * q1:
+            return Fraction(p1, q1)
+        return Fraction(pk, qk)
+
+
 def _traded_entry(keys: list[VarKey], param: Parametrization,
                   lam_col: int) -> tuple[int, Fraction]:
     """(column, gamma) of the one diagonal entry the bound trades against.
@@ -432,7 +478,8 @@ def round_certificate(cert: Certificate, f: Polynomial,
     continued fractions under each denominator bound of the schedule, and
     the pivot entries are recomputed exactly, so the polynomial identity with
     ``f`` (from which the program was assembled) holds by construction and is
-    not replayed here.  Each block is screened once by ``negative_direction``
+    not replayed here.  Each free value's expansion is computed once and
+    read at every entry.  Each block is screened once by ``negative_direction``
     before any exact LDL^T.  A bound reads lambda = c + gamma * X_rr + ...
     with one free diagonal entry X_rr (``_traded_entry``): the other blocks
     and the minor without row r are tested first, X_rr is set to the least value
@@ -463,7 +510,8 @@ def round_certificate(cert: Certificate, f: Polynomial,
         col, gamma = _traded_entry(keys, param, lam_col)
         _, bi, r, _ = keys[col]
     # the solve's float values of the free block entries seed the rounding
-    seeds = {j: float(cert.blocks[keys[j][1]].gram[keys[j][2]][keys[j][3]])
+    seeds = {j: ContinuedFraction(
+                 float(cert.blocks[keys[j][1]].gram[keys[j][2]][keys[j][3]]))
              for j in param.free if keys[j][0] == "blk"}
     lam_float = float(cert.lam)
     fallback: Certificate | None = None
@@ -481,8 +529,7 @@ def round_certificate(cert: Certificate, f: Polynomial,
         return True
 
     for max_den in schedule:
-        free_vals = {j: Fraction(x).limit_denominator(max_den)
-                     for j, x in seeds.items()}
+        free_vals = {j: cf.limit(max_den) for j, cf in seeds.items()}
         if not maximize:
             mats = sdp.block_matrices(param.point(free_vals))
             if psd(mats):

@@ -19,7 +19,7 @@ import sys
 from .certificates import (NoCertificateError, RoundingError, algorithm_one,
                            round_certificate, sos_lower_bound,
                            verify_certificate)
-from .fileio import certificate_from_text, certificate_to_text
+from .fileio import certificate_from_text, certificate_to_text, unlimited_digits
 from .groups import catalog as load_catalog
 from .invariants import render_presentation
 from .molien import dimension_table
@@ -73,7 +73,8 @@ def _cmd_bound(args) -> int:
             print("internal error: rounded certificate failed verification",
                   file=sys.stderr)
             return 3
-        print(f"lambda (exact) {exact.lam}")
+        with unlimited_digits():
+            print(f"lambda (exact) {exact.lam}")
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(certificate_to_text(exact) + "\n")

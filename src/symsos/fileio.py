@@ -6,16 +6,37 @@ parse, expand, and compare.  A certificate for no symmetry is group
 ``trivial:n`` with theta = x, eta = 1 and one block ``theta1`` whose Pi is
 [1].  Rationals are rendered "p/q"; theta/eta symbols are t1..ts and h2..ht.
 A malformed or truncated file raises ValueError naming the offending line.
+Exact values are written and read in full, however many digits they have.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .certificates import CertBlock, Certificate
 from .equivariants import PiMatrix
 from .invariants import InvariantPoly, InvariantPresentation
 from .poly import Monomial, Polynomial, parse_polynomial, render_polynomial
+
+
+@contextmanager
+def unlimited_digits():
+    """Lift Python's limit on int <-> str conversion (4,300 digits by default).
+
+    An exact lambda or Gram entry can be longer; the limit guards parsers of
+    untrusted text, and is restored on exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):   # a Python with no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _mono_text(mono: Monomial, names: list[str]) -> str:
@@ -56,6 +77,11 @@ def _parse_invariant_poly(text: str, pres: InvariantPresentation) -> InvariantPo
 def certificate_to_text(cert: Certificate) -> str:
     if not cert.exact:
         raise ValueError("only exact certificates are serialized")
+    with unlimited_digits():
+        return _certificate_text(cert)
+
+
+def _certificate_text(cert: Certificate) -> str:
     lines = ["symsos-certificate v1", f"mode {cert.mode}", f"group {cert.group}",
              "vars " + " ".join(cert.var_names), f"lambda {cert.lam}",
              f"objective {cert.objective}"]
@@ -105,7 +131,8 @@ def certificate_from_text(text: str) -> Certificate:
         return numbered[at - 1][1]
 
     try:
-        return _parse_certificate(take)
+        with unlimited_digits():
+            return _parse_certificate(take)
     except (ValueError, ZeroDivisionError) as exc:
         n, line = numbered[at - 1] if at else (0, "")
         raise ValueError(f"line {n} ({line!r}): {exc}") from None

@@ -347,22 +347,29 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
-                    r"|(?P<space>\s+)|(?P<bad>.)", re.S)
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
+# a character no token starts with; no token contains one either
+_BAD = re.compile(r"[^\s\dA-Za-z_\-+*/^()]")
+_OPS = frozenset("-+*/^()")
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    """(kind, value, position) per token, closed by an ("end", None, len(text))."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        if kind == "bad":
-            raise PolynomialSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        out.append((kind, int(m.group()) if kind == "int" else m.group(), m.start()))
-    out.append(("end", None, len(text)))
-    return out
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, closed by an empty end token."""
+    bad = _BAD.search(text)
+    if bad:
+        raise PolynomialSyntaxError(f"unexpected character {bad.group()!r}",
+                                    bad.start())
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    return toks
+
+
+def _position(text: str, i: int) -> int:
+    """Where token i of ``_tokenize(text)`` starts; only an error asks."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == i:
+            return m.start()
+    return len(text)
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
@@ -381,56 +388,59 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     toks = _tokenize(text)
     if len(toks) == 1:
         raise PolynomialSyntaxError("empty polynomial", 0)
+
+    def error(message: str, i: int) -> PolynomialSyntaxError:
+        return PolynomialSyntaxError(message, _position(text, i))
+
     result: dict[Monomial, Fraction] = {}
     i = 0
-    kind, val, pos = toks[0]
-    while kind != "end":
+    tok = toks[0]
+    while tok:
         num, den = 1, 1
-        while val == "+" or val == "-":
-            if val == "-":
+        while tok == "+" or tok == "-":
+            if tok == "-":
                 num = -num
             i += 1
-            kind, val, pos = toks[i]
+            tok = toks[i]
         expo = [0] * n
         saw_factor = False
         while True:
-            if kind == "int":
-                num *= val
+            if tok.isdecimal():
+                num *= int(tok)
                 i += 1
-                if toks[i][1] == "/":
+                if toks[i] == "/":
                     i += 1
-                    dk, dv, dp = toks[i]
-                    if dk != "int" or dv == 0:
-                        raise PolynomialSyntaxError("expected nonzero denominator", dp)
-                    den *= dv
+                    if not toks[i].isdecimal() or int(toks[i]) == 0:
+                        raise error("expected nonzero denominator", i)
+                    den *= int(toks[i])
                     i += 1
-            elif kind == "name":
-                if val not in var_index:
-                    raise ValueError(f"unknown variable name {val!r}")
+            elif tok and tok not in _OPS:
+                if tok not in var_index:
+                    raise ValueError(f"unknown variable name {tok!r}")
                 i += 1
                 e = 1
-                if toks[i][1] == "^":
+                if toks[i] == "^":
                     i += 1
-                    ek, e, ep = toks[i]
-                    if ek != "int":
-                        raise PolynomialSyntaxError("non-integer exponent", ep)
+                    if not toks[i].isdecimal():
+                        raise error("non-integer exponent", i)
+                    e = int(toks[i])
                     i += 1
-                expo[var_index[val]] += e
+                expo[var_index[tok]] += e
             else:
                 break
             saw_factor = True
-            kind, val, pos = toks[i]
-            if val == "*":
+            tok = toks[i]
+            if tok == "*":
                 i += 1
-                kind, val, pos = toks[i]
-                if kind == "end" or val == "+" or val == "-":
-                    raise PolynomialSyntaxError("expected a factor after '*'", pos)
-            elif kind != "int" and kind != "name":    # else implicit multiplication
+                tok = toks[i]
+                if not tok or tok == "+" or tok == "-":
+                    raise error("expected a factor after '*'", i)
+            elif not tok or tok in _OPS:    # else implicit multiplication
                 break
         if not saw_factor:
-            raise PolynomialSyntaxError("expected a term", pos)
-        if kind == "op" and val != "+" and val != "-":
-            raise PolynomialSyntaxError(f"unexpected {val!r}", pos)
+            raise error("expected a term", i)
+        if tok in _OPS and tok != "+" and tok != "-":
+            raise error(f"unexpected {tok!r}", i)
         m = tuple(expo)
         c = Fraction(num, den)
         result[m] = result[m] + c if m in result else c

@@ -14,7 +14,8 @@ Newton right-hand sides are batched matrix products over these stacks, so an
 iteration costs a fixed number of numpy calls per block, whatever m is: one
 SVD for the scaling, one eigvalsh per step length and the Cholesky factors
 of the accepted iterates, which the next iteration reuses.  The rank-face
-polish evaluates its residual and Gauss-Newton Jacobian from the same stacks.
+polish evaluates its residual and Gauss-Newton Jacobian from the same stacks,
+and gives up on a face as soon as its residual stops halving.
 
 Infeasibility and unboundedness are reported heuristically, never certified.
 """
@@ -34,6 +35,7 @@ DEFAULT_TOL = 1e-8
 MAX_ITER = 200
 POLISH_RANK_TOL = 1e-4  # the polish keeps eigenvalues above this share of the largest
 POLISH_ITERATIONS = 80
+POLISH_STALL = 8  # iterations without the best residual halving that end a polish
 
 
 class SolverBreakdown(RuntimeError):
@@ -405,6 +407,14 @@ def polish_solution(sdp: BlockSDP, sol: SDPSolution) -> SDPSolution:
     converges quadratically to the exact face point.  Blocks stay PSD by
     construction.  If the rank guess is wrong the residual does not vanish and
     the original solution is returned unchanged.
+
+    On the right face the iteration converges at least linearly, the error
+    halving, and the residual halves with it until it drops below the
+    acceptance level 1e-10 * max(1, ||u||).  So a polish whose best residual
+    has not halved for POLISH_STALL iterations while it is above that level
+    is on a wrong face: it returns the original solution there, as running
+    on to POLISH_ITERATIONS would.  A converging polish keeps halving until
+    it is below the level, so the rule does not end it.
     """
     if not sol.blocks or sol.status not in ("optimal", "max-iterations"):
         return sol
@@ -444,9 +454,22 @@ def polish_solution(sdp: BlockSDP, sol: SDPSolution) -> SDPSolution:
     def residual_and_jac(u):
         return face_residual_and_jacobian(amats, fmat, rhs, u[:nf], unpack(u))
 
+    def rejected(res, u):
+        return np.linalg.norm(res) > 1e-10 * max(1.0, np.linalg.norm(u))
+
     u = u0
+    best, stalled = math.inf, 0
     for _ in range(POLISH_ITERATIONS):
         res, jac = residual_and_jac(u)
+        norm = np.linalg.norm(res)
+        if norm <= best / 2:
+            best, stalled = norm, 0
+        else:
+            stalled += 1
+            # on the right face the residual at least halves every iteration;
+            # one that has not for POLISH_STALL iterations is on a wrong face
+            if stalled >= POLISH_STALL and rejected(res, u):
+                return sol
         step = np.linalg.lstsq(jac, -res, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             return sol
@@ -458,7 +481,7 @@ def polish_solution(sdp: BlockSDP, sol: SDPSolution) -> SDPSolution:
         if np.linalg.norm(step) < 1e-15 * (1 + np.linalg.norm(u)):
             break
     res, _ = residual_and_jac(u)
-    if np.linalg.norm(res) > 1e-10 * max(1.0, np.linalg.norm(u)):
+    if rejected(res, u):
         return sol
     ls = unpack(u)
     mats = [l @ l.T for l in ls]
@@ -467,4 +490,4 @@ def polish_solution(sdp: BlockSDP, sol: SDPSolution) -> SDPSolution:
     keysum = float(sdp.free_coeff_vector(sdp.cost) @ u[:nf]) + \
         sum(float(np.tensordot(c, x)) for c, x in zip(cmats, mats))
     return replace(sol, objective=keysum, blocks=mats, free_values=frees,
-                   primal_residual=float(np.linalg.norm(residual_and_jac(u)[0])))
+                   primal_residual=float(np.linalg.norm(res)))

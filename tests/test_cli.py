@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+import symsos.cli as cli
 from symsos.cli import main
-from symsos.fileio import certificate_to_text
+from symsos.fileio import certificate_to_text, unlimited_digits
 from symsos.fixtures import (ROBINSON_D4_TEXT, S3_QUARTIC_TEXT,
                              s3_published_certificate)
 
@@ -156,6 +159,26 @@ class TestGenerators:
 
 
 class TestVerify:
+    def test_long_exact_lambda_is_printed_and_read(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a lambda past Python's 4,300-digit str limit: bound prints it and
+        # writes the file, verify reads it back and refuses the identity
+        lam = Fraction(10 ** 4999 + 3, 7)
+        rounded = cli.round_certificate
+        monkeypatch.setattr(cli, "round_certificate",
+                            lambda cert, f: replace(rounded(cert, f), lam=lam))
+        monkeypatch.setattr(cli, "verify_certificate", lambda cert, f: (True, []))
+        cert_path = str(tmp_path / "long.cert")
+        rc = main(["bound", "--group", "trivial:1", "--poly", "x^2 + 1",
+                   "--vars", "x", "--round", "--out", cert_path])
+        assert rc == 0
+        with unlimited_digits():
+            assert f"lambda (exact) {lam}\n" in capsys.readouterr().out
+        monkeypatch.undo()
+        rc = main(["verify", "--cert", cert_path, "--poly", "x^2 + 1"])
+        assert rc == 3
+        assert "identity fails" in capsys.readouterr().out
+
     def test_failure_exit_code(self, tmp_path, d4_poly_file, capsys):
         cert_path = str(tmp_path / "cert.txt")
         rc = main(["bound", "--group", "dihedral:4", "--poly", d4_poly_file,

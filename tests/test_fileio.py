@@ -1,3 +1,5 @@
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,15 @@ class TestCertificateFormat:
         back = certificate_from_text(certificate_to_text(cert))
         assert back.lam == Fraction(-2113, 1000)
         assert verify_certificate(back, symmetric_quartic())[0]
+
+    def test_lambda_of_5000_digits_round_trips(self):
+        # longer than Python's default int <-> str limit of 4,300 digits
+        lam = -Fraction(10 ** 4999 + 3, 7)
+        cert = replace(s3_published_certificate(), lam=lam)
+        limit = sys.get_int_max_str_digits()
+        back = certificate_from_text(certificate_to_text(cert))
+        assert back.lam == lam
+        assert sys.get_int_max_str_digits() == limit
 
     def test_tampered_file_fails_verification(self):
         cert = s3_published_certificate()

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from symsos.certificates import (NoCertificateError, RoundingError,
-                                 _catalog_bundle, algorithm_one, algorithm_two,
+from symsos.certificates import (ContinuedFraction, NoCertificateError,
+                                 RoundingError, _catalog_bundle, algorithm_one, algorithm_two,
                                  bundle_for, round_certificate, sos_lower_bound,
                                  symmetric_bundle, verify_certificate)
 from symsos.equivariants import MissingEquivariantData
@@ -279,6 +280,28 @@ class TestRounding:
         cert = sos_lower_bound(f, f"trivial:{f.nvars}")[1]
         exact = round_certificate(cert, f)
         assert verify_certificate(exact, f)[0]
+
+
+class TestContinuedFraction:
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.lists(st.integers(1, 10 ** 7), min_size=1, max_size=5))
+    def test_reads_equal_limit_denominator(self, x, bounds):
+        # one expansion read at several bounds, in any order
+        cf = ContinuedFraction(x)
+        for m in bounds:
+            got = cf.limit(m)
+            assert got == Fraction(x).limit_denominator(m)
+            assert got.denominator <= m
+
+    @pytest.mark.parametrize("x", [0.5, -0.5, 2.5, -1.5, 0.25])
+    def test_ties_go_to_the_convergent(self, x):
+        for m in (1, 2, 3):
+            assert ContinuedFraction(x).limit(m) == \
+                Fraction(x).limit_denominator(m)
+
+    def test_bound_below_one_is_refused(self):
+        with pytest.raises(ValueError):
+            ContinuedFraction(0.3).limit(0)
 
 
 class TestLargeSymmetric:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symsos.certificates import sos_lower_bound
+from symsos.certificates import _invariant_sdp, bundle_for, sos_lower_bound
 from symsos.poly import parse_polynomial
 from symsos.sdp import BlockSDP, BlockSpec, LinearConstraint, assemble_gram
 from symsos.solver import (adjoint, constraint_values, face_residual_and_jacobian,
@@ -114,6 +114,23 @@ class TestPolish:
         sol = solve(sdp)
         polished = polish_solution(sdp, sol)
         assert abs(polished.free_values["lambda"] - sol.free_values["lambda"]) < 1e-5
+
+    def test_stalled_polish_ends_early(self, monkeypatch):
+        # the Motzkin form is not SOS: the solve ends on a face whose residual
+        # floors near 1e-3, and the polish gives up once it stops halving
+        f = parse_polynomial("x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1", ["x", "y"])
+        sdp, _ = _invariant_sdp(f, bundle_for("trivial:2", 6), True)
+        sol = solve(sdp)
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        assert polish_solution(sdp, sol) is sol
+        assert 0 < len(calls) <= 20
 
 
 def _random_stack(rng, sizes, m):
