@@ -60,7 +60,6 @@ from .invariants import (InvariantPoly, InvariantPresentation,
 from .linalg import (NotPSD, Parametrization, dot, ldl_decomposition, ldl_psd,
                      negative_direction)
 from .poly import Monomial, Polynomial, _integer_form, default_variables
-from .scalars import Scalar, exact
 from .sdp import (AssemblyInfeasible, BlockSDP, VarKey, assemble_invariant_sos,
                   with_interior_variable)
 from .solver import SDPSolution, solve, polish_solution
@@ -211,10 +210,7 @@ def expand_certificate(cert: Certificate) -> Polynomial:
                      for j, part in block.pi.entries[k][l].parts.items()]
             for k in range(block.pi.rank) for l in range(k, block.pi.rank)}
            for block in cert.blocks]
-    forms = [form for pi in pis for entry in pi.values() for _, form in entry]
-    if None in forms:
-        raise ValueError("a Pi matrix of the certificate is not rational")
-    pden = math.lcm(*(d for _, d in forms))
+    pden = math.lcm(*(d for pi in pis for entry in pi.values() for _, (_, d) in entry))
     gden = math.lcm(*(g.denominator for block in cert.blocks
                       for row in block.gram for g in row))
     parts: dict[int, dict[Monomial, int]] = {}
@@ -429,7 +425,7 @@ def _traded_entry(keys: list[VarKey], param: Parametrization,
     RoundingError unless there is exactly one such entry.
     """
     others: set[int] = set()
-    lam_row: dict[int, Scalar] | None = None
+    lam_row: dict[int, Fraction] | None = None
     for pc, _, coeffs in param.pivots:
         if pc == lam_col:
             lam_row = coeffs
@@ -463,10 +459,10 @@ def _least_diagonal(block: list[list[Fraction]], r: int) -> Fraction | None:
         return None
     y: list[Fraction] = []
     for k, p in enumerate(perm):
-        y.append(exact(v[p] - sum((L[p][j] * y[j] for j in range(k)), Fraction(0))))
+        y.append(v[p] - sum((L[p][j] * y[j] for j in range(k)), Fraction(0)))
     if any(dot(L[i], y) != v[i] for i in range(len(idx))):
         return None
-    return exact(sum((yk * yk / dk for yk, dk in zip(y, ds)), Fraction(0)))
+    return sum((yk * yk / dk for yk, dk in zip(y, ds)), Fraction(0))
 
 
 def round_certificate(cert: Certificate, f: Polynomial,
@@ -550,7 +546,7 @@ def round_certificate(cert: Certificate, f: Polynomial,
         # PSD by the Schur complement: the minor is, v is in its range, and
         # X_rr - v^T M^+ v = 0
         mats[bi][r][r] = least
-        out = _exact_certificate(cert, mats, exact(vals[lam_col] + gamma * least))
+        out = _exact_certificate(cert, mats, vals[lam_col] + gamma * least)
         if float(out.lam) >= lam_float - ROUNDING_QUALITY:
             return out
         if fallback is None or out.lam > fallback.lam:

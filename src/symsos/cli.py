@@ -19,7 +19,8 @@ import sys
 from .certificates import (NoCertificateError, RoundingError, algorithm_one,
                            round_certificate, sos_lower_bound,
                            verify_certificate)
-from .fileio import certificate_from_text, certificate_to_text, unlimited_digits
+from .fileio import (_invariant_poly_text, certificate_from_text, certificate_to_text,
+                     unlimited_digits)
 from .groups import catalog as load_catalog
 from .invariants import render_presentation
 from .molien import dimension_table
@@ -76,6 +77,8 @@ def _cmd_bound(args) -> int:
         with unlimited_digits():
             print(f"lambda (exact) {exact.lam}")
         if args.out:
+            # the file names the variables the polynomial was parsed with
+            exact.var_names = list(variables)
             with open(args.out, "w") as fh:
                 fh.write(certificate_to_text(exact) + "\n")
             print(f"certificate    {args.out}")
@@ -105,7 +108,6 @@ def _cmd_generators(args) -> int:
               f"generator degrees {basis.degrees}")
         for r in range(pi.rank):
             for c in range(r, pi.rank):
-                from .fileio import _invariant_poly_text
                 print(f"  Pi[{r + 1},{c + 1}] = "
                       f"{_invariant_poly_text(pi.entries[r][c], bundle.pres)}")
     if bundle.missing:
@@ -161,7 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (PolynomialSyntaxError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key; print the bare message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

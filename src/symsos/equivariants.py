@@ -6,10 +6,13 @@ generators.  The compressed matrix Pi has entries <b_k, b_l> rewritten in the
 fundamental invariants; it is pointwise PSD on real orbits because it is a
 Gram matrix of real vectors.
 
-Component vectors either transform by the irrep matrices themselves (D4, C4,
-S3 data as classically printed, with quadratic-extension coefficients) or are
-embedded in a coordinate-permutation representation (symmetric-group standard
-and sign-twisted modules), which leaves every inner product untouched.
+Component vectors either transform by the irrep matrices themselves (D4 and
+C4 data as classically printed) or are embedded in a rational representation
+with the same inner products: the symmetric-group standard and sign-twisted
+modules in coordinate permutations, and the two-dimensional modules of S3
+and S4 in edge coordinates (v1 - v2, v2 - v3, v3 - v1) of a permuted triple v,
+whose inner product is 3<v, v'> - (sum v)(sum v').  Pi depends only on inner
+products, so every basis and every Pi entry is rational.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .invariants import (InvariantPoly, InvariantPresentation, rewrite_in_invari
                          theta_monomials, weighted_degree)
 from .linalg import Matrix, RowBasis
 from .poly import Monomial, Polynomial, monomial_vector, parse_polynomial
-from .scalars import Quad, exact
 
 
 @dataclass
@@ -79,9 +81,6 @@ def pi_matrix(basis: EquivariantBasis, pres: InvariantPresentation) -> PiMatrix:
             prod = Polynomial.zero(basis.nvars)
             for pk, pl in zip(basis.vectors[k], basis.vectors[l]):
                 prod = prod + pk * pl
-            if not prod.is_rational():
-                raise ValueError("inner product of equivariants must be rational; "
-                                 "basis data is inconsistent")
             ip = rewrite_in_invariants(prod, pres)
             entries[k][l] = entries[l][k] = ip
     return PiMatrix(basis.irrep_label, entries)
@@ -152,7 +151,7 @@ def find_equivariant_generators(action: GroupAction, comp_rep: RealIrrep,
                     val = minv[r][comp]
                     if val != 0:
                         row[r * h + img] += Fraction(sign) * val
-            return [exact(v / action.order) for v in row]
+            return [v / action.order for v in row]
 
         # span of module products theta^alpha * lower-degree generator
         module = RowBasis(ncols)
@@ -212,10 +211,20 @@ def _vandermonde(n: int) -> Polynomial:
     return out
 
 
+def _edge_coordinates(v: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
+    """(v1 - v2, v2 - v3, v3 - v1); inner products are 3<v, v'> - (sum v)(sum v')."""
+    return (v[0] - v[1], v[1] - v[2], v[2] - v[0])
+
+
+# the edge coordinates under a swap of (v1, v2) and under a swap of (v2, v3)
+_SWAP12 = [[Fraction(v) for v in row] for row in ((-1, 0, 0), (0, 0, -1), (0, -1, 0))]
+_SWAP23 = [[Fraction(v) for v in row] for row in ((0, 0, -1), (0, -1, 0), (-1, 0, 0))]
+
+
 def _symmetric_bases(n: int, catalog: IrrepCatalog, pres: InvariantPresentation
                      ) -> dict[str, EquivariantBasis]:
-    """Trivial, embedded standard, sign modules; S4 additionally gets the
-    two-dimensional and sign-twisted-standard modules."""
+    """Trivial, embedded standard, sign modules; S3's standard module and S4's
+    two-dimensional one in edge coordinates; S4 also the sign-twisted standard."""
     gens = pres.generators
     perms = [g.matrix() for g in gens]     # the standard module's components
     one = Polynomial.constant(n, 1)
@@ -228,36 +237,22 @@ def _symmetric_bases(n: int, catalog: IrrepCatalog, pres: InvariantPresentation
     out["sign"] = EquivariantBasis("sign", n, [(_vandermonde(n),)],
                                    [[[Fraction(-1)]] for _ in gens], gens)
     if n == 3:
-        # the planar standard module in its classical normalization, matching
-        # the cataloged two-dimensional irrep matrices
-        names = ["x", "y", "z"]
-        r2h = Quad.root(2, Fraction(1, 2))
-        r6h = Quad.root(6, Fraction(1, 2))
-        b1 = ((_poly("2*x - y - z", names)).scale(r2h),
-              (_poly("y - z", names)).scale(r6h))
-        b2 = ((_poly("2*y*z - z*x - x*y", names)).scale(r2h),
-              (_poly("z*x - x*y", names)).scale(r6h))
-        a, bq = Fraction(1, 2), Quad.root(3, Fraction(1, 2))
-        m12 = [[-a, bq], [bq, a]]
-        m23 = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
-        out["standard"] = EquivariantBasis("standard", 3, [b1, b2],
-                                           [m12, m23], gens)
+        # (12) and (23) swap entries 1, 2 and 2, 3 of v = (x, y, z) and of (yz, zx, xy)
+        x, y, z = (Polynomial.variable(3, i) for i in range(3))
+        out["standard"] = EquivariantBasis(
+            "standard", 3, [_edge_coordinates((x, y, z)),
+                            _edge_coordinates((y * z, z * x, x * y))],
+            [_SWAP12, _SWAP23], gens)
     if n == 4:
         names = ["x1", "x2", "x3", "x4"]
         u1 = _poly("x1*x2 + x3*x4", names)
         u2 = _poly("x1*x3 + x2*x4", names)
         u3 = _poly("x1*x4 + x2*x3", names)
-        r2h = Quad.root(2, Fraction(1, 2))
-        r6h = Quad.root(6, Fraction(1, 2))
-        b1 = ((u1.scale(2) - u2 - u3).scale(r2h), (u2 - u3).scale(r6h))
-        b2 = (((u2 * u3).scale(2) - u3 * u1 - u1 * u2).scale(r2h),
-              (u3 * u1 - u1 * u2).scale(r6h))
-        a, bq = Fraction(1, 2), Quad.root(3, Fraction(1, 2))
-        m_u1u2 = [[-a, bq], [bq, a]]          # swaps u1,u2
-        m_u2u3 = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
         # generator images: (12)->(u2 u3), (23)->(u1 u2), (34)->(u2 u3)
-        out["two_dim"] = EquivariantBasis("two_dim", 4, [b1, b2],
-                                          [m_u2u3, m_u1u2, m_u2u3], gens)
+        out["two_dim"] = EquivariantBasis(
+            "two_dim", 4, [_edge_coordinates((u1, u2, u3)),
+                           _edge_coordinates((u2 * u3, u3 * u1, u1 * u2))],
+            [_SWAP23, _SWAP12, _SWAP23], gens)
         # sign-twisted standard: components transform by -P(g) on transpositions
         twisted_images = [[[-v for v in row] for row in p] for p in perms]
         twisted = RealIrrep("perm_sign", 4, "absolutely-real", catalog.action,

@@ -116,9 +116,9 @@ class InvariantPresentation:
         return self._products[key]
 
     def integer_product(self, j: int, alpha: tuple[int, ...]
-                        ) -> tuple[dict[Monomial, int], int] | None:
+                        ) -> tuple[dict[Monomial, int], int]:
         """``poly._integer_form`` of ``product(j, alpha)``, built once per
-        presentation; None if a coefficient is a Quad."""
+        presentation."""
         key = (j, alpha)
         if key not in self._integer_products:
             self._integer_products[key] = _integer_form(self.product(j, alpha).terms)
@@ -202,23 +202,16 @@ def expand_invariants(f: InvariantPoly, pres: InvariantPresentation) -> Polynomi
     """Full expansion of sum_j eta_j f_j(theta): the sum of c * pres.product(j, alpha)
     over the terms c * theta^alpha of each f_j, built as one polynomial.
 
-    All-rational input is summed in integers over one denominator, the lcm
-    of the products of each term's and each product's denominators, so each
-    output coefficient is one ``Fraction``; a ``Quad`` coefficient takes the
-    term-by-term loop.
+    The sum runs in integers over one denominator, the lcm of the products
+    of each term's and each product's denominators, so each output
+    coefficient is one ``Fraction``.
     """
     if f.s != len(pres.theta):
         raise ValueError("symbol count mismatch with the presentation")
     terms = [(j, alpha, c)
              for j, part in f.parts.items() for alpha, c in part.terms.items()]
-    forms = [pres.integer_product(j, alpha) if type(c) is Fraction else None
-             for j, alpha, c in terms]
+    forms = [pres.integer_product(j, alpha) for j, alpha, _ in terms]
     out: dict = {}
-    if None in forms:
-        for j, alpha, c in terms:
-            for m, v in pres.product(j, alpha).terms.items():
-                out[m] = out.get(m, Fraction(0)) + c * v
-        return Polynomial(pres.nvars, out)
     den = math.lcm(*(c.denominator * d for (_, _, c), (_, d) in zip(terms, forms)))
     get = out.get
     for (_, _, c), (nums, d) in zip(terms, forms):

@@ -1,12 +1,15 @@
-"""Small exact linear algebra kit over Fraction / Quad scalars.
+"""Small exact linear algebra kit.
 
 Matrices are lists of lists (rows) of exact scalars.  There is one exact
 elimination, ``RowBasis`` over sparse ``{column: value}`` rows (a
 constraint row touches a few of hundreds of columns), with ``parametrize``
-on top, and one exact LDL^T, ``ldl_decomposition``, with ``ldl_psd`` the
-PSD verdict on it.  Floating point only ever refuses: ``negative_direction``
-proposes a direction from a float eigenvector and refuses on an exact
-negative value, while acceptance is always a completed exact LDL^T.
+on top; it and the matrix products also take ``Quad`` entries, for the
+isotypic bases and the programs restricted to them.  There is one exact
+LDL^T, ``ldl_decomposition``, with ``ldl_psd`` the PSD verdict on it; both
+take rational matrices, as certificates hold.  Floating point only ever
+refuses: ``negative_direction`` proposes a direction from a float
+eigenvector and refuses on an exact negative value, while acceptance is
+always a completed exact LDL^T.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ class NotPSD(ValueError):
     """A matrix the exact LDL^T refuses; the message names the row and the sign."""
 
 
-def _approx(x: Scalar) -> float:
+def _approx(x: Fraction) -> float:
     """float(x), saturating to +-inf where a float would overflow."""
     try:
         return float(x)
@@ -230,7 +233,7 @@ def _approx(x: Scalar) -> float:
 
 
 def negative_direction(a: Matrix) -> list[Fraction] | None:
-    """A rational w with w^T A w < 0 exactly, or None.
+    """A rational w with w^T A w < 0 exactly for a rational A, or None.
 
     The candidate is the floating eigenvector of the most negative
     eigenvalue of the unit-diagonal scaling of A, read as a dyadic rational.
@@ -249,11 +252,11 @@ def negative_direction(a: Matrix) -> list[Fraction] | None:
         return None
     w = [Fraction(float(x)) for x in vecs[:, 0] * scale]
     q = sum((wi * dot(row, w) for wi, row in zip(w, a) if wi), Fraction(0))
-    return w if isinstance(q, Fraction) and q < 0 else None
+    return w if q < 0 else None
 
 
-def ldl_decomposition(a: Matrix) -> tuple[Matrix, list[Scalar], list[int]]:
-    """P A P^T = L D L^T with positive D, for an exactly PSD symmetric matrix.
+def ldl_decomposition(a: Matrix) -> tuple[Matrix, list[Fraction], list[int]]:
+    """P A P^T = L D L^T with positive D, for an exactly PSD rational symmetric matrix.
 
     Symmetric diagonal pivoting on the largest remaining diagonal entry.
     Returns (L, diag, perm): L is n x rank in the original row indexing, with
@@ -262,28 +265,28 @@ def ldl_decomposition(a: Matrix) -> tuple[Matrix, list[Scalar], list[int]]:
     not zero (or at an asymmetric pair).
     """
     n = len(a)
-    m = [[exact(x) for x in row] for row in a]
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in a]
     for i in range(n):
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise NotPSD(f"not symmetric at ({i},{j})")
     perm: list[int] = []
-    cols: list[dict[int, Scalar]] = []
-    ds: list[Scalar] = []
+    cols: list[dict[int, Fraction]] = []
+    ds: list[Fraction] = []
     active = list(range(n))
     while active:
         piv = max(active, key=lambda i: _approx(m[i][i]))
         d = m[piv][piv]
         active.remove(piv)
-        if d < 0 if isinstance(d, Fraction) else float(d) < 0:   # a Quad has no exact order
+        if d < 0:
             raise NotPSD(f"negative pivot at row {piv}")
         if not d:
             if any(m[piv][i] for i in active):
                 raise NotPSD(f"zero pivot with a nonzero row at row {piv}")
             continue
-        inv = inverse(d)
+        inv = 1 / d
         prow = m[piv]
-        col = {i: exact(prow[i] * inv) for i in active if prow[i]}
+        col = {i: prow[i] * inv for i in active if prow[i]}
         perm.append(piv)
         cols.append(col)
         ds.append(d)
@@ -292,7 +295,7 @@ def ldl_decomposition(a: Matrix) -> tuple[Matrix, list[Scalar], list[int]]:
             row = m[i]
             for j in active:
                 if j >= i and prow[j]:
-                    row[j] = exact(row[j] - f * prow[j])
+                    row[j] = row[j] - f * prow[j]
                     m[j][i] = row[j]
     L: Matrix = [[Fraction(0)] * len(ds) for _ in range(n)]
     for k, piv in enumerate(perm):

@@ -17,12 +17,13 @@ determinants with a single reduction per irrep.
 
 Every action is by signed permutations, so each determinant is a product
 over the element's signed cycles: a cycle of length l and sign product s
-contributes 1 - s xi^l.  Rotation irreps whose matrices are only stored
-approximately (cyclic/dihedral with m in {5,7,9,10,11}) use an integer
-Ramanujan-sum character average instead of matrix traces, so their series are
-exact as well.  The sign characters of ``c2n:n`` skip the class sum, which
-has 2^n classes: the series of the character on the coordinates S is
-xi^|S|/(1-xi^2)^n in closed form.
+contributes 1 - s xi^l.  Every irrep with ``molien_meta`` takes a closed
+form, and all arithmetic is in ``Fraction``s.  The cyclic pairs and the
+two-dimensional dihedral irreps, whose characters 2 cos(2 pi j k/m) are
+irrational, read integer Ramanujan sums over the same class terms instead
+of matrix traces, so the class sum only ever sees rational characters.  The
+sign characters of ``c2n:n`` skip the class sum, which has 2^n classes: the
+series of the character on the coordinates S is xi^|S|/(1-xi^2)^n.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groups import GroupAction, IrrepCatalog, RealIrrep
-from .scalars import Quad, Scalar, exact, inverse
 
-Coeffs = list  # univariate polynomial, low-order first
+Coeffs = list  # univariate polynomial with Fraction coefficients, low-order first
 
 
 def _strip(p: Coeffs) -> Coeffs:
@@ -48,14 +48,14 @@ def _strip(p: Coeffs) -> Coeffs:
 def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
     out = [Fraction(0)] * max(len(a), len(b))
     for i, v in enumerate(a):
-        out[i] = exact(out[i] + v)
+        out[i] += v
     for i, v in enumerate(b):
-        out[i] = exact(out[i] + v)
+        out[i] += v
     return _strip(out)
 
 
-def _pscale(a: Coeffs, c: Scalar) -> Coeffs:
-    return _strip([exact(v * c) for v in a])
+def _pscale(a: Coeffs, c: Fraction | int) -> Coeffs:
+    return _strip([v * c for v in a])
 
 
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -66,7 +66,7 @@ def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
         if x == 0:
             continue
         for j, y in enumerate(b):
-            out[i + j] = exact(out[i + j] + x * y)
+            out[i + j] += x * y
     return _strip(out)
 
 
@@ -75,18 +75,18 @@ def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = inverse(b[-1])
+    inv_lead = Fraction(1) / b[-1]
     while len(a) >= len(b) and _strip(list(a)):
         if len(a) < len(b):
             break
-        c = exact(a[-1] * inv_lead)
+        c = a[-1] * inv_lead
         if c == 0:
             a.pop()
             continue
         k = len(a) - len(b)
         q[k] = c
         for i, v in enumerate(b):
-            a[k + i] = exact(a[k + i] - c * v)
+            a[k + i] -= c * v
         a = _strip(a)
         if not a:
             break
@@ -102,40 +102,33 @@ def _primitive(p: Coeffs) -> list[int]:
 
 
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Monic gcd.  All-rational inputs run a primitive remainder sequence on
-    integer coefficients, removing the content of each remainder; others run
-    Euclid's algorithm on exact scalars."""
+    """Monic gcd, by a primitive remainder sequence on integer coefficients that
+    removes the content of each remainder."""
     a, b = _strip(list(a)), _strip(list(b))
-    if all(type(c) is Fraction for c in a + b):
-        a, b = _primitive(a), _primitive(b)
-        while b:
-            lead = b[-1]
-            while len(a) >= len(b):      # pseudo-remainder of a by b
-                c, k = a[-1], len(a) - len(b)
-                a = [v * lead for v in a]
-                for i, v in enumerate(b):
-                    a[k + i] -= c * v
-                _strip(a)
-            a, b = b, _primitive(a)
-        return [Fraction(v, a[-1]) for v in a] if a else a
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        inv_lead = inverse(a[-1])
-        a = _pscale(a, inv_lead)
-    return a
+        lead = b[-1]
+        while len(a) >= len(b):      # pseudo-remainder of a by b
+            c, k = a[-1], len(a) - len(b)
+            a = [v * lead for v in a]
+            for i, v in enumerate(b):
+                a[k + i] -= c * v
+            _strip(a)
+        a, b = b, _primitive(a)
+    return [Fraction(v, a[-1]) for v in a] if a else a
 
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num(xi)/den(xi) with exact coefficients, low-order first."""
+    """num(xi)/den(xi) with rational coefficients, low-order first."""
 
     num: tuple
     den: tuple
 
     @staticmethod
-    def of(num: Sequence[Scalar], den: Sequence[Scalar]) -> "RationalFunction":
-        num, den = _strip([exact(c) for c in num]), _strip([exact(c) for c in den])
+    def of(num: Sequence[Fraction | int], den: Sequence[Fraction | int]
+           ) -> "RationalFunction":
+        num, den = _strip([Fraction(c) for c in num]), _strip([Fraction(c) for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
         g = _pgcd(num, den) if num else []
@@ -145,7 +138,7 @@ class RationalFunction:
         # normalize: constant-term-positive denominator when possible
         pivot = next((c for c in den if c != 0), None)
         if pivot is not None:
-            inv = inverse(pivot)
+            inv = Fraction(1) / pivot
             num, den = _pscale(num, inv), _pscale(den, inv)
         return RationalFunction(tuple(num), tuple(den))
 
@@ -155,28 +148,25 @@ class RationalFunction:
                   _pmul(list(other.num), list(self.den))),
             _pmul(list(self.den), list(other.den)))
 
-    def scale(self, c: Scalar) -> "RationalFunction":
+    def scale(self, c: Fraction | int) -> "RationalFunction":
         return RationalFunction.of(_pscale(list(self.num), c), list(self.den))
 
     def equals(self, other: "RationalFunction") -> bool:
         return _pmul(list(self.num), list(other.den)) == \
             _pmul(list(other.num), list(self.den))
 
-    def is_rational_coeffs(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.num + self.den)
-
 
 def series_coefficients(f: RationalFunction, d_max: int) -> list[Fraction]:
     """Taylor coefficients c_0..c_{d_max}; denominator constant term must be nonzero."""
     if not f.den or f.den[0] == 0:
         raise ValueError("denominator has zero constant term")
-    inv0 = inverse(f.den[0])
+    inv0 = Fraction(1) / f.den[0]
     out = []
     for k in range(d_max + 1):
         acc = f.num[k] if k < len(f.num) else Fraction(0)
         for j in range(1, min(k, len(f.den) - 1) + 1):
-            acc = exact(acc - f.den[j] * out[k - j])
-        out.append(exact(acc * inv0))
+            acc -= f.den[j] * out[k - j]
+        out.append(acc * inv0)
     return out
 
 
@@ -223,45 +213,15 @@ def ramanujan_sum(q: int, j: int) -> int:
     return total
 
 
-def _rotation_class_dets(action: GroupAction, m: int) -> dict[int, Coeffs]:
-    """det(I - xi theta(r^k)) grouped by gcd(k, m); needs the rotation generator."""
+def _rotation_powers(action: GroupAction, m: int) -> dict[int, int]:
+    """Element index of r^k -> k for k < m, r the rotation (the first generator)."""
     rot = action.generators[0]
-    dets: dict[int, Coeffs] = {}
+    powers: dict[int, int] = {}
     idx = 0  # identity
     for k in range(m):
-        g = math.gcd(k, m)
-        if g not in dets:
-            dets[g] = det_one_minus_xi(action, idx)
+        powers[idx] = k
         idx = action.mult(idx, rot)
-    return dets
-
-
-def _molien_meta(catalog: IrrepCatalog, irrep: RealIrrep) -> RationalFunction:
-    kind = irrep.molien_meta[0]
-    if kind == "c2n":
-        # character and determinant both factor over the coordinates: the sign
-        # average is xi/(1-xi^2) on each coordinate in S and 1/(1-xi^2) elsewhere
-        _, n, subset = irrep.molien_meta
-        den = [0] * (2 * n + 1)
-        den[::2] = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-        return RationalFunction.of([0] * len(subset) + [1], den)
-    if kind == "cyclic-pair":
-        _, m, j = irrep.molien_meta
-        dets = _rotation_class_dets(catalog.action, m)
-        total = RationalFunction.of([0], [1])
-        # class sum of the realified character over {k : gcd(k,m)=g} is
-        # 2*c_{m/g}(j); the 1/2 real-multiplicity normalization cancels the 2
-        for g, det in dets.items():
-            total = total + RationalFunction.of([ramanujan_sum(m // g, j)], det)
-        return total.scale(Fraction(1, m))
-    if kind == "dihedral":
-        _, m, j = irrep.molien_meta
-        dets = _rotation_class_dets(catalog.action, m)
-        total = RationalFunction.of([0], [1])
-        for g, det in dets.items():
-            total = total + RationalFunction.of([2 * ramanujan_sum(m // g, j)], det)
-        return total.scale(Fraction(1, 2 * m))
-    raise ValueError(f"no exact Molien route for irrep {irrep.label}")
+    return powers
 
 
 ClassTerms = tuple[Coeffs, list[tuple[Coeffs, list[tuple[int, int]]]]]
@@ -298,27 +258,48 @@ def molien_series(catalog: IrrepCatalog, irrep: RealIrrep) -> RationalFunction:
 
     psi(xi) = (1/|G|) sum_C |C| trace(theta_i(g_C)) / det(I - xi theta(g_C)),
     summed over the conjugacy classes C with representatives g_C (both the
-    character and the determinant are class functions), and halved for
-    complex-type irreps so coefficients count real-irrep copies.  Each
-    class's determinant is computed once; the terms are added over one
-    common denominator and reduced once.
+    character and the determinant are class functions).  Each class's
+    determinant is computed once; the terms are added over one common
+    denominator and reduced once.
+
+    An irrep with ``molien_meta`` takes a closed form.  The sign character
+    on the coordinates S of ``c2n:n`` has the series xi^|S|/(1-xi^2)^n.  A
+    cyclic pair or a two-dimensional dihedral irrep j of the rotation r of
+    order m has character 2 cos(2 pi j k/m) at r^k and 0 off the rotations;
+    over the k with gcd(k, m) = g it sums to 2 c_{m/g}(j), a Ramanujan sum,
+    and the group order (m, or 2m with the reflections), with the halving
+    that makes a complex-type series count real copies, leaves
+    psi = sum_g c_{m/g}(j)/m / det(I - xi theta(r^g)).  Every other irrep
+    is absolutely real, with rational characters.
     """
-    if irrep.approximate or irrep.molien_meta and irrep.molien_meta[0] == "c2n":
-        return _molien_meta(catalog, irrep)
+    meta = irrep.molien_meta
+    if meta and meta[0] == "c2n":
+        # character and determinant both factor over the coordinates: the sign
+        # average is xi/(1-xi^2) on each coordinate in S and 1/(1-xi^2) elsewhere
+        _, n, subset = meta
+        den = [0] * (2 * n + 1)
+        den[::2] = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+        return RationalFunction.of([0] * len(subset) + [1], den)
     action = catalog.action
     den, terms = _class_terms(action)
+    if meta:
+        # rotations with one gcd share a determinant, so each gcd lies in one term
+        _, m, j = meta
+        powers = _rotation_powers(action, m)
+        weight = Fraction(1, m)
+        sums = []
+        for _, classes in terms:
+            gcds = {math.gcd(powers[rep], m) for rep, _ in classes if rep in powers}
+            sums.append(sum(ramanujan_sum(m // g, j) for g in gcds))
+    else:
+        weight = Fraction(1, action.order)
+        sums = [sum((irrep.character(rep) * size for rep, size in classes), Fraction(0))
+                for _, classes in terms]
     num: Coeffs = []
-    for cofactor, classes in terms:
-        chi_sum = exact(sum((Quad.of(irrep.character(rep)) * size
-                             for rep, size in classes), Quad(0)))
+    for (cofactor, _), chi_sum in zip(terms, sums):
         if chi_sum != 0:
             num = _padd(num, _pscale(cofactor, chi_sum))
-    weight = Fraction(1, action.order * (2 if irrep.kind == "complex-type" else 1))
-    total = RationalFunction.of(_pscale(num, weight), den)
-    if not total.is_rational_coeffs():
-        raise ValueError(f"Molien series of {irrep.label} did not reduce to "
-                         "rational coefficients")
-    return total
+    return RationalFunction.of(_pscale(num, weight), den)
 
 
 def hilbert_series(n: int) -> RationalFunction:

@@ -1,16 +1,14 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial maps exponent tuples (one entry per variable) to nonzero exact
-coefficients.  Coefficients are ``Fraction`` whenever possible and fall back
-to :class:`~symsos.scalars.Quad` for entries living in a real quadratic
-extension (catalog data such as sqrt(3)/2 needs this).  Monomials are globally
+A polynomial maps exponent tuples (one entry per variable) to nonzero
+``Fraction`` coefficients; any other rational input is converted, and a
+coefficient that is not rational raises TypeError.  Monomials are globally
 ordered in graded lexicographic order with later variables ranking higher, so
 the constant monomial is always first in a monomial vector.
 
-Products of two all-rational polynomials run in integers: each factor is
-scaled by the lcm of its denominators, the numerators are multiplied as
-Python ints, and each output coefficient is divided once at the end.  Products
-involving a ``Quad`` coefficient use the generic term-by-term loop.
+Products run in integers: each factor is scaled by the lcm of its
+denominators, the numerators are multiplied as Python ints, and each output
+coefficient is divided once at the end.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .scalars import Quad, Scalar, exact
 
 Monomial = tuple[int, ...]
 
@@ -70,23 +66,27 @@ class Polynomial:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Monomial, Scalar] | None = None):
+    def __init__(self, nvars: int, terms: dict[Monomial, Fraction] | None = None):
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
         self.nvars = nvars
-        canon: dict[Monomial, Scalar] = {}
+        canon: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
                 if len(m) != nvars:
                     raise ValueError(f"monomial {m} has wrong length for nvars={nvars}")
                 if type(c) is not Fraction:
-                    c = exact(c)
+                    try:
+                        c = Fraction(c)
+                    except TypeError:
+                        raise TypeError("polynomial coefficients are rational, not "
+                                        f"{type(c).__name__}") from None
                 if c != 0:
                     canon[m] = c
         self.terms = canon
 
     @classmethod
-    def _from_canonical(cls, nvars: int, terms: dict[Monomial, Scalar]) -> "Polynomial":
+    def _from_canonical(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
         """Wrap terms that are already nonzero and canonical, skipping the checks."""
         p = object.__new__(cls)
         p.nvars = nvars
@@ -100,7 +100,7 @@ class Polynomial:
         return Polynomial(nvars)
 
     @staticmethod
-    def constant(nvars: int, c: Scalar) -> "Polynomial":
+    def constant(nvars: int, c: Fraction | int) -> "Polynomial":
         return Polynomial(nvars, {(0,) * nvars: c})
 
     @staticmethod
@@ -110,7 +110,7 @@ class Polynomial:
         return Polynomial(nvars, {tuple(e): Fraction(1)})
 
     @staticmethod
-    def monomial(nvars: int, m: Monomial, c: Scalar = 1) -> "Polynomial":
+    def monomial(nvars: int, m: Monomial, c: Fraction | int = 1) -> "Polynomial":
         return Polynomial(nvars, {tuple(m): c})
 
     # -- basic queries -------------------------------------------------------
@@ -123,7 +123,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, m: Monomial) -> Scalar:
+    def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(tuple(m), Fraction(0))
 
     def graded_part(self, d: int) -> "Polynomial":
@@ -132,9 +132,6 @@ class Polynomial:
     def degrees_present(self) -> list[int]:
         return sorted({sum(m) for m in self.terms})
 
-    def is_rational(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.terms.values())
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
@@ -142,7 +139,7 @@ class Polynomial:
             raise ValueError(f"dimension mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Quad)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.nvars, other)
         self._check(other)
         out = dict(self.terms)
@@ -156,7 +153,7 @@ class Polynomial:
         return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Quad)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.nvars, other)
         return self + (-other)
 
@@ -164,22 +161,15 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Quad)):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        a, b = _integer_form(self.terms), _integer_form(other.terms)
-        if a is not None and b is not None:
-            return _integer_product(self.nvars, a, b)
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, out)
+        return _integer_product(self.nvars, _integer_form(self.terms),
+                                _integer_form(other.terms))
 
     __rmul__ = __mul__
 
-    def scale(self, c: Scalar) -> "Polynomial":
+    def scale(self, c: Fraction | int) -> "Polynomial":
         return Polynomial(self.nvars, {m: v * c for m, v in self.terms.items()})
 
     def __pow__(self, e: int):
@@ -195,7 +185,7 @@ class Polynomial:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Quad)):
+        if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -208,14 +198,9 @@ class Polynomial:
         return f"Polynomial({render_polynomial(self)!r})"
 
 
-def _integer_form(terms: dict[Monomial, Scalar]
-                  ) -> tuple[dict[Monomial, int], int] | None:
-    """(numerators, d) with terms == numerators / d, or None if a coefficient is a Quad."""
-    den = 1
-    for c in terms.values():
-        if type(c) is not Fraction:
-            return None
-        den = math.lcm(den, c.denominator)
+def _integer_form(terms: dict[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
+    """(numerators, d) with terms == numerators / d."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
@@ -234,12 +219,12 @@ def _integer_product(nvars: int, a: tuple[dict[Monomial, int], int],
         nvars, {m: Fraction(v, den) for m, v in out.items() if v})
 
 
-def evaluate(p: Polynomial, point: Sequence[Scalar]):
-    """Exact value of p at a rational (or quadratic) point."""
+def evaluate(p: Polynomial, point: Sequence[Fraction | int]) -> Fraction:
+    """Exact value of p at a rational point."""
     if len(point) != p.nvars:
         raise ValueError("dimension mismatch in evaluate")
-    point = [exact(v) for v in point]
-    powers: dict[tuple[int, int], Scalar] = {}
+    point = [Fraction(v) for v in point]
+    powers: dict[tuple[int, int], Fraction] = {}
 
     def pw(i: int, e: int):
         if e == 0:
@@ -249,14 +234,14 @@ def evaluate(p: Polynomial, point: Sequence[Scalar]):
             powers[key] = pw(i, e - 1) * point[i]
         return powers[key]
 
-    total: Scalar = Fraction(0)
+    total = Fraction(0)
     for m, c in p.terms.items():
         term = c
         for i, e in enumerate(m):
             if e:
                 term = term * pw(i, e)
         total = total + term
-    return exact(total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -300,7 +285,8 @@ def monomial_vector(n: int, d: int, homogeneous: bool = False) -> MonomialVector
     return vec
 
 
-def substitute_linear(p: Polynomial, matrix: Sequence[Sequence[Scalar]]) -> Polynomial:
+def substitute_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]
+                      ) -> Polynomial:
     """Replace each variable x_i by the i-th entry of M x, fully expanded.
 
     The general reference substitution: p is composed with the linear forms
@@ -324,7 +310,7 @@ def compose(p: Polynomial, values: Sequence[Polynomial]) -> Polynomial:
         raise ValueError("compose needs one value per variable")
     n = values[0].nvars
     powers = [[Polynomial.constant(n, 1)] for _ in values]
-    out: dict[Monomial, Scalar] = {}
+    out: dict[Monomial, Fraction] = {}
     for m, c in p.terms.items():
         term = Polynomial.constant(n, c)
         for i, e in enumerate(m):
@@ -447,12 +433,6 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     return Polynomial(n, result)
 
 
-def _render_coeff(c: Scalar) -> str:
-    if isinstance(c, Quad):
-        raise ValueError("cannot render irrational coefficient in the text grammar")
-    return str(c)
-
-
 def default_variables(nvars: int) -> list[str]:
     """x, y, z for up to three variables, x1..xn beyond."""
     return [f"x{i + 1}" for i in range(nvars)] if nvars > 3 else \
@@ -471,12 +451,12 @@ def render_polynomial(p: Polynomial, variables: Sequence[str] | None = None) -> 
         factors = [f"{variables[i]}^{e}" if e > 1 else variables[i]
                    for i, e in enumerate(m) if e]
         if not factors:
-            body = _render_coeff(abs(c) if isinstance(c, Fraction) else c)
-        elif isinstance(c, Fraction) and abs(c) == 1:
+            body = str(abs(c))
+        elif abs(c) == 1:
             body = "*".join(factors)
         else:
-            body = _render_coeff(abs(c)) + "*" + "*".join(factors)
-        neg = isinstance(c, Fraction) and c < 0
+            body = f"{abs(c)}*" + "*".join(factors)
+        neg = c < 0
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

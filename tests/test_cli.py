@@ -34,6 +34,15 @@ class TestBound:
         rc = main(["verify", "--cert", cert_path, "--poly", d4_poly_file])
         assert rc == 0
 
+    def test_out_names_the_parsed_variables(self, tmp_path, capsys):
+        poly = "a^4+b^4+c^4+1"
+        cert_path = tmp_path / "abc.cert"
+        rc = main(["bound", "--group", "symmetric:3", "--poly", poly, "--round",
+                   "--out", str(cert_path)])
+        assert rc == 0
+        assert "vars a b c" in cert_path.read_text().splitlines()
+        assert main(["verify", "--cert", str(cert_path), "--poly", poly]) == 0
+
     def test_inline_polynomial_with_vars_flag(self, capsys):
         rc = main(["bound", "--group", "trivial:1", "--poly", "x^2 + 1",
                    "--vars", "x"])
@@ -146,6 +155,15 @@ def test_permutation_variant_has_no_presentation(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert f"no invariant presentation cataloged for {argv[2]!r}" in captured.err
+
+
+def test_missing_presentation_message_is_bare(capsys):
+    # a KeyError's message prints without the quotes of its repr
+    rc = main(["bound", "--group", "dihedral:6", "--poly",
+               "x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x6^2 + 1"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: no invariant presentation cataloged for 'dihedral:6:permutation'\n"
 
 
 class TestGenerators:

@@ -11,6 +11,7 @@ from symsos.groups import catalog
 from symsos.invariants import (expand_invariants, presentation,
                                rewrite_in_invariants, weighted_degree)
 from symsos.poly import Polynomial, evaluate, parse_polynomial
+from symsos.fileio import _invariant_poly_text
 from symsos.fixtures import S3_QUARTIC_TEXT
 
 T2 = ["t1", "t2"]
@@ -215,3 +216,38 @@ def test_s5_discriminant_catalog_matches_recomputation():
     (entry,) = row
     assert set(entry.parts) == {0}
     assert entry.part(0).terms == {m: Fraction(c) for m, c in S5_DISCRIMINANT.items()}
+
+
+# Pi of the two-dimensional modules, whose generators are edge coordinates
+# (v1 - v2, v2 - v3, v3 - v1) of v = (x, y, z) and (yz, zx, xy) for S3, and
+# of the three products of pairs u1, u2, u3 and (u2 u3, u3 u1, u1 u2) for S4
+TWO_DIM_PI_TEXT = {
+    "symmetric:3": [["2*t1^2 - 6*t2", "-t1*t2 + 9*t3"],
+                    ["-t1*t2 + 9*t3", "-6*t1*t3 + 2*t2^2"]],
+    "symmetric:4": [["-6*t1*t3 + 2*t2^2 + 24*t4",
+                     "9*t1^2*t4 - t1*t2*t3 - 32*t2*t4 + 9*t3^2"],
+                    ["9*t1^2*t4 - t1*t2*t3 - 32*t2*t4 + 9*t3^2",
+                     "-6*t1^2*t2*t4 + 2*t1^2*t3^2 - 16*t1*t3*t4 + 24*t2^2*t4"
+                     " - 6*t2*t3^2 + 32*t4^2"]],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TWO_DIM_PI_TEXT))
+def test_two_dimensional_pi_text(spec):
+    bundle = algorithm_one(spec)
+    text = [[_invariant_poly_text(entry, bundle.pres) for entry in row]
+            for row in bundle.pis["theta3"].entries]
+    assert text == TWO_DIM_PI_TEXT[spec]
+
+
+@pytest.mark.parametrize("spec", ["trivial:1", "trivial:3", "c2n:1", "c2n:3",
+                                  "cyclic:4", "dihedral:4", "symmetric:2",
+                                  "symmetric:3", "symmetric:4", "symmetric:5"])
+def test_bundles_are_rational(spec):
+    bundle = algorithm_one(spec)
+    coeffs = [c for pi in bundle.pis.values() for row in pi.entries
+              for entry in row for part in entry.parts.values()
+              for c in part.terms.values()]
+    coeffs += [c for basis in bundle.bases.values() for vec in basis.vectors
+               for p in vec for c in p.terms.values()]
+    assert coeffs and all(type(c) is Fraction for c in coeffs)

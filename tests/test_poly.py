@@ -225,14 +225,15 @@ class TestKernels:
             (x.scale(Fraction(1, 2)) - y.scale(Fraction(1, 3)))
         assert p.terms == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
 
-    def test_quad_product(self):
-        p = Polynomial(2, {(1, 0): Quad.root(2, Fraction(1, 2)), (0, 1): Fraction(1, 3),
-                           (0, 0): Fraction(2)})
-        q = Polynomial(2, {(1, 1): Quad.root(3, Fraction(-1, 2)), (2, 0): Fraction(5, 4)})
-        pq = p * q
-        assert any(isinstance(c, Quad) for c in pq.terms.values())
-        for pt in _rational_points(2):
-            assert evaluate(pq, pt) == evaluate(p, pt) * evaluate(q, pt)
+    def test_quad_coefficient_refused(self):
+        root = Quad.root(2, Fraction(1, 2))
+        with pytest.raises(TypeError, match="rational"):
+            Polynomial(2, {(1, 0): root, (0, 1): Fraction(1, 3)})
+        p = parse_polynomial("x - 1/3*y + 2", ["x", "y"])
+        for refused in (lambda: p.scale(root), lambda: p * root, lambda: p + root,
+                        lambda: p - root, lambda: Polynomial.constant(2, root)):
+            with pytest.raises(TypeError, match="rational"):
+                refused()
 
     def test_substitute_scaled_signed_permutation(self):
         scale = [Fraction(2), Fraction(-1, 3), Fraction(1)]
