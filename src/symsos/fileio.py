@@ -150,6 +150,9 @@ def _parse_certificate(take) -> Certificate:
     var_names = head["vars"].split()
     lam = Fraction(head["lambda"])
     nvars = int(line.removeprefix("presentation nvars="))
+    if len(var_names) != nvars:
+        raise ValueError(f"vars lists {len(var_names)} names but the presentation "
+                         f"has nvars={nvars}")
     theta, eta = [], []
     while (line := take()) != "end-presentation":
         tag, body = line.split(None, 1)

@@ -20,8 +20,10 @@ Catalogs:
 Each conjugate pair of complex cyclic characters e^{+-2 pi i j/m} is carried
 by one complex-type real irrep: its realified block [[Re, -Im], [Im, Re]] is
 the rotation by 2 pi j/m.  Irrep matrices are exact (rational or
-quadratic-extension entries) except for cyclic/dihedral rotation blocks at m
-in {5,7,9,10,11}, whose entries are flagged 50-digit rational approximations.
+quadratic-extension entries).  A cyclic/dihedral rotation block at m in
+{5,7,9,10,11} has no (cos, sin) in the quadratic tower: its irrep keeps its
+label, dimension, kind and Molien data but carries no matrices, and
+``RealIrrep.matrix`` raises ValueError naming the rotation.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import mpmath
 
 from .linalg import Matrix, mat_identity, mat_mul, mat_transpose
 from .poly import Polynomial
@@ -247,8 +247,7 @@ class RealIrrep:
     dim: int
     kind: str                      # "absolutely-real" or "complex-type"
     action: GroupAction
-    generator_images: list[tuple]  # frozen matrices, one per action generator
-    approximate: bool = False
+    generator_images: list[tuple] | None  # frozen matrices, one per action generator
     molien_meta: tuple | None = None   # fast-path data for exact Molien series
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -261,6 +260,10 @@ class RealIrrep:
     def matrix(self, i: int) -> Matrix:
         if i in self._cache:
             return self._cache[i]
+        if self.generator_images is None:
+            _, m, j = self.molien_meta
+            raise ValueError(f"irrep {self.label} has no exact matrices: the rotation "
+                             f"by 2*pi*{j}/{m} has no (cos, sin) in the quadratic tower")
         if i == 0:
             m = mat_identity(self.dim)
         else:
@@ -301,24 +304,20 @@ class RepReport:
 
 
 def verify_representation(matrices: Callable[[int], Matrix] | RealIrrep,
-                          action: GroupAction, tol: float | None = None) -> RepReport:
-    """Check orthogonality of every element and the homomorphism property.
+                          action: GroupAction) -> RepReport:
+    """Check orthogonality of every element and the homomorphism property, exactly.
 
-    ``tol`` None means exact comparison; otherwise entries may differ by tol
-    (used for flagged-approximate irreps).  The homomorphism check runs over
-    the Cayley edges: rho(g) rho(s) = rho(g s) for every element g and every
-    generator s.  Since the generators generate the group, this forces
-    rho(e) = I and rho(word) = product of generator images, so it is as
-    exhaustive as the full multiplication table at |G| * |gens| products.
+    The homomorphism check runs over the Cayley edges: rho(g) rho(s) =
+    rho(g s) for every element g and every generator s.  Since the
+    generators generate the group, this forces rho(e) = I and rho(word) =
+    product of generator images, so it is as exhaustive as the full
+    multiplication table at |G| * |gens| products.
     """
     get = matrices.matrix if isinstance(matrices, RealIrrep) else matrices
     violations = []
 
     def close(a: Matrix, b: Matrix) -> bool:
-        if tol is None:
-            return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-        return all(abs(float(Quad.of(x) - Quad.of(y))) <= tol
-                   for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+        return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
     order = action.order
     for i in range(order):
@@ -334,11 +333,13 @@ def verify_representation(matrices: Callable[[int], Matrix] | RealIrrep,
     return RepReport(violations)
 
 
-def character_orthogonality(catalog: IrrepCatalog, tol: float | None = None) -> RepReport:
-    """Characters of distinct irreps are orthogonal; norms are 1 (or 2, complex-type)."""
+def character_orthogonality(catalog: IrrepCatalog) -> RepReport:
+    """Characters of distinct irreps are orthogonal; norms are 1 (or 2, complex-type).
+
+    Irreps without matrices are left out.
+    """
     violations = []
-    irreps = [r for r in catalog.irreps if not r.approximate] if tol is None \
-        else catalog.irreps
+    irreps = [r for r in catalog.irreps if r.generator_images is not None]
     chars = {r.label: [r.character(i) for i in range(catalog.action.order)]
              for r in irreps}
     order = catalog.action.order
@@ -351,63 +352,34 @@ def character_orthogonality(catalog: IrrepCatalog, tol: float | None = None) -> 
                 expect = Fraction(2 if a.kind == "complex-type" else 1)
             else:
                 expect = Fraction(0)
-            bad = (val != expect) if tol is None else abs(float(Quad.of(val) - expect)) > tol
-            if bad:
+            if val != expect:
                 violations.append(f"<{a.label},{b.label}> = {val}, expected {expect}")
     return RepReport(violations)
 
 
 # -- rotation entries ------------------------------------------------------------
 
-_EXACT_COS: dict[tuple[int, int], tuple[Quad, Quad]] = {}
+# (cos, sin) of 2*pi/m for the m whose rotation has entries in the tower
+_UNIT_ROTATIONS: dict[int, tuple[Quad, Quad]] = {
+    1: (Quad(1), Quad(0)),
+    2: (Quad(-1), Quad(0)),
+    3: (Quad(Fraction(-1, 2)), Quad.root(3, Fraction(1, 2))),
+    4: (Quad(0), Quad(1)),
+    6: (Quad(Fraction(1, 2)), Quad.root(3, Fraction(1, 2))),
+    8: (Quad.root(2, Fraction(1, 2)), Quad.root(2, Fraction(1, 2))),
+    12: (Quad.root(3, Fraction(1, 2)), Quad(Fraction(1, 2))),
+}
 
 
-def _cos_sin(m: int, k: int) -> tuple[Scalar, Scalar] | None:
-    """Exact (cos, sin) of 2*pi*k/m in the quadratic tower, or None."""
-    k = k % m
-    key = (m, k)
-    if key in _EXACT_COS:
-        return _EXACT_COS[key]
-    table = {
-        (1, 0): (Quad(1), Quad(0)),
-    }
-    base = {
-        2: (Quad(-1), Quad(0)),
-        3: (Quad(Fraction(-1, 2)), Quad.root(3, Fraction(1, 2))),
-        4: (Quad(0), Quad(1)),
-        6: (Quad(Fraction(1, 2)), Quad.root(3, Fraction(1, 2))),
-        8: (Quad.root(2, Fraction(1, 2)), Quad.root(2, Fraction(1, 2))),
-        12: (Quad.root(3, Fraction(1, 2)), Quad(Fraction(1, 2))),
-    }
-    if m == 1:
-        return table[(1, 0)]
-    if m not in base:
+def rotation_matrix(m: int, k: int) -> Matrix | None:
+    """Exact 2x2 rotation by 2*pi*k/m, or None if it leaves the quadratic tower."""
+    if m not in _UNIT_ROTATIONS:
         return None
-    c1, s1 = base[m]
+    c1, s1 = _UNIT_ROTATIONS[m]
     c, s = Quad(1), Quad(0)
-    for _ in range(k):
+    for _ in range(k % m):
         c, s = exact(c * c1 - s * s1), exact(c * s1 + s * c1)
-    _EXACT_COS[key] = (c, s)
-    return c, s
-
-
-def _approx_cos_sin(m: int, k: int, dps: int = 50) -> tuple[Fraction, Fraction]:
-    with mpmath.workdps(dps):
-        ang = 2 * mpmath.pi * k / m
-        scale = 10 ** dps
-        c = Fraction(int(mpmath.nint(mpmath.cos(ang) * scale)), scale)
-        s = Fraction(int(mpmath.nint(mpmath.sin(ang) * scale)), scale)
-    return c, s
-
-
-def rotation_matrix(m: int, k: int) -> tuple[Matrix, bool]:
-    """2x2 rotation by 2*pi*k/m; second value marks an approximate result."""
-    ex = _cos_sin(m, k)
-    if ex is not None:
-        c, s = ex
-        return [[exact(c), exact(-1 * s)], [exact(s), exact(c)]], False
-    c, s = _approx_cos_sin(m, k)
-    return [[c, -s], [s, c]], True
+    return [[exact(c), exact(-1 * s)], [exact(s), exact(c)]]
 
 
 # -- catalogs --------------------------------------------------------------------
@@ -455,8 +427,7 @@ def _cyclic_action(m: int, variant: str) -> GroupAction:
                              "permuting) for m in {1,2,4}; use the permutation variant")
         if m == 1:
             return close_group([mat_identity(1)])
-        rot, _ = rotation_matrix(m, 1)
-        return close_group([rot])
+        return close_group([rotation_matrix(m, 1)])
     # permutation of m vertices
     perm = [[Fraction(1) if r == (c + 1) % m else Fraction(0) for c in range(m)]
             for r in range(m)]
@@ -472,9 +443,10 @@ def _cyclic_irreps(m: int, action: GroupAction) -> list[RealIrrep]:
         irreps.append(RealIrrep("t", 1, "absolutely-real", action, [((Fraction(-1),),)]))
     for j in range(1, (m + 1) // 2):
         # the conjugate pair e^{+-2 pi i j/m} realifies to the rotation by 2 pi j/m
-        rot, approx = rotation_matrix(m, j)
-        irreps.append(RealIrrep("t", 2, "complex-type", action, [_freeze(rot)],
-                                approximate=approx, molien_meta=("cyclic-pair", m, j)))
+        rot = rotation_matrix(m, j)
+        images = None if rot is None else [_freeze(rot)]
+        irreps.append(RealIrrep("t", 2, "complex-type", action, images,
+                                molien_meta=("cyclic-pair", m, j)))
     for i, r in enumerate(irreps):
         r.label = f"theta{i + 1}"
     return irreps
@@ -497,8 +469,7 @@ def _dihedral_action(m: int, variant: str) -> GroupAction:
                              "permuting) for m in {1,2,4}; use the permutation variant")
         if m == 1:
             return close_group([swap])
-        rot, _ = rotation_matrix(m, 1)
-        return close_group([rot, swap])
+        return close_group([rotation_matrix(m, 1), swap])
     if m <= 2:
         raise ValueError(f"catalog spec 'dihedral:{m}:permutation' is not a faithful "
                          f"action: the reflection fixes every vertex for m <= 2; "
@@ -524,11 +495,11 @@ def _dihedral_irreps(m: int, action: GroupAction) -> list[RealIrrep]:
     irreps = [RealIrrep("t", 1, "absolutely-real", action, images)
               for images in characters]
     for j in range(1, (m + 1) // 2 if m % 2 else m // 2):
-        rot, approx = rotation_matrix(m, j)
+        rot = rotation_matrix(m, j)
         refl = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
-        images = [_freeze(rot), _freeze(refl)]
+        images = None if rot is None else [_freeze(rot), _freeze(refl)]
         irreps.append(RealIrrep("t", 2, "absolutely-real", action, images,
-                                approximate=approx, molien_meta=("dihedral", m, j)))
+                                molien_meta=("dihedral", m, j)))
     for i, r in enumerate(irreps):
         r.label = f"theta{i + 1}"
     return irreps

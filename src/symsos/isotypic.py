@@ -7,9 +7,14 @@ block diagonalization of invariant matrices.  Every group acts by signed
 permutations, and so does its induced representation on monomials: each
 element is stored as a ``SignedPerm`` of the basis.
 
-Bases are exact (entries in the quadratic tower) whenever the projections
-admit exact orthonormalization; otherwise the segment is computed in 50-digit
-fixed precision with rank decisions at 1e-30 and flagged as floating.
+Bases are exact, with entries in the quadratic tower.  Their columns are
+exactly orthogonal but not normalized: each is scaled by a rational near the
+inverse of its length (``linalg.scaled_remainder``), so no square root is
+taken.  An invariant X = T D T^T is a congruence, so any invertible adapted T
+gives the same block structure and the same optimum; the copies of a segment
+share their scales, so T^T X T still repeats one block per copy.  An irrep
+with no exact matrices (a rotation whose cosine and sine leave the tower) is
+refused.
 """
 
 from __future__ import annotations
@@ -19,16 +24,13 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .groups import GroupAction, IrrepCatalog, RealIrrep, SignedPerm
-from .linalg import Matrix, dot, gram_schmidt_exact, mat_mul, mat_vec, to_ndarray
+from .linalg import (Matrix, dot, gram_schmidt_exact, mat_mul, mat_vec,
+                     scaled_remainder, to_ndarray)
 from .poly import MonomialVector, monomial_vector
 from .scalars import Quad, Scalar, exact
-
-RANK_DPS = 50
-RANK_THRESHOLD = mpmath.mpf("1e-30")
 
 SparseMatrix = dict[tuple[int, int], Scalar]   # nonzero entries {(r, c): value}
 
@@ -182,7 +184,6 @@ class Segment:
     n_i: int
     m_i: int
     kind: str          # "real" or "complex"
-    exact: bool
     col_start: int = 0
 
     @property
@@ -192,20 +193,18 @@ class Segment:
 
 @dataclass
 class SymmetryAdaptedBasis:
-    """Orthogonal change of basis T whose column segments span the V_ij."""
+    """Change of basis T whose column segments span the V_ij.
+
+    The columns are exactly orthogonal, with squared norms within 2^-11 of
+    one and equal across the copies of a segment.
+    """
 
     size: int
-    columns: list            # exact scalar vectors, or float lists for fallback segments
+    columns: list            # exact scalar vectors
     layout: list[Segment]
     multiplicities: dict[str, int]
 
-    @property
-    def is_exact(self) -> bool:
-        return all(s.exact for s in self.layout)
-
     def t_matrix(self) -> Matrix:
-        if not self.is_exact:
-            raise ValueError("basis has floating segments; use t_float()")
         return [[self.columns[j][i] for j in range(self.size)] for i in range(self.size)]
 
     def t_float(self) -> np.ndarray:
@@ -238,89 +237,45 @@ class ProjectionRankError(ValueError):
     pass
 
 
-def _to_mpf(x):
-    if isinstance(x, Quad):
-        return x.to_mpf(RANK_DPS)
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    if isinstance(x, int):
-        return mpmath.mpf(x)
-    return x if isinstance(x, mpmath.mpf) else mpmath.mpf(float(x))
-
-
-def _mp_orthonormalize(vectors: list[list], have: list[list] | None = None):
-    """50-digit Gram-Schmidt; drops vectors below the 1e-30 rank threshold.
-
-    Vectors in ``have`` are assumed to be already-orthonormal mpf lists and
-    only the newly added directions are returned.
-    """
-    with mpmath.workdps(RANK_DPS):
-        basis = [list(v) for v in (have or [])]
-        fixed = len(basis)
-        for v in vectors:
-            w = [_to_mpf(x) for x in v]
-            for u in basis:
-                c = mpmath.fsum(a * b for a, b in zip(w, u))
-                w = [a - c * b for a, b in zip(w, u)]
-            nrm = mpmath.sqrt(mpmath.fsum(a * a for a in w))
-            if nrm > RANK_THRESHOLD:
-                basis.append([a / nrm for a in w])
-        return basis[fixed:]
-
-
 def _nonzero_columns(m: Matrix) -> list[list[Scalar]]:
     cols = [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
     return [c for c in cols if any(v != 0 for v in c)]
 
 
+def _multiplicity(proj: Matrix, irrep: RealIrrep, copies: int) -> int:
+    """trace(proj) / copies, which must be a nonnegative integer."""
+    tr = exact(sum((Quad.of(proj[i][i]) for i in range(len(proj))), Quad(0)))
+    if not isinstance(tr, Fraction) or tr < 0 or tr % copies:
+        raise ProjectionRankError(f"projection trace {tr} of {irrep.label} is not "
+                                  f"a nonnegative multiple of {copies}")
+    return int(tr) // copies
+
+
 def _segment_real(rep: MatrixRep, irrep: RealIrrep, w: Fraction):
-    """First-copy orthonormal basis plus companion copies via p_j1."""
+    """First-copy orthogonal basis plus companion copies via p_j1."""
     p11 = component_projection(rep, irrep, 0, 0, w)
-    tr = exact(sum((Quad.of(p11[i][i]) for i in range(rep.size)), Quad(0)))
-    if irrep.approximate:
-        m_i = int(round(float(tr)))
-    else:
-        trf = tr if isinstance(tr, Fraction) else tr.as_fraction()
-        if trf.denominator != 1 or trf < 0:
-            raise ProjectionRankError(
-                f"projection trace {trf} of {irrep.label} is not a nonnegative integer")
-        m_i = int(trf)
+    m_i = _multiplicity(p11, irrep, 1)
     if m_i == 0:
-        return 0, [], True
-    candidates = _nonzero_columns(p11)
-    copies_ops = [component_projection(rep, irrep, 0, j, w)
-                  for j in range(1, irrep.dim)]
-    exact_cols: list[list[Scalar]] | None = None
-    if not irrep.approximate:
-        exact_cols = gram_schmidt_exact(candidates)
-    if exact_cols is not None and len(exact_cols) == m_i:
-        segment = list(exact_cols)
-        for op in copies_ops:
-            segment.extend(mat_vec(op, u) for u in exact_cols)
-        return m_i, segment, True
-    first = _mp_orthonormalize(candidates)
+        return 0, []
+    first = gram_schmidt_exact(_nonzero_columns(p11))
     if len(first) != m_i:
         raise ProjectionRankError(
             f"rank of first-copy projection for {irrep.label} is {len(first)}, "
             f"expected multiplicity {m_i}")
-    segment_f = list(first)
-    with mpmath.workdps(RANK_DPS):
-        for op in copies_ops:
-            opf = [[_to_mpf(x) for x in row] for row in op]
-            for u in first:
-                segment_f.append([mpmath.fsum(opf[r][c] * u[c] for c in range(len(u)))
-                                  for r in range(len(opf))])
-    return m_i, segment_f, False
+    segment = list(first)
+    for j in range(1, irrep.dim):
+        op = component_projection(rep, irrep, 0, j, w)
+        segment.extend(mat_vec(op, u) for u in first)
+    return m_i, segment
 
 
-def _segment_complex(rep: MatrixRep, irrep: RealIrrep, catalog_order: int):
+def _segment_complex(rep: MatrixRep, irrep: RealIrrep):
     """Complex-type segment: isotypic projection plus the complex structure J."""
     n_i = irrep.dim
     n_c = n_i // 2
     if n_c != 1:
         raise NotImplementedError("complex-type irreps of complex dimension > 1 "
                                   "are outside the catalog scope")
-    w = Fraction(n_c)
     inv = rep.action.inverse_table
     order = rep.action.order
     char_coeffs = [exact(Quad.of(irrep.character(inv[g])) * Fraction(n_c, order))
@@ -330,72 +285,33 @@ def _segment_complex(rep: MatrixRep, irrep: RealIrrep, catalog_order: int):
                 for g in range(order)]
     jop = _accumulate_projection(rep, j_coeffs)
     # verify the structure exactly: P idempotent, J^2 = -P
-    if not irrep.approximate:
-        p2 = mat_mul(proj, proj)
-        if not all(exact(a) == exact(b) for ra, rb in zip(p2, proj)
-                   for a, b in zip(ra, rb)):
-            raise ProjectionRankError(f"isotypic projection of {irrep.label} "
-                                      "is not idempotent")
-        j2 = mat_mul(jop, jop)
-        negp = [[exact(-Quad.of(v)) for v in row] for row in proj]
-        if not all(exact(a) == exact(b) for ra, rb in zip(j2, negp)
-                   for a, b in zip(ra, rb)):
-            raise ProjectionRankError(f"complex structure of {irrep.label} fails "
-                                      "J^2 = -P; no constructive pairing found")
-    tr = exact(sum((Quad.of(proj[i][i]) for i in range(rep.size)), Quad(0)))
-    total = int(round(float(tr)))
-    if total % n_i:
-        raise ProjectionRankError(f"isotypic dimension {total} of {irrep.label} "
-                                  f"is not divisible by {n_i}")
-    m_i = total // n_i
+    p2 = mat_mul(proj, proj)
+    if not all(exact(a) == exact(b) for ra, rb in zip(p2, proj)
+               for a, b in zip(ra, rb)):
+        raise ProjectionRankError(f"isotypic projection of {irrep.label} "
+                                  "is not idempotent")
+    j2 = mat_mul(jop, jop)
+    negp = [[exact(-Quad.of(v)) for v in row] for row in proj]
+    if not all(exact(a) == exact(b) for ra, rb in zip(j2, negp)
+               for a, b in zip(ra, rb)):
+        raise ProjectionRankError(f"complex structure of {irrep.label} fails "
+                                  "J^2 = -P; no constructive pairing found")
+    m_i = _multiplicity(proj, irrep, n_i)
     if m_i == 0:
-        return 0, [], True
-    candidates = _nonzero_columns(proj)
-    if not irrep.approximate:
-        us: list[list[Scalar]] = []
-        pairs: list[list[Scalar]] = []
-        ok = True
-        for v in candidates:
-            if len(us) == m_i:
-                break
-            wv = [exact(x) for x in v]
-            for u in us + pairs:
-                c = dot(wv, u)
-                if c != 0:
-                    wv = [exact(a - c * b) for a, b in zip(wv, u)]
-            nrm2 = dot(wv, wv)
-            if nrm2 == 0:
-                continue
-            try:
-                inv_nrm = Quad.of(nrm2).sqrt().inverse()
-            except ValueError:
-                ok = False
-                break
-            u = [exact(x * inv_nrm) for x in wv]
-            us.append(u)
-            pairs.append(mat_vec(jop, u))
-        if ok and len(us) == m_i:
-            return m_i, us + pairs, True
-    # floating fallback
-    first: list[list] = []
-    all_cols: list[list] = []
-    with mpmath.workdps(RANK_DPS):
-        jf = [[_to_mpf(x) for x in row] for row in jop]
-        for v in candidates:
-            if len(first) == m_i:
-                break
-            new = _mp_orthonormalize([v], have=first + all_cols)
-            if not new:
-                continue
-            u = new[0]
-            ju = [mpmath.fsum(jf[r][c] * u[c] for c in range(len(u)))
-                  for r in range(len(jf))]
-            first.append(u)
-            all_cols.append(ju)
-    if len(first) != m_i:
+        return 0, []
+    # each kept u brings J u, orthogonal to u and to every kept vector and as
+    # long as u, so the two copies share their scale
+    kept: list[tuple[list[Scalar], Scalar]] = []
+    for v in _nonzero_columns(proj):
+        step = scaled_remainder(v, kept)
+        if step is not None:
+            ju = mat_vec(jop, step[0])
+            kept += [step, (ju, dot(ju, ju))]
+    if len(kept) != n_i * m_i:
         raise ProjectionRankError(f"could not extract {m_i} aligned copies for "
                                   f"{irrep.label}")
-    return m_i, first + all_cols, False
+    cols = [u for u, _ in kept]
+    return m_i, cols[::2] + cols[1::2]
 
 
 def symmetry_adapted_basis(rep: MatrixRep, catalog: IrrepCatalog) -> SymmetryAdaptedBasis:
@@ -403,7 +319,9 @@ def symmetry_adapted_basis(rep: MatrixRep, catalog: IrrepCatalog) -> SymmetryAda
 
     Segment columns are copy-major: the m_i first-copy vectors, then their
     images under p_j1 for each further copy j.  Multiplicities are the exact
-    traces of the first-copy projections.
+    traces of the first-copy projections (of the isotypic projection, over
+    n_i, for a complex-type irrep).  An irrep without exact matrices raises
+    ValueError.
     """
     if catalog.action is not rep.action and catalog.action.order != rep.action.order:
         raise ValueError("catalog does not match the representation's group")
@@ -412,16 +330,15 @@ def symmetry_adapted_basis(rep: MatrixRep, catalog: IrrepCatalog) -> SymmetryAda
     mults: dict[str, int] = {}
     for idx, irrep in enumerate(catalog.irreps):
         if irrep.kind == "complex-type":
-            m_i, cols, is_exact = _segment_complex(rep, irrep, catalog.action.order)
+            m_i, cols = _segment_complex(rep, irrep)
             kind = "complex"
         else:
-            m_i, cols, is_exact = _segment_real(rep, irrep, Fraction(irrep.dim))
+            m_i, cols = _segment_real(rep, irrep, Fraction(irrep.dim))
             kind = "real"
         mults[irrep.label] = m_i
         if m_i == 0:
             continue
-        seg = Segment(idx, irrep.label, irrep.dim, m_i, kind, is_exact,
-                      col_start=len(columns))
+        seg = Segment(idx, irrep.label, irrep.dim, m_i, kind, col_start=len(columns))
         layout.append(seg)
         columns.extend(cols)
     total = sum(s.width for s in layout)
@@ -456,7 +373,7 @@ def block_diagonalize(x, basis: SymmetryAdaptedBasis,
     segments return the full coupled block.  Raises if the off-block residual
     exceeds ``tol`` (exact zero is demanded for exact inputs).
     """
-    exact_mode = basis.is_exact and not isinstance(x, np.ndarray) and \
+    exact_mode = not isinstance(x, np.ndarray) and \
         all(not isinstance(v, float) for row in x for v in row)
     if exact_mode:
         t = basis.t_matrix()

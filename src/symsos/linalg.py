@@ -4,12 +4,13 @@ Matrices are lists of lists (rows) of exact scalars.  There is one exact
 elimination, ``RowBasis`` over sparse ``{column: value}`` rows (a
 constraint row touches a few of hundreds of columns), with ``parametrize``
 on top; it and the matrix products also take ``Quad`` entries, for the
-isotypic bases and the programs restricted to them.  There is one exact
-LDL^T, ``ldl_decomposition``, with ``ldl_psd`` the PSD verdict on it; both
-take rational matrices, as certificates hold.  Floating point only ever
-refuses: ``negative_direction`` proposes a direction from a float
-eigenvector and refuses on an exact negative value, while acceptance is
-always a completed exact LDL^T.
+isotypic bases and the programs restricted to them.  Those bases are
+orthogonalized by ``scaled_remainder`` without square roots: each vector is
+scaled by a rational near the inverse of its length, not normalized.  There is one exact LDL^T, ``ldl_decomposition``, with
+``ldl_psd`` the PSD verdict on it; both take rational matrices, as
+certificates hold.  Floating point only ever refuses: ``negative_direction``
+proposes a direction from a float eigenvector and refuses on an exact
+negative value, while acceptance is always a completed exact LDL^T.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .scalars import Quad, Scalar, exact, inverse
+from .scalars import Scalar, exact, inverse
 
 Matrix = list[list[Scalar]]
 
@@ -43,15 +44,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> list[Scalar]:
     return [exact(sum((x * y for x, y in zip(row, v)), Fraction(0))) for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_orthogonal(a: Matrix) -> bool:
-    n = len(a)
-    return mat_eq(mat_mul(mat_transpose(a), a), mat_identity(n))
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -321,22 +313,35 @@ def ldl_psd(a: Matrix) -> tuple[bool, str]:
     return True, "ok"
 
 
-def gram_schmidt_exact(vectors: list[list[Scalar]]) -> list[list[Scalar]] | None:
-    """Orthonormalize exactly; None if a norm has no square root in the tower."""
-    basis: list[list[Scalar]] = []
+def scaled_remainder(v: Sequence[Scalar], kept: list[tuple[list[Scalar], Scalar]]
+                     ) -> tuple[list[Scalar], Scalar] | None:
+    """v orthogonalized against exactly orthogonal vectors, scaled to near-unit length.
+
+    ``kept`` holds (u, <u,u>) pairs.  v loses its component (<v,u>/<u,u>) u
+    along each u, and a nonzero remainder w comes back as (w/r, <w,w>/r^2),
+    where r is |w| rounded to 12 significant bits: a rational scale, never
+    zero, that puts the squared norm within 2^-11 of one without a square
+    root.  None if v lies in the span of ``kept``.
+    """
+    w = [exact(x) for x in v]
+    for u, nu in kept:
+        c = dot(w, u)
+        if c != 0:
+            c = exact(c * inverse(nu))
+            w = [exact(a - c * b) for a, b in zip(w, u)]
+    nrm2 = dot(w, w)
+    if nrm2 == 0:
+        return None
+    m, e = math.frexp(math.sqrt(float(nrm2)))
+    scale = Fraction(2) ** (12 - e) / round(math.ldexp(m, 12))
+    return [exact(x * scale) for x in w], exact(nrm2 * scale * scale)
+
+
+def gram_schmidt_exact(vectors: list[list[Scalar]]) -> list[list[Scalar]]:
+    """Exactly orthogonal near-unit vectors spanning ``vectors`` (``scaled_remainder``)."""
+    kept: list[tuple[list[Scalar], Scalar]] = []
     for v in vectors:
-        w = [exact(x) for x in v]
-        for u in basis:
-            c = dot(w, u)
-            if c != 0:
-                w = [exact(a - c * b) for a, b in zip(w, u)]
-        nrm2 = dot(w, w)
-        if nrm2 == 0:
-            continue
-        try:
-            nrm = Quad.of(nrm2).sqrt()
-        except ValueError:
-            return None
-        inv = nrm.inverse()
-        basis.append([exact(x * inv) for x in w])
-    return basis
+        step = scaled_remainder(v, kept)
+        if step is not None:
+            kept.append(step)
+    return [u for u, _ in kept]

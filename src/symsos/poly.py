@@ -364,13 +364,16 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     Grammar: term = [rational][*] var^int [* ...] with rationals written as
     "p/q" or plain integers; a "*" needs a factor after it.  Raises
     :class:`PolynomialSyntaxError` with the offending position, ValueError
-    for unknown variables or bad exponents.  A term's coefficient is kept as
+    for a repeated or unknown variable name or a bad exponent.  A term's coefficient is kept as
     an integer numerator and denominator and becomes one ``Fraction``.
     """
     n = len(variables)
     if n < 1:
         raise ValueError("need at least one variable")
     var_index = {v: i for i, v in enumerate(variables)}
+    if len(var_index) != n:
+        repeated = next(v for i, v in enumerate(variables) if v in variables[:i])
+        raise ValueError(f"variable name {repeated!r} is repeated")
     toks = _tokenize(text)
     if len(toks) == 1:
         raise PolynomialSyntaxError("empty polynomial", 0)

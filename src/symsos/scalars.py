@@ -3,10 +3,9 @@
 A :class:`Quad` value is a finite rational combination sum_k q_k * sqrt(k)
 over squarefree positive integers k (k = 1 being the rational part).  The set
 of such values is closed under +, -, *, / and contains every entry that shows
-up in the shipped group and equivariant catalogs (1/2, sqrt(3)/2, sqrt(6)/2,
-...).  Square roots are extracted exactly when the result stays in the tower,
-which covers every nonnegative rational; otherwise ``sqrt`` raises and callers
-fall back to fixed-precision floating point.
+up in the shipped irrep catalog (1/2, sqrt(3)/2, sqrt(2)/2, ...).  No square
+root is ever taken of a computed value: the isotypic bases are orthogonal, not
+orthonormal, so the tower needs only the radicals the catalog writes down.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
-
-import mpmath
 
 Scalar = Union[int, Fraction, "Quad"]
 
@@ -43,19 +40,6 @@ def squarefree_split(k: int) -> tuple[int, int]:
     m *= rest
     _SQFREE_CACHE[k] = (g, m)
     return g, m
-
-
-def sqrt_fraction(q: Fraction) -> Fraction | None:
-    """Exact rational square root of q, or None if q is not a rational square."""
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 class Quad:
@@ -190,32 +174,6 @@ class Quad:
             e >>= 1
         return out
 
-    def sqrt(self) -> "Quad":
-        """Exact square root, raising ValueError if it leaves the tower."""
-        if not self.terms:
-            return Quad()
-        if self.is_rational:
-            q = self.terms[1]
-            if q < 0:
-                raise ValueError("square root of a negative value")
-            g, m = squarefree_split(q.numerator * q.denominator)
-            return Quad({m: Fraction(g, q.denominator)})
-        radicals = [k for k in self.terms if k > 1]
-        if len(radicals) == 1:
-            # Try (p + q*sqrt(k))^2 = a + b*sqrt(k).
-            k = radicals[0]
-            a = self.terms.get(1, Fraction(0))
-            b = self.terms[k]
-            disc = sqrt_fraction(a * a - b * b * k)
-            if disc is not None:
-                for t in ((a + disc) / 2, (a - disc) / 2):
-                    p = sqrt_fraction(t)
-                    if p:
-                        cand = Quad({1: p, k: b / (2 * p)})
-                        if cand * cand == self:
-                            return cand if float(cand) >= 0 else -cand
-        raise ValueError(f"no exact square root of {self!r} in the quadratic tower")
-
     # -- comparisons & conversion ------------------------------------------
 
     def __eq__(self, other):
@@ -232,11 +190,6 @@ class Quad:
 
     def __float__(self):
         return float(sum(float(v) * math.sqrt(k) for k, v in self.terms.items()))
-
-    def to_mpf(self, dps: int = 50):
-        with mpmath.workdps(dps):
-            return mpmath.fsum(mpmath.mpf(v.numerator) / v.denominator * mpmath.sqrt(k)
-                               for k, v in self.terms.items())
 
     def __repr__(self):
         if not self.terms:

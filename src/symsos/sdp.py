@@ -17,8 +17,8 @@ of SOS factors paired with the equivariant Pi matrices.  The
 as sparse matrices (an orbit sum over index pairs for signed-permutation
 actions) and rotates each distinct average once into a symmetry-adapted
 basis, forming only the blocks it keeps: one small block per irrep with the
-copy multiplicity folded into the coefficients.  With an exact basis the
-reduced program inherits the elimination that picked its rows, so the
+copy multiplicity folded into the coefficients.  The basis is exact, so the
+reduced program inherits the elimination that picked its rows, and the
 isotypic route, too, eliminates its system once.
 """
 
@@ -34,8 +34,8 @@ import numpy as np
 from .equivariants import PiMatrix
 from .invariants import InvariantPoly, InvariantPresentation
 from .isotypic import (MatrixRep, SparseMatrix, SymmetryAdaptedBasis,
-                       dense_matrix, fixed_point_project)
-from .linalg import Matrix, Parametrization, RowBasis, parametrize, to_ndarray
+                       fixed_point_project)
+from .linalg import Matrix, Parametrization, RowBasis, parametrize
 from .poly import Monomial, Polynomial, monomial_mul, monomial_vector
 from .scalars import Scalar, exact
 
@@ -272,14 +272,13 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
     After ``check_invariance``, every functional is Reynolds-averaged by
     ``fixed_point_project`` as a sparse matrix (an orbit sum for
     signed-permutation actions); its action on the fixed-point subspace is
-    unchanged.  Each distinct average is rotated once per call.  With an
-    exact basis only the kept blocks of T^T R T are formed: the n_i diagonal
-    copy blocks of a real segment, summed, so the reduced objective already
-    carries the copy weights, and the whole block of a complex segment.  A
-    floating basis rotates the exact average in numpy.  The reduced system is
-    row-reduced to an independent set, exactly (by the candidate program's
-    ``solution_set``, which the reduced program keeps as its own) for an
-    exact basis.  Optimal values are preserved.
+    unchanged.  Each distinct average is rotated once per call, and only the
+    kept blocks of T^T R T are formed: the n_i diagonal copy blocks of a real
+    segment, summed, so the reduced objective already carries the copy
+    weights, and the whole block of a complex segment.  The reduced system is
+    row-reduced to an independent set by the candidate program's
+    ``solution_set``, which the reduced program keeps as its own.  X = T D T^T
+    is a congruence, so optimal values are preserved.
     Returns the reduced program and ``basis``, whose ``lift`` maps reduced
     block solutions back to the full program.
     """
@@ -289,44 +288,28 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
     if n != rep.size or n != basis.size:
         raise ValueError("size mismatch between program, representation and basis")
     check_invariance(sdp, rep)
-    use_exact = basis.is_exact
-    if use_exact:
-        cols = [[(k, v) for k, v in enumerate(col) if v != 0] for col in basis.columns]
-    else:
-        tfloat = basis.t_float()
+    cols = [[(k, v) for k, v in enumerate(col) if v != 0] for col in basis.columns]
 
     def rotate(ravg: SparseMatrix) -> list[Matrix]:
         out = []
-        if use_exact:
-            rmat: dict[int, list[tuple[int, Scalar]]] = {}
-            for (r, c), v in ravg.items():
-                rmat.setdefault(c, []).append((r, v))
-            for seg in basis.layout:
-                a0 = seg.col_start
-                if seg.kind == "complex":
-                    seg_cols = cols[a0:a0 + seg.width]
-                    out.append(_bilinear_block(rmat, seg_cols, seg_cols))
-                    continue
-                m = seg.m_i
-                folded = [[Fraction(0)] * m for _ in range(m)]
-                for j in range(seg.n_i):
-                    copy = cols[a0 + j * m:a0 + (j + 1) * m]
-                    sub = _bilinear_block(rmat, copy, copy)
-                    for r in range(m):
-                        for c in range(m):
-                            folded[r][c] = exact(folded[r][c] + sub[r][c])
-                out.append(folded)
-        else:
-            full = tfloat.T @ to_ndarray(dense_matrix(ravg, n)) @ tfloat
-            for seg in basis.layout:
-                a0 = seg.col_start
-                sub = full[a0:a0 + seg.width, a0:a0 + seg.width]
-                if seg.kind != "complex":
-                    m = seg.m_i
-                    sub = sum(sub[j * m:(j + 1) * m, j * m:(j + 1) * m]
-                              for j in range(seg.n_i))
-                out.append([[Fraction(x).limit_denominator(10 ** 12) for x in row]
-                            for row in sub])
+        rmat: dict[int, list[tuple[int, Scalar]]] = {}
+        for (r, c), v in ravg.items():
+            rmat.setdefault(c, []).append((r, v))
+        for seg in basis.layout:
+            a0 = seg.col_start
+            if seg.kind == "complex":
+                seg_cols = cols[a0:a0 + seg.width]
+                out.append(_bilinear_block(rmat, seg_cols, seg_cols))
+                continue
+            m = seg.m_i
+            folded = [[Fraction(0)] * m for _ in range(m)]
+            for j in range(seg.n_i):
+                copy = cols[a0 + j * m:a0 + (j + 1) * m]
+                sub = _bilinear_block(rmat, copy, copy)
+                for r in range(m):
+                    for c in range(m):
+                        folded[r][c] = exact(folded[r][c] + sub[r][c])
+            out.append(folded)
         return out
 
     blocks = [BlockSpec(seg.label, seg.width if seg.kind == "complex" else seg.m_i,
@@ -355,33 +338,15 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
     for con in cons:
         first.setdefault((frozenset(con.coeffs.items()), con.rhs), con)
     cons = list(first.values())
-    candidate = BlockSDP(blocks, list(sdp.free_vars), new_cost, cons)
-    if use_exact:
-        param = candidate.solution_set
-        if param is None:
-            raise AssemblyInfeasible("restricted constraint system is inconsistent")
-        reduced = BlockSDP(blocks, list(sdp.free_vars), new_cost,
-                           [cons[i] for i in param.sources])
-        # a dependent row leaves no trace in the elimination, so the kept rows
-        # give the same pivots; only the source numbering changes
-        reduced.solution_set = replace(param, sources=list(range(len(param.sources))))
-        return reduced, basis
-    keypos = {k: i for i, k in enumerate(candidate.var_order())}
-    kept: list[np.ndarray] = []
-    keep = []
-    for i, con in enumerate(cons):
-        vec = np.zeros(len(keypos) + 1)
-        for k, v in con.coeffs.items():
-            vec[keypos[k]] = float(v)
-        vec[-1] = float(con.rhs)
-        w = vec.copy()
-        for u in kept:
-            w -= np.dot(w, u) * u
-        if np.linalg.norm(w[:-1]) > 1e-9 * max(1.0, np.linalg.norm(vec)):
-            kept.append(w / np.linalg.norm(w))
-            keep.append(i)
-    return BlockSDP(blocks, list(sdp.free_vars), new_cost,
-                    [cons[i] for i in keep]), basis
+    param = BlockSDP(blocks, list(sdp.free_vars), new_cost, cons).solution_set
+    if param is None:
+        raise AssemblyInfeasible("restricted constraint system is inconsistent")
+    reduced = BlockSDP(blocks, list(sdp.free_vars), new_cost,
+                       [cons[i] for i in param.sources])
+    # a dependent row leaves no trace in the elimination, so the kept rows
+    # give the same pivots; only the source numbering changes
+    reduced.solution_set = replace(param, sources=list(range(len(param.sources))))
+    return reduced, basis
 
 
 # -- invariant SOS assembly ---------------------------------------------------------

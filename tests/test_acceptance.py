@@ -26,7 +26,7 @@ from symsos.invariants import InvariantPoly, expand_invariants, presentation, \
     rewrite_in_invariants
 from symsos.isotypic import (fixed_point_project, induced_representation,
                              symmetry_adapted_basis)
-from symsos.linalg import is_orthogonal, rank_exact
+from symsos.linalg import mat_mul, mat_transpose, rank_exact
 from symsos.molien import (even_form_block_census, molien_series,
                            series_coefficients)
 from symsos.poly import Polynomial
@@ -195,11 +195,18 @@ def test_criterion_7_symmetric_quadratic_criterion():
 def test_criterion_8_property_suites():
     """Condensed run of the invariant property suites (full versions live in
     the per-module test files)."""
-    # Reynolds idempotence + T orthogonality + C4 syzygy, spot versions
+    # Reynolds idempotence + T orthogonality + C4 syzygy, spot versions: T^T T
+    # is exactly diagonal, equal across a segment's copies, within 2^-11 of I
     cat = catalog("dihedral:4")
     rep = induced_representation(cat.action, 3)
     sab = symmetry_adapted_basis(rep, cat)
-    t_ok = is_orthogonal(sab.t_matrix())
+    t = sab.t_matrix()
+    gram = mat_mul(mat_transpose(t), t)
+    diag = [gram[i][i] for i in range(10)]
+    t_ok = all(gram[i][j] == 0 for i in range(10) for j in range(10) if i != j) \
+        and all(abs(float(v) - 1) <= 2 ** -11 for v in diag) \
+        and all(diag[seg.col_start + k] == diag[seg.col_start + k % seg.m_i]
+                for seg in sab.layout for k in range(seg.width))
     rng = random.Random(5)
     x = [[Fraction(rng.randint(-4, 4)) for _ in range(10)] for _ in range(10)]
     x = [[x[i][j] + x[j][i] for j in range(10)] for i in range(10)]

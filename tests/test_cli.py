@@ -83,6 +83,16 @@ class TestBound:
             assert "the polynomial has 2" in err
 
 
+    def test_repeated_variable_name_is_usage_error(self, tmp_path, capsys):
+        cert_path = tmp_path / "f.cert"
+        rc = main(["bound", "--group", "trivial:2", "--poly", "x^2+1",
+                   "--vars", "x,x", "--round", "--out", str(cert_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ")
+        assert "'x' is repeated" in captured.err
+        assert not cert_path.exists()
+
     def test_out_without_round_is_usage_error(self, tmp_path, capsys):
         cert_path = tmp_path / "x.cert"
         rc = main(["bound", "--group", "trivial:1", "--poly", "x^2 + 1",

@@ -47,6 +47,13 @@ class TestCertificateFormat:
         assert back.lam == lam
         assert sys.get_int_max_str_digits() == limit
 
+    @pytest.mark.parametrize("names", ["x y", "x y z w"])
+    def test_vars_count_must_match_nvars(self, names):
+        text = certificate_to_text(s3_published_certificate())
+        with pytest.raises(ValueError, match=f"vars lists {len(names.split())} "
+                                             "names but the presentation has nvars=3"):
+            certificate_from_text(text.replace("vars x y z", f"vars {names}", 1))
+
     def test_tampered_file_fails_verification(self):
         cert = s3_published_certificate()
         text = certificate_to_text(cert)

@@ -89,9 +89,9 @@ class TestCatalogs:
         cat = catalog(spec)
         assert cat.check_sum_of_squares(), spec
         for r in cat.irreps:
-            tol = 1e-40 if r.approximate else None
-            assert verify_representation(r, cat.action, tol=tol).ok, (spec, r.label)
-        assert character_orthogonality(cat, tol=1e-38).ok, spec
+            if r.generator_images is not None:
+                assert verify_representation(r, cat.action).ok, (spec, r.label)
+        assert character_orthogonality(cat).ok, spec
 
     def test_dihedral4_matches_unitary_table(self):
         cat = catalog("dihedral:4")
@@ -111,11 +111,21 @@ class TestCatalogs:
         assert theta3.matrix(g12) == [[-a, b], [b, a]]
         assert theta3.matrix(g23) == [[1, 0], [0, -1]]
 
-    def test_approximate_flagged(self):
-        cat = catalog("cyclic:5")
-        assert any(r.approximate for r in cat.irreps)
+    @pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:7", "cyclic:9",
+                                      "dihedral:10", "cyclic:11"])
+    def test_rotation_outside_the_tower_has_no_matrices(self, spec):
+        cat = catalog(spec)
+        m = int(spec.split(":")[1])
+        rotations = [r for r in cat.irreps if r.dim == 2]
+        assert rotations and all(r.generator_images is None for r in rotations)
+        assert all(r.generator_images is not None for r in cat.irreps if r.dim == 1)
+        assert cat.check_sum_of_squares()
+        for r in rotations:
+            j = r.molien_meta[2]
+            with pytest.raises(ValueError, match=rf"rotation by 2\*pi\*{j}/{m}"):
+                r.matrix(1)
         exact_cat = catalog("cyclic:12")
-        assert not any(r.approximate for r in exact_cat.irreps)
+        assert all(r.generator_images is not None for r in exact_cat.irreps)
 
     def test_unsupported(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from symsos.groups import ClosureError, IrrepCatalog, RealIrrep, catalog, \
@@ -9,9 +8,29 @@ from symsos.groups import ClosureError, IrrepCatalog, RealIrrep, catalog, \
 from symsos.isotypic import (action_rep, block_diagonalize,
                              fixed_point_project, induced_representation,
                              symmetry_adapted_basis)
-from symsos.linalg import is_orthogonal, mat_mul, mat_transpose
+from symsos.linalg import mat_mul, mat_transpose
 from symsos.molien import molien_series, series_coefficients
 from symsos.scalars import Quad
+
+
+def gram_diagonal(sab):
+    """The diagonal of T^T T, which must be exactly diagonal."""
+    t = sab.t_matrix()
+    g = mat_mul(mat_transpose(t), t)
+    n = len(g)
+    assert all(g[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    return [g[i][i] for i in range(n)]
+
+
+def assert_adapted_gram(sab):
+    """T^T T is diagonal, equal across a segment's copies and within 2^-11 of I."""
+    diag = gram_diagonal(sab)
+    assert all(abs(float(v) - 1) <= 2 ** -11 for v in diag)
+    for seg in sab.layout:
+        # a real segment holds n_i copies of m_i columns; a complex one its
+        # m_i vectors u, then their images J u
+        cols = diag[seg.col_start:seg.col_start + seg.width]
+        assert all(v == cols[k % seg.m_i] for k, v in enumerate(cols)), seg.label
 
 
 def random_invariant(rep, n, seed=0):
@@ -94,8 +113,8 @@ class TestOrbitSum:
         # a reflection {I, R} with R^2 = I, and a 60-degree rotation with
         # entries 1/2 and sqrt(3)/2: orthogonal, but no signed permutations
         refl = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
-        rot, approx = rotation_matrix(6, 1)
-        assert not approx and isinstance(rot[1][0], Quad)
+        rot = rotation_matrix(6, 1)
+        assert isinstance(rot[1][0], Quad)
         for g in (refl, rot):
             with pytest.raises(ClosureError, match="orthogonal signed permutation"):
                 close_group([g])
@@ -123,8 +142,7 @@ class TestSymmetryAdaptedBasis:
         sab = symmetry_adapted_basis(rep, cat)
         assert sab.multiplicities == {"theta1": 2, "theta2": 0, "theta3": 1,
                                       "theta4": 1, "theta5": 3}
-        assert sab.is_exact
-        assert is_orthogonal(sab.t_matrix())
+        assert_adapted_gram(sab)
         assert sum(seg.n_i * seg.m_i for seg in sab.layout) == 10
 
     def test_swap_last_two_coordinates_worked_example(self):
@@ -137,15 +155,16 @@ class TestSymmetryAdaptedBasis:
         cat = IrrepCatalog("swap", act, [triv, sign])
         sab = symmetry_adapted_basis(action_rep(act), cat)
         assert sab.multiplicities == {"theta1": 2, "theta2": 1}
+        # T = [e1, s (e2 + e3), s (e2 - e3)] with s = 128/181: the halves
+        # (e2 +- e3)/2 have length sqrt(2)/2, rounded to 2896/4096
+        s = Fraction(128, 181)
+        assert sab.t_matrix() == [[1, 0, 0], [0, s, s], [0, s, -s]]
         a, b, c, d = Fraction(2), Fraction(3), Fraction(5), Fraction(7)
         x = [[a, b, b], [b, c, d], [b, d, c]]
-        bd = block_diagonalize(x, sab)
-        b1, b2 = bd.blocks
-        assert b2 == [[c - d]]
-        r2b = Quad.root(2) * b
-        assert b1[0][1] == b1[1][0]
-        assert {b1[0][0], b1[1][1]} == {a, c + d}
-        assert b1[0][1] in (r2b, -1 * r2b)
+        b1, b2 = block_diagonalize(x, sab).blocks
+        assert b1 == [[2, Fraction(768, 181)], [Fraction(768, 181), Fraction(393216, 32761)]]
+        assert b1 == [[a, 2 * s * b], [2 * s * b, 2 * s * s * (c + d)]]
+        assert b2 == [[Fraction(-65536, 32761)]] == [[2 * s * s * (c - d)]]
 
     def test_trivial_group_identity_basis(self):
         cat = catalog("trivial:2")
@@ -165,13 +184,21 @@ class TestSymmetryAdaptedBasis:
                 assert sab.multiplicities[irrep.label] == sum(coeffs), \
                     (spec, irrep.label)
 
-    def test_floating_fallback_for_approximate_irreps(self):
-        cat = catalog("cyclic:5")
+    @pytest.mark.parametrize("spec,d", [("dihedral:8", 2), ("symmetric:3", 3),
+                                        ("cyclic:6", 2), ("cyclic:12", 1),
+                                        ("symmetric:4", 2), ("c2n:3", 2)])
+    def test_gram_is_diagonal_and_near_identity(self, spec, d):
+        # irreps with sqrt(2)/2 or sqrt(3)/2 entries give irrational columns
+        cat = catalog(spec)
+        sab = symmetry_adapted_basis(induced_representation(cat.action, d), cat)
+        assert_adapted_gram(sab)
+
+    @pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:5"])
+    def test_rotation_outside_the_tower_is_refused(self, spec):
+        cat = catalog(spec)
         rep = induced_representation(cat.action, 2)
-        sab = symmetry_adapted_basis(rep, cat)
-        assert not sab.is_exact
-        t = sab.t_float()
-        assert np.max(np.abs(t.T @ t - np.eye(rep.size))) < 1e-12
+        with pytest.raises(ValueError, match=r"rotation by 2\*pi\*1/5"):
+            symmetry_adapted_basis(rep, cat)
 
 
 class TestBlockDiagonalize:
@@ -182,9 +209,11 @@ class TestBlockDiagonalize:
         eye = [[Fraction(1) if i == j else Fraction(0) for j in range(6)]
                for i in range(6)]
         bd = block_diagonalize(eye, sab)
+        diag = gram_diagonal(sab)
         for seg, blk in zip(bd.segments, bd.blocks):
             size = len(blk)
-            assert blk == [[Fraction(1) if i == j else Fraction(0)
+            a = seg.col_start
+            assert blk == [[diag[a + i] if i == j else Fraction(0)
                             for j in range(size)] for i in range(size)]
 
     def test_reynolds_average_block_diagonalizes_exactly(self):
@@ -200,7 +229,7 @@ class TestBlockDiagonalize:
         cat = catalog("cyclic:4")
         rep = induced_representation(cat.action, 3)
         sab = symmetry_adapted_basis(rep, cat)
-        assert sab.is_exact
+        assert_adapted_gram(sab)
         x = random_invariant(rep, 10, seed=5)
         bd = block_diagonalize(x, sab)
         widths = [len(b) for b in bd.blocks]

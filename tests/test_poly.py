@@ -50,6 +50,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown variable"):
             parse_polynomial("x + q", ["x", "y"])
 
+    @pytest.mark.parametrize("variables", [["x", "x"], ["x", "y", "x"]])
+    def test_repeated_variable_name(self, variables):
+        with pytest.raises(ValueError, match="variable name 'x' is repeated"):
+            parse_polynomial("x^2 + 1", variables)
+
     def test_zero_denominator(self):
         with pytest.raises(PolynomialSyntaxError, match="nonzero denominator"):
             parse_polynomial("1/0*x^2", ["x"])

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from symsos.scalars import Quad, exact, squarefree_split
@@ -30,21 +29,6 @@ def test_root_and_products():
     assert Quad.root(3, Fraction(1, 2)) * 2 == r3
 
 
-def test_sqrt_rational_always_exact():
-    assert Quad(Fraction(9, 4)).sqrt() == Fraction(3, 2)
-    assert Quad(2).sqrt() == Quad.root(2)
-    assert Quad(Fraction(3, 8)).sqrt() == Quad.root(6, Fraction(1, 4))
-    with pytest.raises(ValueError):
-        Quad(-1).sqrt()
-
-
-def test_sqrt_two_term_square():
-    w = (Quad(1) + Quad.root(3)) * Fraction(1, 2)
-    assert (w * w).sqrt() == w
-    with pytest.raises(ValueError):
-        (Quad.root(2) + Quad.root(3)).sqrt()
-
-
 @given(quad_values())
 def test_inverse_is_exact(x):
     if x == 0:
@@ -68,5 +52,4 @@ def test_exact_collapses_rational_quads(q):
 def test_float_conversion():
     x = Quad({1: Fraction(1, 2), 3: Fraction(1, 2)})
     assert abs(float(x) - (0.5 + 0.5 * 3 ** 0.5)) < 1e-15
-    assert abs(float(x.to_mpf()) - float(x)) < 1e-15
 
