@@ -17,12 +17,11 @@ from .invariants import InvariantPresentation, presentation, \
 from .molien import dimension_table, hilbert_consistency, molien_series
 from .poly import (MINUS_INFINITY, MonomialVector, Polynomial, evaluate,
                    monomial_vector, parse_polynomial, render_polynomial)
-from .scalars import Quad
 
 __all__ = [
     "Certificate", "GeneratorBundle", "GroupAction", "InvariantPresentation",
     "IrrepCatalog", "MINUS_INFINITY", "MonomialVector", "NoCertificateError",
-    "Polynomial", "Quad", "RoundingError", "algorithm_one", "algorithm_two",
+    "Polynomial", "RoundingError", "algorithm_one", "algorithm_two",
     "catalog", "close_group", "dimension_table", "evaluate",
     "expand_invariants", "hilbert_consistency", "molien_series",
     "monomial_vector", "parse_polynomial", "presentation",

@@ -357,8 +357,10 @@ def algorithm_two(f: Polynomial, bundle: GeneratorBundle,
 def sos_lower_bound(f: Polynomial, group_spec: str,
                     tol: float = 1e-8) -> tuple[float, Certificate]:
     """Largest lambda with f - lambda SOS, exploiting the given symmetry."""
+    if f.is_zero():
+        raise ValueError("the target polynomial is zero")
     deg = f.degree()
-    if not isinstance(deg, int) or deg % 2:
+    if deg % 2:
         raise ValueError("the target polynomial must have even degree")
     bundle = bundle_for(group_spec, max_degree=deg)
     if bundle.pres.nvars != f.nvars:

@@ -14,15 +14,19 @@ Catalogs:
   * ``cyclic:m``     planar rotation for m in {1,2,4}, else m-cycle on vertices
   * ``dihedral:m``   planar for m in {1,2,4}, else vertex permutation action
                      (refused for m <= 2, where it is not faithful)
-  * ``symmetric:n``  coordinate permutations, n <= 5, Young orthogonal irreps
-  * ``trivial:n``    the one-element group on R^n
+  * ``symmetric:n``  coordinate permutations, n <= 5, Young seminormal irreps
+  * ``trivial:n``    the one-element group on R^n, n >= 1
 
-Each conjugate pair of complex cyclic characters e^{+-2 pi i j/m} is carried
-by one complex-type real irrep: its realified block [[Re, -Im], [Im, Re]] is
-the rotation by 2 pi j/m.  Irrep matrices are exact (rational or
-quadratic-extension entries).  A cyclic/dihedral rotation block at m in
-{5,7,9,10,11} has no (cos, sin) in the quadratic tower: its irrep keeps its
-label, dimension, kind and Molien data but carries no matrices, and
+Irrep matrices are rational.  They need not be orthogonal: each irrep keeps
+an invariant form Q = sum_g rho(g)^T rho(g) that is diagonal, so it is
+diagonally similar to an orthogonal realization and has the same diagonal
+entries rho(g)_kk.  The symmetric groups use Young's seminormal form, and
+S3's planar irrep and the rotations of order 3 and 6 are written in the
+basis (e1, sqrt(3) e2).  Each conjugate pair of complex cyclic characters
+e^{+-2 pi i j/m} is carried by one complex-type real irrep, the realified
+rotation by 2 pi j/m.  A cyclic or dihedral rotation irrep whose order
+m/gcd(m, j) is not in {1, 2, 3, 4, 6} has an irrational character: it keeps
+its label, dimension, kind and Molien data but carries no matrices, and
 ``RealIrrep.matrix`` raises ValueError naming the rotation.
 """
 
@@ -37,7 +41,6 @@ from typing import Callable, Sequence
 
 from .linalg import Matrix, mat_identity, mat_mul, mat_transpose
 from .poly import Polynomial
-from .scalars import Quad, Scalar, exact
 
 DEFAULT_MAX_ORDER = 10080
 
@@ -139,7 +142,7 @@ def as_signed_perm(m: Matrix) -> SignedPerm | None:
 
 
 def _freeze(m: Matrix) -> tuple:
-    return tuple(tuple(exact(x) for x in row) for row in m)
+    return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
 class GroupAction:
@@ -211,7 +214,6 @@ def close_group(generators: Sequence[Matrix], max_order: int = DEFAULT_MAX_ORDER
     n = len(generators[0])
     gens: list[SignedPerm] = []
     for g in generators:
-        g = [[exact(x) for x in row] for row in g]
         if len(g) != n or any(len(r) != n for r in g):
             raise ValueError("generators must be square matrices of equal size")
         sp = as_signed_perm(g)
@@ -263,7 +265,7 @@ class RealIrrep:
         if self.generator_images is None:
             _, m, j = self.molien_meta
             raise ValueError(f"irrep {self.label} has no exact matrices: the rotation "
-                             f"by 2*pi*{j}/{m} has no (cos, sin) in the quadratic tower")
+                             f"by 2*pi*{j}/{m} has an irrational character")
         if i == 0:
             m = mat_identity(self.dim)
         else:
@@ -273,9 +275,15 @@ class RealIrrep:
         self._cache[i] = m
         return m
 
-    def character(self, i: int) -> Scalar:
+    def character(self, i: int) -> Fraction:
         m = self.matrix(i)
-        return exact(sum((m[k][k] for k in range(self.dim)), Fraction(0)))
+        return sum((m[k][k] for k in range(self.dim)), Fraction(0))
+
+    @cached_property
+    def copy_weights(self) -> list[Fraction]:
+        """Q_jj / Q_00 of the diagonal invariant form Q (``invariant_form``)."""
+        q = invariant_form(self.matrix, self.action.order)
+        return [q[j][j] / q[0][0] for j in range(self.dim)]
 
 
 @dataclass
@@ -303,33 +311,40 @@ class RepReport:
         return not self.violations
 
 
+def invariant_form(matrices: Callable[[int], Matrix], order: int) -> Matrix:
+    """Q = sum_g rho(g)^T rho(g), so that rho(g)^T Q rho(g) = Q for every g."""
+    q = None
+    for i in range(order):
+        m = matrices(i)
+        mtm = mat_mul(mat_transpose(m), m)
+        q = mtm if q is None else [[a + b for a, b in zip(ra, rb)]
+                                   for ra, rb in zip(q, mtm)]
+    return q
+
+
 def verify_representation(matrices: Callable[[int], Matrix] | RealIrrep,
                           action: GroupAction) -> RepReport:
-    """Check orthogonality of every element and the homomorphism property, exactly.
+    """Check the homomorphism property and a diagonal invariant form, exactly.
 
     The homomorphism check runs over the Cayley edges: rho(g) rho(s) =
     rho(g s) for every element g and every generator s.  Since the
     generators generate the group, this forces rho(e) = I and rho(word) =
     product of generator images, so it is as exhaustive as the full
-    multiplication table at |G| * |gens| products.
+    multiplication table at |G| * |gens| products.  The invariant form
+    ``invariant_form`` must be diagonal, which makes the matrices diagonally
+    similar to orthogonal ones.
     """
     get = matrices.matrix if isinstance(matrices, RealIrrep) else matrices
     violations = []
-
-    def close(a: Matrix, b: Matrix) -> bool:
-        return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-    order = action.order
-    for i in range(order):
-        m = get(i)
-        if not close(mat_mul(mat_transpose(m), m), mat_identity(len(m))):
-            violations.append(f"element {i}: matrix not orthogonal")
-    for i in range(order):
+    for i in range(action.order):
         for s in action.generators:
-            if not close(mat_mul(get(i), get(s)), get(action.mult(i, s))):
+            if mat_mul(get(i), get(s)) != get(action.mult(i, s)):
                 violations.append(f"homomorphism violated at ({i},{s})")
                 if len(violations) > 20:
                     return RepReport(violations)
+    q = invariant_form(get, action.order)
+    if any(q[r][c] for r in range(len(q)) for c in range(len(q)) if r != c):
+        violations.append("invariant form is not diagonal")
     return RepReport(violations)
 
 
@@ -346,8 +361,8 @@ def character_orthogonality(catalog: IrrepCatalog) -> RepReport:
     inv = catalog.action.inverse_table
     for a in irreps:
         for b in irreps:
-            val = exact(sum((Quad.of(chars[a.label][i]) * Quad.of(chars[b.label][inv[i]])
-                             for i in range(order)), Quad(0)) * Fraction(1, order))
+            val = sum((chars[a.label][i] * chars[b.label][inv[i]]
+                       for i in range(order)), Fraction(0)) / order
             if a.label == b.label:
                 expect = Fraction(2 if a.kind == "complex-type" else 1)
             else:
@@ -357,35 +372,42 @@ def character_orthogonality(catalog: IrrepCatalog) -> RepReport:
     return RepReport(violations)
 
 
-# -- rotation entries ------------------------------------------------------------
-
-# (cos, sin) of 2*pi/m for the m whose rotation has entries in the tower
-_UNIT_ROTATIONS: dict[int, tuple[Quad, Quad]] = {
-    1: (Quad(1), Quad(0)),
-    2: (Quad(-1), Quad(0)),
-    3: (Quad(Fraction(-1, 2)), Quad.root(3, Fraction(1, 2))),
-    4: (Quad(0), Quad(1)),
-    6: (Quad(Fraction(1, 2)), Quad.root(3, Fraction(1, 2))),
-    8: (Quad.root(2, Fraction(1, 2)), Quad.root(2, Fraction(1, 2))),
-    12: (Quad.root(3, Fraction(1, 2)), Quad(Fraction(1, 2))),
-}
+# -- rotations -------------------------------------------------------------------
 
 
-def rotation_matrix(m: int, k: int) -> Matrix | None:
-    """Exact 2x2 rotation by 2*pi*k/m, or None if it leaves the quadratic tower."""
-    if m not in _UNIT_ROTATIONS:
-        return None
-    c1, s1 = _UNIT_ROTATIONS[m]
-    c, s = Quad(1), Quad(0)
-    for _ in range(k % m):
-        c, s = exact(c * c1 - s * s1), exact(c * s1 + s * c1)
-    return [[exact(c), exact(-1 * s)], [exact(s), exact(c)]]
+def rotation_matrix(m: int, k: int) -> Matrix:
+    """The rotation by 2*pi*k/m, a multiple of a quarter turn (m in {1, 2, 4})."""
+    if 4 % m:
+        raise ValueError(f"the rotation by 2*pi*{k}/{m} is not a quarter-turn multiple")
+    c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[4 * k // m % 4]
+    return [[Fraction(c), Fraction(-s)], [Fraction(s), Fraction(c)]]
+
+
+def _rotation_irrep(m: int, j: int) -> tuple | None:
+    """Rational realization of the rotation by 2*pi*j/m, or None.
+
+    With d = m/gcd(m, j), the rotation itself is rational for d in {1, 2, 4}.
+    For d in {3, 6} it is [[c, -3t], [t, c]] with c its cosine and t = sin/sqrt(3)
+    = +-1/2, the rotation in the basis (e1, sqrt(3) e2).  Every other d has an
+    irrational character 2 cos(2 pi j/m).
+    """
+    d = m // math.gcd(m, j)
+    t = j * d // m                                  # the rotation by 2*pi*t/d
+    if d in (1, 2, 4):
+        return _freeze(rotation_matrix(d, t))
+    if d in (3, 6):
+        c = Fraction(-1, 2) if d == 3 else Fraction(1, 2)
+        s = Fraction(1, 2) if 2 * t < d else Fraction(-1, 2)
+        return _freeze([[c, -3 * s], [s, c]])
+    return None
 
 
 # -- catalogs --------------------------------------------------------------------
 
 
 def trivial_catalog(n: int) -> IrrepCatalog:
+    if n < 1:
+        raise ValueError("trivial catalog supports n >= 1")
     action = close_group([mat_identity(n)])
     triv = RealIrrep("theta1", 1, "absolutely-real", action, [((Fraction(1),),)])
     return IrrepCatalog(f"trivial:{n}", action, [triv])
@@ -443,8 +465,8 @@ def _cyclic_irreps(m: int, action: GroupAction) -> list[RealIrrep]:
         irreps.append(RealIrrep("t", 1, "absolutely-real", action, [((Fraction(-1),),)]))
     for j in range(1, (m + 1) // 2):
         # the conjugate pair e^{+-2 pi i j/m} realifies to the rotation by 2 pi j/m
-        rot = rotation_matrix(m, j)
-        images = None if rot is None else [_freeze(rot)]
+        rot = _rotation_irrep(m, j)
+        images = None if rot is None else [rot]
         irreps.append(RealIrrep("t", 2, "complex-type", action, images,
                                 molien_meta=("cyclic-pair", m, j)))
     for i, r in enumerate(irreps):
@@ -495,9 +517,9 @@ def _dihedral_irreps(m: int, action: GroupAction) -> list[RealIrrep]:
     irreps = [RealIrrep("t", 1, "absolutely-real", action, images)
               for images in characters]
     for j in range(1, (m + 1) // 2 if m % 2 else m // 2):
-        rot = rotation_matrix(m, j)
-        refl = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
-        images = None if rot is None else [_freeze(rot), _freeze(refl)]
+        rot = _rotation_irrep(m, j)
+        refl = _freeze([[1, 0], [0, -1]])
+        images = None if rot is None else [rot, refl]
         irreps.append(RealIrrep("t", 2, "absolutely-real", action, images,
                                 molien_meta=("dihedral", m, j)))
     for i, r in enumerate(irreps):
@@ -523,7 +545,7 @@ def dihedral_catalog(m: int, variant: str | None = None) -> IrrepCatalog:
     return IrrepCatalog(f"dihedral:{m}:{variant}", action, irreps)
 
 
-# -- symmetric group via Young's orthogonal form ----------------------------------
+# -- symmetric group via Young's seminormal form ----------------------------------
 
 
 def partitions_desc(n: int) -> list[tuple[int, ...]]:
@@ -559,8 +581,14 @@ def standard_tableaux(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...
     return list(rec([[] for _ in range(rows)], 1))
 
 
-def _yor_generator_matrix(shape: tuple[int, ...], k: int) -> Matrix:
-    """Young orthogonal matrix of the adjacent transposition (k, k+1)."""
+def _seminormal_generator_matrix(shape: tuple[int, ...], k: int) -> Matrix:
+    """Young seminormal matrix of the adjacent transposition (k, k+1).
+
+    A tableau t with axial distance d from k to k+1 gets 1/d on the diagonal.
+    When swapping k and k+1 in t gives a standard tableau t', the pair
+    (t, t') gets 1 if d > 0 and 1 - 1/d^2 if d < 0: the orthogonal form's
+    sqrt(1 - 1/d^2) both ways, up to a diagonal change of basis.
+    """
     tabs = standard_tableaux(shape)
     index = {t: i for i, t in enumerate(tabs)}
     dim = len(tabs)
@@ -578,14 +606,12 @@ def _yor_generator_matrix(shape: tuple[int, ...], k: int) -> Matrix:
         r1, c1 = find(t, k)
         r2, c2 = find(t, k + 1)
         d = (c2 - r2) - (c1 - r1)
-        m[i][i] = exact(Fraction(1, d))
+        m[i][i] = Fraction(1, d)
         swapped = [list(row) for row in t]
         swapped[r1][c1], swapped[r2][c2] = k + 1, k
         key = tuple(tuple(r) for r in swapped)
         if key in index:
-            j = index[key]
-            val = Quad.root(d * d - 1, Fraction(1, abs(d)))
-            m[i][j] = val
+            m[i][index[key]] = Fraction(1) if d > 0 else 1 - Fraction(1, d * d)
     return m
 
 
@@ -609,18 +635,18 @@ def symmetric_catalog(n: int) -> IrrepCatalog:
     shapes = partitions_desc(n)
     if n == 3:
         # classical table order: trivial, sign, then the planar standard irrep
-        # realized with entries 1/2 and sqrt(3)/2
         shapes = [(3,), (1, 1, 1), (2, 1)]
     irreps = []
     for si, shape in enumerate(shapes):
         tabs = standard_tableaux(shape)
-        images = [_freeze(_yor_generator_matrix(shape, k + 1)) for k in range(n - 1)]
+        images = [_freeze(_seminormal_generator_matrix(shape, k + 1))
+                  for k in range(n - 1)]
         rep = RealIrrep(f"theta{si + 1}", len(tabs), "absolutely-real", action, images)
         irreps.append(rep)
     if n == 3:
-        a, b = Fraction(1, 2), Quad.root(3, Fraction(1, 2))
-        s12 = _freeze([[-a, b], [b, a]])
-        s23 = _freeze([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]])
+        # the planar irrep in the basis (e1, sqrt(3) e2)
+        s12 = _freeze([[Fraction(-1, 2), Fraction(3, 2)], [Fraction(1, 2), Fraction(1, 2)]])
+        s23 = _freeze([[1, 0], [0, -1]])
         irreps[2] = RealIrrep("theta3", 2, "absolutely-real", action, [s12, s23])
     return IrrepCatalog(f"symmetric:{n}", action, irreps)
 

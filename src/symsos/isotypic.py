@@ -7,18 +7,26 @@ block diagonalization of invariant matrices.  Every group acts by signed
 permutations, and so does its induced representation on monomials: each
 element is stored as a ``SignedPerm`` of the basis.
 
-Bases are exact, with entries in the quadratic tower.  Their columns are
-exactly orthogonal but not normalized: each is scaled by a rational near the
-inverse of its length (``linalg.scaled_remainder``), so no square root is
-taken.  An invariant X = T D T^T is a congruence, so any invertible adapted T
-gives the same block structure and the same optimum; the copies of a segment
-share their scales, so T^T X T still repeats one block per copy.  An irrep
-with no exact matrices (a rotation whose cosine and sine leave the tower) is
-refused.
+Bases are rational.  Their columns are exactly orthogonal but not normalized
+(``linalg.gram_schmidt_exact``), so no square root is taken.  An absolutely
+real irrep with matrices gives a real segment: its first copy spans the
+range of p_11 = (n_i/|G|) sum_g rho(g^-1)_11 g, and copy j is p_j1 applied to
+the first (Serre, Linear Representations of Finite Groups, 2.7; the
+formulas hold for any realization).  The catalog realizations are
+orthogonal only up to a diagonal invariant form Q, so copy j's columns are
+w_j = Q_jj/Q_11 times as long squared as the first copy's, and T^T X T
+repeats w_j B on copy j for an invariant X.  A complex-type irrep, and each
+Galois orbit of irreps without matrices (rotations of one order d whose
+characters are irrational), gives one whole segment instead: an orthogonal
+basis of the range of its rational isotypic projection c sum_g chi(g^-1) g.
+An orbit's character is the Ramanujan sum c_d(k) at r^k and 0 off the
+rotations.  An invariant X = T D T^T is a congruence, so any invertible
+adapted T gives the same optimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -27,12 +35,11 @@ from typing import Sequence
 import numpy as np
 
 from .groups import GroupAction, IrrepCatalog, RealIrrep, SignedPerm
-from .linalg import (Matrix, dot, gram_schmidt_exact, mat_mul, mat_vec,
-                     scaled_remainder, to_ndarray)
+from .linalg import Matrix, dot, gram_schmidt_exact, mat_vec, to_ndarray
+from .molien import ramanujan_sum, rotation_powers
 from .poly import MonomialVector, monomial_vector
-from .scalars import Quad, Scalar, exact
 
-SparseMatrix = dict[tuple[int, int], Scalar]   # nonzero entries {(r, c): value}
+SparseMatrix = dict[tuple[int, int], Fraction]   # nonzero entries {(r, c): value}
 
 
 @dataclass
@@ -69,8 +76,7 @@ class MatrixRep:
                     for (r, c), v in x.items()}
         n = self.size
         p, s = self.mats[i].perm, self.mats[i].signs
-        return [[exact(Fraction(s[a] * s[b]) * x[p[a]][p[b]]) for b in range(n)]
-                for a in range(n)]
+        return [[s[a] * s[b] * x[p[a]][p[b]] for b in range(n)] for a in range(n)]
 
 
 @dataclass
@@ -147,23 +153,23 @@ def fixed_point_project(x, rep: MatrixRep):
         for key, v in rep.conjugate(i, sparse).items():
             acc[key] = acc.get(key, 0) + v
     w = Fraction(1, order)
-    avg = {key: exact(v * w) for key, v in acc.items() if v != 0}
+    avg = {key: v * w for key, v in acc.items() if v != 0}
     return avg if isinstance(x, dict) else dense_matrix(avg, n)
 
 
 # -- component projections ---------------------------------------------------------
 
 
-def _accumulate_projection(rep: MatrixRep, coeffs: list[Scalar]) -> Matrix:
+def _accumulate_projection(rep: MatrixRep, coeffs: list[Fraction]) -> Matrix:
     """sum_g coeffs[g] * rho(g) as a dense exact matrix."""
     n = rep.size
-    acc: list[list[Scalar]] = [[Fraction(0)] * n for _ in range(n)]
+    acc: Matrix = [[Fraction(0)] * n for _ in range(n)]
     for gi, c in enumerate(coeffs):
         if c == 0:
             continue
         m = rep.mats[gi]
         for a in range(n):
-            acc[m.perm[a]][a] = exact(acc[m.perm[a]][a] + c * m.signs[a])
+            acc[m.perm[a]][a] += c * m.signs[a]
     return acc
 
 
@@ -171,20 +177,30 @@ def component_projection(rep: MatrixRep, irrep: RealIrrep, l: int, k: int,
                          weight: Fraction) -> Matrix:
     """(weight/|G|) sum_g theta_i(g^{-1})[l][k] * rho(g)."""
     inv = rep.action.inverse_table
-    order = rep.action.order
-    w = Fraction(weight, order)
-    coeffs = [exact(Quad.of(irrep.matrix(inv[gi])[l][k]) * w) for gi in range(order)]
-    return _accumulate_projection(rep, coeffs)
+    w = Fraction(weight, rep.action.order)
+    return _accumulate_projection(
+        rep, [irrep.matrix(inv[gi])[l][k] * w for gi in range(rep.action.order)])
 
 
 @dataclass
 class Segment:
+    """Columns of one isotypic component: n_i copies of m_i columns each.
+
+    A real segment has one copy per dimension of its irrep, and copy j's
+    block of T^T X T is weights[j] times the first copy's.  A whole segment
+    ("whole": a complex-type irrep or a Galois orbit) is one copy.
+    """
+
     irrep_index: int
     label: str
-    n_i: int
     m_i: int
-    kind: str          # "real" or "complex"
+    kind: str          # "real" or "whole"
     col_start: int = 0
+    weights: tuple[Fraction, ...] = (Fraction(1),)
+
+    @property
+    def n_i(self) -> int:
+        return len(self.weights)
 
     @property
     def width(self) -> int:
@@ -195,12 +211,13 @@ class Segment:
 class SymmetryAdaptedBasis:
     """Change of basis T whose column segments span the V_ij.
 
-    The columns are exactly orthogonal, with squared norms within 2^-11 of
-    one and equal across the copies of a segment.
+    The columns are exactly orthogonal.  A first copy's or a whole segment's
+    columns have squared norms within 2^-11 of one; copy j's are weights[j]
+    times the first copy's.
     """
 
     size: int
-    columns: list            # exact scalar vectors
+    columns: list[list[Fraction]]
     layout: list[Segment]
     multiplicities: dict[str, int]
 
@@ -208,27 +225,18 @@ class SymmetryAdaptedBasis:
         return [[self.columns[j][i] for j in range(self.size)] for i in range(self.size)]
 
     def t_float(self) -> np.ndarray:
-        t = np.empty((self.size, self.size))
-        for j, col in enumerate(self.columns):
-            for i, v in enumerate(col):
-                t[i, j] = float(v)
-        return t
+        return to_ndarray(self.t_matrix())
 
     def lift(self, block_values: Sequence[np.ndarray]) -> np.ndarray:
         """T D T^T for reduced block solutions, one per segment of the layout.
 
-        A real segment's block is repeated on its n_i diagonal copies; a
-        complex segment's block fills the segment.
+        Copy j of a segment gets its block divided by weights[j].
         """
         d = np.zeros((self.size, self.size))
         for seg, val in zip(self.layout, block_values):
-            a = seg.col_start
-            if seg.kind == "complex":
-                d[a:a + seg.width, a:a + seg.width] = val
-            else:
-                for j in range(seg.n_i):
-                    o = a + j * seg.m_i
-                    d[o:o + seg.m_i, o:o + seg.m_i] = val
+            for j, w in enumerate(seg.weights):
+                o = seg.col_start + j * seg.m_i
+                d[o:o + seg.m_i, o:o + seg.m_i] = val / float(w)
         t = self.t_float()
         return t @ d @ t.T
 
@@ -237,110 +245,105 @@ class ProjectionRankError(ValueError):
     pass
 
 
-def _nonzero_columns(m: Matrix) -> list[list[Scalar]]:
+def _nonzero_columns(m: Matrix) -> list[list[Fraction]]:
     cols = [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
     return [c for c in cols if any(v != 0 for v in c)]
 
 
-def _multiplicity(proj: Matrix, irrep: RealIrrep, copies: int) -> int:
-    """trace(proj) / copies, which must be a nonnegative integer."""
-    tr = exact(sum((Quad.of(proj[i][i]) for i in range(len(proj))), Quad(0)))
-    if not isinstance(tr, Fraction) or tr < 0 or tr % copies:
-        raise ProjectionRankError(f"projection trace {tr} of {irrep.label} is not "
-                                  f"a nonnegative multiple of {copies}")
-    return int(tr) // copies
+def _projection_basis(proj: Matrix, label: str) -> list[list[Fraction]]:
+    """Orthogonal basis of the range of a projection, as many vectors as its trace."""
+    tr = sum((proj[i][i] for i in range(len(proj))), Fraction(0))
+    if tr < 0 or tr.denominator != 1:
+        raise ProjectionRankError(f"projection trace {tr} of {label} is not "
+                                  "a nonnegative integer")
+    if tr == 0:
+        return []
+    cols = gram_schmidt_exact(_nonzero_columns(proj))
+    if len(cols) != tr:
+        raise ProjectionRankError(f"rank of the projection for {label} is "
+                                  f"{len(cols)}, expected its trace {tr}")
+    return cols
 
 
-def _segment_real(rep: MatrixRep, irrep: RealIrrep, w: Fraction):
+def _segment_real(rep: MatrixRep, irrep: RealIrrep) -> list[list[Fraction]]:
     """First-copy orthogonal basis plus companion copies via p_j1."""
-    p11 = component_projection(rep, irrep, 0, 0, w)
-    m_i = _multiplicity(p11, irrep, 1)
-    if m_i == 0:
-        return 0, []
-    first = gram_schmidt_exact(_nonzero_columns(p11))
-    if len(first) != m_i:
-        raise ProjectionRankError(
-            f"rank of first-copy projection for {irrep.label} is {len(first)}, "
-            f"expected multiplicity {m_i}")
+    w = Fraction(irrep.dim)
+    first = _projection_basis(component_projection(rep, irrep, 0, 0, w), irrep.label)
     segment = list(first)
     for j in range(1, irrep.dim):
         op = component_projection(rep, irrep, 0, j, w)
         segment.extend(mat_vec(op, u) for u in first)
-    return m_i, segment
+    return segment
 
 
-def _segment_complex(rep: MatrixRep, irrep: RealIrrep):
-    """Complex-type segment: isotypic projection plus the complex structure J."""
-    n_i = irrep.dim
-    n_c = n_i // 2
-    if n_c != 1:
-        raise NotImplementedError("complex-type irreps of complex dimension > 1 "
-                                  "are outside the catalog scope")
-    inv = rep.action.inverse_table
-    order = rep.action.order
-    char_coeffs = [exact(Quad.of(irrep.character(inv[g])) * Fraction(n_c, order))
-                   for g in range(order)]
-    proj = _accumulate_projection(rep, char_coeffs)
-    j_coeffs = [exact(Quad.of(irrep.matrix(inv[g])[0][n_c]) * Fraction(2 * n_c, order))
-                for g in range(order)]
-    jop = _accumulate_projection(rep, j_coeffs)
-    # verify the structure exactly: P idempotent, J^2 = -P
-    p2 = mat_mul(proj, proj)
-    if not all(exact(a) == exact(b) for ra, rb in zip(p2, proj)
-               for a, b in zip(ra, rb)):
-        raise ProjectionRankError(f"isotypic projection of {irrep.label} "
-                                  "is not idempotent")
-    j2 = mat_mul(jop, jop)
-    negp = [[exact(-Quad.of(v)) for v in row] for row in proj]
-    if not all(exact(a) == exact(b) for ra, rb in zip(j2, negp)
-               for a, b in zip(ra, rb)):
-        raise ProjectionRankError(f"complex structure of {irrep.label} fails "
-                                  "J^2 = -P; no constructive pairing found")
-    m_i = _multiplicity(proj, irrep, n_i)
-    if m_i == 0:
-        return 0, []
-    # each kept u brings J u, orthogonal to u and to every kept vector and as
-    # long as u, so the two copies share their scale
-    kept: list[tuple[list[Scalar], Scalar]] = []
-    for v in _nonzero_columns(proj):
-        step = scaled_remainder(v, kept)
-        if step is not None:
-            ju = mat_vec(jop, step[0])
-            kept += [step, (ju, dot(ju, ju))]
-    if len(kept) != n_i * m_i:
-        raise ProjectionRankError(f"could not extract {m_i} aligned copies for "
-                                  f"{irrep.label}")
-    cols = [u for u, _ in kept]
-    return m_i, cols[::2] + cols[1::2]
+def _whole_characters(catalog: IrrepCatalog) -> dict[int, tuple[list[int], list[Fraction]]]:
+    """(member indices, character per element) of each whole segment, keyed
+    by its first member's index.
+
+    A complex-type irrep with matrices is its own member.  Irreps without
+    matrices are the rotations of order d = m/gcd(m, j) of an m-fold
+    rotation r, grouped by d: an orbit's character is c_d(k) at r^k and 0
+    elsewhere.
+    """
+    action = catalog.action
+    out: dict[int, tuple[list[int], list[Fraction]]] = {}
+    orbits: dict[int, list[int]] = {}
+    for idx, irrep in enumerate(catalog.irreps):
+        if irrep.generator_images is None:
+            _, m, j = irrep.molien_meta
+            orbits.setdefault(m // math.gcd(m, j), []).append(idx)
+        elif irrep.kind == "complex-type":
+            out[idx] = ([idx], [irrep.character(g) for g in range(action.order)])
+    for d, members in orbits.items():
+        m = catalog.irreps[members[0]].molien_meta[1]
+        powers = rotation_powers(action, m)
+        out[members[0]] = (members, [Fraction(ramanujan_sum(d, powers[g]))
+                                     if g in powers else Fraction(0)
+                                     for g in range(action.order)])
+    return out
 
 
 def symmetry_adapted_basis(rep: MatrixRep, catalog: IrrepCatalog) -> SymmetryAdaptedBasis:
     """Copy-aligned orthogonal basis from component projections.
 
-    Segment columns are copy-major: the m_i first-copy vectors, then their
-    images under p_j1 for each further copy j.  Multiplicities are the exact
-    traces of the first-copy projections (of the isotypic projection, over
-    n_i, for a complex-type irrep).  An irrep without exact matrices raises
-    ValueError.
+    A real segment's columns are copy-major: the m_i first-copy vectors, then
+    their images under p_j1 for each further copy j.  A whole segment's are
+    an orthogonal basis of its isotypic projection's range.  Multiplicities
+    are the exact traces of the first-copy projections, or a whole segment's
+    width over its members' total dimension.
     """
     if catalog.action is not rep.action and catalog.action.order != rep.action.order:
         raise ValueError("catalog does not match the representation's group")
-    columns: list = []
+    order = rep.action.order
+    whole = _whole_characters(catalog)
+    columns: list[list[Fraction]] = []
     layout: list[Segment] = []
     mults: dict[str, int] = {}
     for idx, irrep in enumerate(catalog.irreps):
-        if irrep.kind == "complex-type":
-            m_i, cols = _segment_complex(rep, irrep)
-            kind = "complex"
+        if idx in whole:
+            members, chi = whole[idx]
+            # a real character is a class function with chi(g^-1) = chi(g)
+            c = Fraction(irrep.dim // 2 if irrep.kind == "complex-type" else irrep.dim,
+                         order)
+            label = "+".join(catalog.irreps[i].label for i in members)
+            cols = _projection_basis(_accumulate_projection(rep, [c * x for x in chi]),
+                                     label)
+            copies, rest = divmod(len(cols), len(members) * irrep.dim)
+            if rest:
+                raise ProjectionRankError(f"width {len(cols)} of {label} is not a "
+                                          f"multiple of {len(members) * irrep.dim}")
+            mults.update((catalog.irreps[i].label, copies) for i in members)
+            seg = Segment(idx, label, len(cols), "whole", len(columns))
+        elif irrep.generator_images is None:
+            continue                      # a later member of a Galois orbit
         else:
-            m_i, cols = _segment_real(rep, irrep, Fraction(irrep.dim))
-            kind = "real"
-        mults[irrep.label] = m_i
-        if m_i == 0:
-            continue
-        seg = Segment(idx, irrep.label, irrep.dim, m_i, kind, col_start=len(columns))
-        layout.append(seg)
-        columns.extend(cols)
+            cols = _segment_real(rep, irrep)
+            mults[irrep.label] = len(cols) // irrep.dim
+            seg = Segment(idx, irrep.label, len(cols) // irrep.dim, "real", len(columns),
+                          tuple(irrep.copy_weights))
+        if cols:
+            layout.append(seg)
+            columns.extend(cols)
     total = sum(s.width for s in layout)
     if total != rep.size:
         raise ProjectionRankError(
@@ -355,31 +358,25 @@ def symmetry_adapted_basis(rep: MatrixRep, catalog: IrrepCatalog) -> SymmetryAda
 @dataclass
 class BlockDiagonalization:
     segments: list[Segment]
-    blocks: list              # one representative per segment
+    blocks: list              # the first copy's block per segment
     off_block_residual: float
-
-
-def _col_dot_exact(x: Matrix, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    xu = mat_vec(x, v)
-    return dot(u, xu)
 
 
 def block_diagonalize(x, basis: SymmetryAdaptedBasis,
                       tol: float = 1e-10) -> BlockDiagonalization:
-    """T^T X T split into per-irrep blocks; X must commute with the action.
+    """T^T X T split into per-segment blocks; X must commute with the action.
 
-    For absolutely-real segments the n_i repeated copies are checked for
-    equality and a single m_i x m_i representative is returned; complex-type
-    segments return the full coupled block.  Raises if the off-block residual
+    Copy j of a segment must equal weights[j] times the first copy's block,
+    with no coupling between copies, and the first copy's block is returned
+    (a whole segment's full block).  Raises if the off-block residual
     exceeds ``tol`` (exact zero is demanded for exact inputs).
     """
     exact_mode = not isinstance(x, np.ndarray) and \
         all(not isinstance(v, float) for row in x for v in row)
     if exact_mode:
-        t = basis.t_matrix()
-        cols = [[t[r][c] for r in range(basis.size)] for c in range(basis.size)]
-        full = [[_col_dot_exact(x, cols[a], cols[b]) for b in range(basis.size)]
-                for a in range(basis.size)]
+        cols = basis.columns
+        xcols = [mat_vec(x, v) for v in cols]
+        full = [[dot(u, xv) for xv in xcols] for u in cols]
         fullf = to_ndarray(full)
     else:
         tf = basis.t_float()
@@ -403,34 +400,27 @@ def block_diagonalize(x, basis: SymmetryAdaptedBasis,
     blocks = []
     for seg in basis.layout:
         a, m = seg.col_start, seg.m_i
-        if seg.kind == "complex":
-            if exact_mode:
-                blocks.append([[full[a + r][a + c] for c in range(seg.width)]
-                               for r in range(seg.width)])
-            else:
-                blocks.append(fullf[a:a + seg.width, a:a + seg.width].copy())
-            continue
         if exact_mode:
             rep_block = [[full[a + r][a + c] for c in range(m)] for r in range(m)]
-            for j in range(seg.n_i):
+            for j, wj in enumerate(seg.weights):
                 for k in range(seg.n_i):
                     sub = [[full[a + j * m + r][a + k * m + c] for c in range(m)]
                            for r in range(m)]
                     if j == k:
-                        if sub != rep_block:
-                            raise ValueError(f"copies of block {seg.label} disagree")
+                        if sub != [[wj * v for v in row] for row in rep_block]:
+                            raise ValueError(f"copy {j} of block {seg.label} is not "
+                                             f"{wj} times the first")
                     elif any(v != 0 for row in sub for v in row):
                         raise ValueError(f"cross-copy coupling in {seg.label}")
-            blocks.append(rep_block)
         else:
             rep_block = fullf[a:a + m, a:a + m].copy()
-            for j in range(seg.n_i):
+            for j, wj in enumerate(seg.weights):
                 for k in range(seg.n_i):
                     sub = fullf[a + j * m:a + (j + 1) * m, a + k * m:a + (k + 1) * m]
-                    bad = np.max(np.abs(sub - rep_block)) if j == k else \
+                    bad = np.max(np.abs(sub - float(wj) * rep_block)) if j == k else \
                         np.max(np.abs(sub))
                     if bad > tol:
                         raise ValueError(f"block structure of {seg.label} violated "
                                          f"by {bad:.3e}")
-            blocks.append(rep_block)
+        blocks.append(rep_block)
     return BlockDiagonalization(list(basis.layout), blocks, resid)

@@ -1,16 +1,15 @@
 """Small exact linear algebra kit.
 
-Matrices are lists of lists (rows) of exact scalars.  There is one exact
+Matrices are lists of lists (rows) of ``Fraction``s.  There is one exact
 elimination, ``RowBasis`` over sparse ``{column: value}`` rows (a
 constraint row touches a few of hundreds of columns), with ``parametrize``
-on top; it and the matrix products also take ``Quad`` entries, for the
-isotypic bases and the programs restricted to them.  Those bases are
-orthogonalized by ``scaled_remainder`` without square roots: each vector is
-scaled by a rational near the inverse of its length, not normalized.  There is one exact LDL^T, ``ldl_decomposition``, with
-``ldl_psd`` the PSD verdict on it; both take rational matrices, as
-certificates hold.  Floating point only ever refuses: ``negative_direction``
-proposes a direction from a float eigenvector and refuses on an exact
-negative value, while acceptance is always a completed exact LDL^T.
+on top.  ``gram_schmidt_exact`` orthogonalizes without square roots: each
+vector is scaled by a rational near the inverse of its length, not
+normalized.  There is one exact LDL^T, ``ldl_decomposition``, with
+``ldl_psd`` the PSD verdict on it.  Floating point only ever refuses:
+``negative_direction`` proposes a direction from a float eigenvector and
+refuses on an exact negative value, while acceptance is always a completed
+exact LDL^T.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .scalars import Scalar, exact, inverse
-
-Matrix = list[list[Scalar]]
+Matrix = list[list[Fraction]]
 
 
 def mat_identity(n: int) -> Matrix:
@@ -38,16 +35,15 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = mat_transpose(b)
-    return [[exact(sum((x * y for x, y in zip(row, col)), Fraction(0)))
-             for col in bt] for row in a]
+    return [[dot(row, col) for col in bt] for row in a]
 
 
-def mat_vec(a: Matrix, v: Sequence[Scalar]) -> list[Scalar]:
-    return [exact(sum((x * y for x, y in zip(row, v)), Fraction(0))) for row in a]
+def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
+    return [dot(row, v) for row in a]
 
 
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    return exact(sum((x * y for x, y in zip(u, v)), Fraction(0)))
+def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum((x * y for x, y in zip(u, v)), Fraction(0))
 
 
 def to_ndarray(a: Matrix) -> np.ndarray:
@@ -58,19 +54,19 @@ class InconsistentRow(ValueError):
     """A row in the span of a basis whose right-hand side is not."""
 
 
-SparseRow = dict[int, Scalar]
-Row = Sequence[Scalar] | Mapping[int, Scalar]
+SparseRow = dict[int, Fraction]
+Row = Sequence[Fraction | int] | Mapping[int, Fraction | int]
 
 
 def _sparse(row: Row) -> SparseRow:
     items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    return {c: exact(x) for c, x in items if x}
+    return {c: x if type(x) is Fraction else Fraction(x) for c, x in items if x}
 
 
-def _subtract(r: SparseRow, f: Scalar, prow: SparseRow) -> None:
+def _subtract(r: SparseRow, f: Fraction, prow: SparseRow) -> None:
     """r -= f * prow in place, keeping only nonzero entries."""
     for c, y in prow.items():
-        v = exact(r.get(c, 0) - f * y)
+        v = r.get(c, 0) - f * y
         if v:
             r[c] = v
         else:
@@ -110,8 +106,8 @@ class RowBasis:
             if r:
                 raise InconsistentRow("row is dependent but its right-hand side is not")
             return False
-        inv = inverse(r[pc])
-        self.rows.append({c: exact(x * inv) for c, x in r.items()})
+        inv = 1 / r[pc]
+        self.rows.append({c: x * inv for c, x in r.items()})
         self.pivots.append(pc)
         return True
 
@@ -123,7 +119,7 @@ class RowBasis:
         return len(self.rows)
 
 
-def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
+def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of dense rows."""
     basis = RowBasis(max(map(len, rows), default=0))
     for row in rows:
@@ -141,7 +137,7 @@ class Parametrization:
     """
 
     ncols: int
-    pivots: list[tuple[int, Scalar, dict[int, Scalar]]]
+    pivots: list[tuple[int, Fraction, dict[int, Fraction]]]
     sources: list[int]
 
     @property
@@ -313,35 +309,26 @@ def ldl_psd(a: Matrix) -> tuple[bool, str]:
     return True, "ok"
 
 
-def scaled_remainder(v: Sequence[Scalar], kept: list[tuple[list[Scalar], Scalar]]
-                     ) -> tuple[list[Scalar], Scalar] | None:
-    """v orthogonalized against exactly orthogonal vectors, scaled to near-unit length.
+def gram_schmidt_exact(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exactly orthogonal near-unit vectors spanning ``vectors``.
 
-    ``kept`` holds (u, <u,u>) pairs.  v loses its component (<v,u>/<u,u>) u
-    along each u, and a nonzero remainder w comes back as (w/r, <w,w>/r^2),
-    where r is |w| rounded to 12 significant bits: a rational scale, never
-    zero, that puts the squared norm within 2^-11 of one without a square
-    root.  None if v lies in the span of ``kept``.
+    Each vector loses its component (<v,u>/<u,u>) u along every kept u, and
+    a nonzero remainder w is kept as w/r, where r is |w| rounded to 12
+    significant bits: a rational scale, never zero, that puts the squared
+    norm within 2^-11 of one without a square root.
     """
-    w = [exact(x) for x in v]
-    for u, nu in kept:
-        c = dot(w, u)
-        if c != 0:
-            c = exact(c * inverse(nu))
-            w = [exact(a - c * b) for a, b in zip(w, u)]
-    nrm2 = dot(w, w)
-    if nrm2 == 0:
-        return None
-    m, e = math.frexp(math.sqrt(float(nrm2)))
-    scale = Fraction(2) ** (12 - e) / round(math.ldexp(m, 12))
-    return [exact(x * scale) for x in w], exact(nrm2 * scale * scale)
-
-
-def gram_schmidt_exact(vectors: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Exactly orthogonal near-unit vectors spanning ``vectors`` (``scaled_remainder``)."""
-    kept: list[tuple[list[Scalar], Scalar]] = []
+    kept: list[tuple[list[Fraction], Fraction]] = []     # (u, <u,u>)
     for v in vectors:
-        step = scaled_remainder(v, kept)
-        if step is not None:
-            kept.append(step)
+        w = list(v)
+        for u, nu in kept:
+            c = dot(w, u)
+            if c != 0:
+                c /= nu
+                w = [a - c * b for a, b in zip(w, u)]
+        nrm2 = dot(w, w)
+        if nrm2 == 0:
+            continue
+        m, e = math.frexp(math.sqrt(float(nrm2)))
+        scale = Fraction(2) ** (12 - e) / round(math.ldexp(m, 12))
+        kept.append(([x * scale for x in w], nrm2 * scale * scale))
     return [u for u, _ in kept]

@@ -213,7 +213,7 @@ def ramanujan_sum(q: int, j: int) -> int:
     return total
 
 
-def _rotation_powers(action: GroupAction, m: int) -> dict[int, int]:
+def rotation_powers(action: GroupAction, m: int) -> dict[int, int]:
     """Element index of r^k -> k for k < m, r the rotation (the first generator)."""
     rot = action.generators[0]
     powers: dict[int, int] = {}
@@ -285,7 +285,7 @@ def molien_series(catalog: IrrepCatalog, irrep: RealIrrep) -> RationalFunction:
     if meta:
         # rotations with one gcd share a determinant, so each gcd lies in one term
         _, m, j = meta
-        powers = _rotation_powers(action, m)
+        powers = rotation_powers(action, m)
         weight = Fraction(1, m)
         sums = []
         for _, classes in terms:

@@ -126,12 +126,6 @@ class Polynomial:
     def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(tuple(m), Fraction(0))
 
-    def graded_part(self, d: int) -> "Polynomial":
-        return Polynomial(self.nvars, {m: c for m, c in self.terms.items() if sum(m) == d})
-
-    def degrees_present(self) -> list[int]:
-        return sorted({sum(m) for m in self.terms})
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other: "Polynomial"):

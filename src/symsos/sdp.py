@@ -16,8 +16,9 @@ of SOS factors paired with the equivariant Pi matrices.  The
 ``restrict_invariant`` reduction Reynolds-averages the constraint functionals
 as sparse matrices (an orbit sum over index pairs for signed-permutation
 actions) and rotates each distinct average once into a symmetry-adapted
-basis, forming only the blocks it keeps: one small block per irrep with the
-copy multiplicity folded into the coefficients.  The basis is exact, so the
+basis, forming only the blocks it keeps: one small block per real irrep,
+with the copy multiplicity folded into the coefficients, and one whole block
+per complex-type irrep or Galois orbit.  The basis is exact, so the
 reduced program inherits the elimination that picked its rows, and the
 isotypic route, too, eliminates its system once.
 """
@@ -37,7 +38,6 @@ from .isotypic import (MatrixRep, SparseMatrix, SymmetryAdaptedBasis,
                        fixed_point_project)
 from .linalg import Matrix, Parametrization, RowBasis, parametrize
 from .poly import Monomial, Polynomial, monomial_mul, monomial_vector
-from .scalars import Scalar, exact
 
 VarKey = tuple
 
@@ -51,15 +51,15 @@ class BlockSpec:
 
 @dataclass
 class LinearConstraint:
-    coeffs: dict[VarKey, Scalar]
-    rhs: Scalar
+    coeffs: dict[VarKey, Fraction]
+    rhs: Fraction
 
 
 @dataclass
 class BlockSDP:
     blocks: list[BlockSpec]
     free_vars: list[str]
-    cost: dict[VarKey, Scalar]            # minimized; may reference free vars
+    cost: dict[VarKey, Fraction]          # minimized; may reference free vars
     constraints: list[LinearConstraint]
 
     def var_order(self) -> list[VarKey]:
@@ -71,7 +71,7 @@ class BlockSDP:
                     keys.append(("blk", bi, r, c))
         return keys
 
-    def block_matrices(self, point: Sequence[Scalar]) -> list[Matrix]:
+    def block_matrices(self, point: Sequence[Fraction]) -> list[Matrix]:
         """The symmetric block matrices of a point over ``var_order()``."""
         col = len(self.free_vars)
         out = []
@@ -101,7 +101,7 @@ class BlockSDP:
     def entry_count(self) -> int:
         return sum(b.size * (b.size + 1) // 2 for b in self.blocks)
 
-    def functional_matrices(self, rows: Sequence[dict[VarKey, Scalar]]
+    def functional_matrices(self, rows: Sequence[dict[VarKey, Fraction]]
                             ) -> list[np.ndarray]:
         """Stacked symmetric block matrices of a list of linear functionals.
 
@@ -123,7 +123,7 @@ class BlockSDP:
                     mats[bi][j, c, r] += x / 2
         return mats
 
-    def free_coeff_vector(self, coeffs: dict[VarKey, Scalar]) -> np.ndarray:
+    def free_coeff_vector(self, coeffs: dict[VarKey, Fraction]) -> np.ndarray:
         out = np.zeros(len(self.free_vars))
         for j, name in enumerate(self.free_vars):
             out[j] = float(coeffs.get(("free", name), 0))
@@ -159,15 +159,14 @@ def assemble_gram(f: Polynomial, with_lambda: bool = True) -> BlockSDP:
             mono = monomial_mul(y.entries[a], y.entries[b])
             con = eq.setdefault(mono, LinearConstraint({}, Fraction(0)))
             key = ("blk", 0, a, b)
-            con.coeffs[key] = exact(con.coeffs.get(key, Fraction(0)) +
-                                    (1 if a == b else 2))
+            con.coeffs[key] = con.coeffs.get(key, Fraction(0)) + (1 if a == b else 2)
     for mono, con in eq.items():
         con.rhs = f.coefficient(mono)
     for mono in f.terms:
         if mono not in eq:
             raise AssemblyInfeasible(f"monomial {mono} cannot appear in Y^T Q Y")
     free = []
-    cost: dict[VarKey, Scalar] = {}
+    cost: dict[VarKey, Fraction] = {}
     if with_lambda:
         free = ["lambda"]
         eq[zero_mono].coeffs[("free", "lambda")] = Fraction(1)
@@ -179,7 +178,7 @@ def assemble_gram(f: Polynomial, with_lambda: bool = True) -> BlockSDP:
 # -- invariant restriction --------------------------------------------------------
 
 
-def _functional_matrix(coeffs: dict[VarKey, Scalar]) -> SparseMatrix:
+def _functional_matrix(coeffs: dict[VarKey, Fraction]) -> SparseMatrix:
     """The symmetric matrix A of <A, X> on the single block, as nonzero entries."""
     m: SparseMatrix = {}
     for key, v in coeffs.items():
@@ -187,22 +186,22 @@ def _functional_matrix(coeffs: dict[VarKey, Scalar]) -> SparseMatrix:
             continue
         _, _, r, c = key
         if r == c:
-            m[r, r] = exact(m.get((r, r), 0) + v)
+            m[r, r] = m.get((r, r), 0) + v
         else:
-            half = exact(v * Fraction(1, 2))
-            m[r, c] = exact(m.get((r, c), 0) + half)
-            m[c, r] = exact(m.get((c, r), 0) + half)
+            half = v * Fraction(1, 2)
+            m[r, c] = m.get((r, c), 0) + half
+            m[c, r] = m.get((c, r), 0) + half
     return {k: v for k, v in m.items() if v != 0}
 
 
-def _matrix_to_entry_coeffs(bi: int, m: Matrix) -> dict[VarKey, Scalar]:
-    out: dict[VarKey, Scalar] = {}
+def _matrix_to_entry_coeffs(bi: int, m: Matrix) -> dict[VarKey, Fraction]:
+    out: dict[VarKey, Fraction] = {}
     size = len(m)
     for r in range(size):
         if m[r][r] != 0:
-            out[("blk", bi, r, r)] = exact(m[r][r])
+            out[("blk", bi, r, r)] = m[r][r]
         for c in range(r + 1, size):
-            v = exact(m[r][c] + m[c][r])
+            v = m[r][c] + m[c][r]
             if v != 0:
                 out[("blk", bi, r, c)] = v
     return out
@@ -212,7 +211,7 @@ class InvarianceError(ValueError):
     pass
 
 
-def _sym_entry_vector(m: SparseMatrix, n: int) -> list[Scalar]:
+def _sym_entry_vector(m: SparseMatrix, n: int) -> list[Fraction]:
     return [m.get((r, c), Fraction(0)) for r in range(n) for c in range(r, n)]
 
 
@@ -228,8 +227,8 @@ def check_invariance(sdp: BlockSDP, rep: MatrixRep) -> None:
     n = sdp.blocks[0].size
     cost = _functional_matrix(sdp.cost)
     rows = [(_functional_matrix(con.coeffs),
-             tuple(exact(con.coeffs.get(("free", f), 0)) for f in sdp.free_vars),
-             exact(con.rhs)) for con in sdp.constraints]
+             tuple(con.coeffs.get(("free", f), 0) for f in sdp.free_vars),
+             con.rhs) for con in sdp.constraints]
     literal = {(frozenset(m.items()), frees, rhs) for m, frees, rhs in rows}
     span = None
     for g in rep.action.generators:
@@ -249,18 +248,18 @@ def check_invariance(sdp: BlockSDP, rep: MatrixRep) -> None:
                 raise InvarianceError("constraint set is not invariant under the group")
 
 
-def _bilinear_block(rmat: dict[int, list[tuple[int, Scalar]]],
-                    us: Sequence[list[tuple[int, Scalar]]],
-                    vs: Sequence[list[tuple[int, Scalar]]]) -> list[list[Scalar]]:
+def _bilinear_block(rmat: dict[int, list[tuple[int, Fraction]]],
+                    us: Sequence[list[tuple[int, Fraction]]],
+                    vs: Sequence[list[tuple[int, Fraction]]]) -> list[list[Fraction]]:
     """[u^T R v] over sparse vectors, R given by its nonzero entries per column."""
     rvs = []
     for v in vs:
-        acc: dict[int, Scalar] = {}
+        acc: dict[int, Fraction] = {}
         for b, vb in v:
             for a, rab in rmat.get(b, ()):
                 acc[a] = acc.get(a, 0) + rab * vb
         rvs.append(acc)
-    return [[exact(sum((ua * rv[a] for a, ua in u if a in rv), Fraction(0)))
+    return [[sum((ua * rv[a] for a, ua in u if a in rv), Fraction(0))
              for rv in rvs] for u in us]
 
 
@@ -273,9 +272,11 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
     ``fixed_point_project`` as a sparse matrix (an orbit sum for
     signed-permutation actions); its action on the fixed-point subspace is
     unchanged.  Each distinct average is rotated once per call, and only the
-    kept blocks of T^T R T are formed: the n_i diagonal copy blocks of a real
-    segment, summed, so the reduced objective already carries the copy
-    weights, and the whole block of a complex segment.  The reduced system is
+    first copy's block of each segment of T^T R T is formed.  Copy j of a
+    real segment repeats w_j times that block, and the lifted solution
+    divides copy j's block by w_j, so the copies together contribute n_i
+    times the first one: the reduced objective already carries the copy
+    weights.  A whole segment is its one copy.  The reduced system is
     row-reduced to an independent set by the candidate program's
     ``solution_set``, which the reduced program keeps as its own.  X = T D T^T
     is a congruence, so optimal values are preserved.
@@ -288,37 +289,26 @@ def restrict_invariant(sdp: BlockSDP, rep: MatrixRep,
     if n != rep.size or n != basis.size:
         raise ValueError("size mismatch between program, representation and basis")
     check_invariance(sdp, rep)
-    cols = [[(k, v) for k, v in enumerate(col) if v != 0] for col in basis.columns]
-
-    def rotate(ravg: SparseMatrix) -> list[Matrix]:
-        out = []
-        rmat: dict[int, list[tuple[int, Scalar]]] = {}
-        for (r, c), v in ravg.items():
-            rmat.setdefault(c, []).append((r, v))
-        for seg in basis.layout:
-            a0 = seg.col_start
-            if seg.kind == "complex":
-                seg_cols = cols[a0:a0 + seg.width]
-                out.append(_bilinear_block(rmat, seg_cols, seg_cols))
-                continue
-            m = seg.m_i
-            folded = [[Fraction(0)] * m for _ in range(m)]
-            for j in range(seg.n_i):
-                copy = cols[a0 + j * m:a0 + (j + 1) * m]
-                sub = _bilinear_block(rmat, copy, copy)
-                for r in range(m):
-                    for c in range(m):
-                        folded[r][c] = exact(folded[r][c] + sub[r][c])
-            out.append(folded)
-        return out
-
-    blocks = [BlockSpec(seg.label, seg.width if seg.kind == "complex" else seg.m_i,
-                        1 if seg.kind == "complex" else seg.n_i)
+    firsts = [[[(k, v) for k, v in enumerate(col) if v != 0]
+               for col in basis.columns[seg.col_start:seg.col_start + seg.m_i]]
               for seg in basis.layout]
 
-    rotated: dict[frozenset, dict[VarKey, Scalar]] = {}
+    def rotate(ravg: SparseMatrix) -> list[Matrix]:
+        rmat: dict[int, list[tuple[int, Fraction]]] = {}
+        for (r, c), v in ravg.items():
+            rmat.setdefault(c, []).append((r, v))
+        out = []
+        for seg, first in zip(basis.layout, firsts):
+            block = _bilinear_block(rmat, first, first)
+            out.append(block if seg.n_i == 1 else
+                       [[seg.n_i * v for v in row] for row in block])
+        return out
 
-    def reduce_functional(coeffs: dict[VarKey, Scalar]) -> dict[VarKey, Scalar]:
+    blocks = [BlockSpec(seg.label, seg.m_i, seg.n_i) for seg in basis.layout]
+
+    rotated: dict[frozenset, dict[VarKey, Fraction]] = {}
+
+    def reduce_functional(coeffs: dict[VarKey, Fraction]) -> dict[VarKey, Fraction]:
         ravg = fixed_point_project(_functional_matrix(coeffs), rep)
         key = frozenset(ravg.items())
         if key not in rotated:
@@ -396,8 +386,8 @@ def assemble_invariant_sos(ft: InvariantPoly, pres: InvariantPresentation,
                         gamma = tuple(x + y + z for x, y, z in zip(alpha, beta, delta))
                         con = equation(j, gamma)
                         vkey = ("blk", bi, a, b)
-                        con.coeffs[vkey] = exact(con.coeffs.get(vkey, Fraction(0)) +
-                                                 mult * coef)
+                        con.coeffs[vkey] = con.coeffs.get(vkey, Fraction(0)) + \
+                            mult * coef
     for j, part in ft.parts.items():
         for gamma, coef in part.terms.items():
             if (j, gamma) not in eq:
@@ -406,7 +396,7 @@ def assemble_invariant_sos(ft: InvariantPoly, pres: InvariantPresentation,
     for (j, gamma), con in eq.items():
         con.rhs = ft.part(j).coefficient(gamma)
     free: list[str] = []
-    cost: dict[VarKey, Scalar] = {}
+    cost: dict[VarKey, Fraction] = {}
     if with_lambda:
         free = ["lambda"]
         equation(0, zero_gamma).coeffs[("free", "lambda")] = Fraction(1)
@@ -429,7 +419,7 @@ def with_interior_variable(sdp: BlockSDP) -> tuple[BlockSDP, str]:
         diag = Fraction(0)
         for key, v in con.coeffs.items():
             if key[0] == "blk" and key[2] == key[3]:
-                diag = exact(diag + v)
+                diag += v
         if diag != 0:
             coeffs[("free", name)] = diag
         cons.append(LinearConstraint(coeffs, con.rhs))

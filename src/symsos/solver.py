@@ -28,7 +28,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import Scalar, exact
 from .sdp import BlockSDP, VarKey
 
 DEFAULT_TOL = 1e-8
@@ -67,11 +66,11 @@ class _Eliminated:
     """Pure-cone data plus the exact substitutions for the free variables."""
 
     entry_keys: list[VarKey]
-    a_rows: list[dict[int, Scalar]]     # entry-index -> coefficient
-    b: list[Scalar]
-    c: dict[int, Scalar]
-    const: Scalar
-    subs: dict[str, tuple[Scalar, dict[int, Scalar]]]  # name -> (rhs, entry coeffs)
+    a_rows: list[dict[int, Fraction]]     # entry-index -> coefficient
+    b: list[Fraction]
+    c: dict[int, Fraction]
+    const: Fraction
+    subs: dict[str, tuple[Fraction, dict[int, Fraction]]]  # name -> (rhs, entry coeffs)
     status: str = "ok"
 
 
@@ -84,9 +83,9 @@ def _eliminate_free(sdp: BlockSDP) -> _Eliminated:
         return _Eliminated(entry_keys, [], [], {}, Fraction(0), {},
                            status="infeasible")
     # a row pivoting on an entry has no free column left, so it is a cone row
-    cone_rows: list[dict[int, Scalar]] = []
-    cone_rhs: list[Scalar] = []
-    pivot_free: dict[int, tuple[Scalar, dict[int, Scalar]]] = {}
+    cone_rows: list[dict[int, Fraction]] = []
+    cone_rhs: list[Fraction] = []
+    pivot_free: dict[int, tuple[Fraction, dict[int, Fraction]]] = {}
     for pc, rhs, coeffs in param.pivots:
         if pc < nf:
             pivot_free[pc] = (rhs, coeffs)
@@ -96,28 +95,28 @@ def _eliminate_free(sdp: BlockSDP) -> _Eliminated:
             cone_rows.append(row)
             cone_rhs.append(rhs)
     # substitute the pivot frees into the cost
-    c: dict[int, Scalar] = {}
-    const: Scalar = Fraction(0)
+    c: dict[int, Fraction] = {}
+    const: Fraction = Fraction(0)
     pos = {k: i for i, k in enumerate(entry_keys)}
     for k, v in sdp.cost.items():
         if k[0] == "blk":
-            c[pos[k]] = exact(c.get(pos[k], Fraction(0)) + v)
+            c[pos[k]] = c.get(pos[k], Fraction(0)) + v
     residual_free = [sdp.cost.get(("free", f), Fraction(0)) for f in sdp.free_vars]
     for fc, (rhs, coeffs) in pivot_free.items():
         w = residual_free[fc]
         residual_free[fc] = Fraction(0)
         if w == 0:
             continue
-        const = exact(const + w * rhs)
+        const += w * rhs
         for j, v in coeffs.items():
             if j < nf:
-                residual_free[j] = exact(residual_free[j] + w * v)
+                residual_free[j] += w * v
             else:
-                c[j - nf] = exact(c.get(j - nf, Fraction(0)) + w * v)
+                c[j - nf] = c.get(j - nf, Fraction(0)) + w * v
     if any(v != 0 for v in residual_free):
         return _Eliminated(entry_keys, [], [], {}, Fraction(0), {},
                            status="unbounded")
-    subs: dict[str, tuple[Scalar, dict[int, Scalar]]] = {}
+    subs: dict[str, tuple[Fraction, dict[int, Fraction]]] = {}
     for fi, name in enumerate(sdp.free_vars):
         rhs, coeffs = pivot_free.get(fi, (Fraction(0), {}))
         subs[name] = (rhs, {j - nf: v for j, v in coeffs.items() if j >= nf})

@@ -196,7 +196,8 @@ def test_criterion_8_property_suites():
     """Condensed run of the invariant property suites (full versions live in
     the per-module test files)."""
     # Reynolds idempotence + T orthogonality + C4 syzygy, spot versions: T^T T
-    # is exactly diagonal, equal across a segment's copies, within 2^-11 of I
+    # is exactly diagonal, a first copy's columns are within 2^-11 of unit
+    # length, and copy j's are w_j times the first copy's
     cat = catalog("dihedral:4")
     rep = induced_representation(cat.action, 3)
     sab = symmetry_adapted_basis(rep, cat)
@@ -204,9 +205,11 @@ def test_criterion_8_property_suites():
     gram = mat_mul(mat_transpose(t), t)
     diag = [gram[i][i] for i in range(10)]
     t_ok = all(gram[i][j] == 0 for i in range(10) for j in range(10) if i != j) \
-        and all(abs(float(v) - 1) <= 2 ** -11 for v in diag) \
-        and all(diag[seg.col_start + k] == diag[seg.col_start + k % seg.m_i]
-                for seg in sab.layout for k in range(seg.width))
+        and all(abs(float(diag[seg.col_start + k]) - 1) <= 2 ** -11
+                for seg in sab.layout for k in range(seg.m_i)) \
+        and all(diag[seg.col_start + j * seg.m_i + k] == w * diag[seg.col_start + k]
+                for seg in sab.layout for j, w in enumerate(seg.weights)
+                for k in range(seg.m_i))
     rng = random.Random(5)
     x = [[Fraction(rng.randint(-4, 4)) for _ in range(10)] for _ in range(10)]
     x = [[x[i][j] + x[j][i] for j in range(10)] for i in range(10)]

@@ -167,6 +167,26 @@ def test_permutation_variant_has_no_presentation(argv, capsys):
     assert f"no invariant presentation cataloged for {argv[2]!r}" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["molien", "--group", "trivial:0", "--dmax", "3"],
+    ["generators", "--group", "trivial:-2"],
+    ["bound", "--group", "trivial:0", "--poly", "x^2 + 1", "--vars", "x"]],
+    ids=lambda argv: " ".join(argv[:3]))
+def test_trivial_group_needs_a_variable(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trivial catalog supports n >= 1\n"
+
+
+@pytest.mark.parametrize("poly", ["0", "x-x"])
+def test_zero_polynomial_is_refused_as_zero(poly, capsys):
+    assert main(["bound", "--group", "c2n:1", "--poly", poly, "--vars", "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the target polynomial is zero\n"
+
+
 def test_missing_presentation_message_is_bare(capsys):
     # a KeyError's message prints without the quotes of its repr
     rc = main(["bound", "--group", "dihedral:6", "--poly",

@@ -1,22 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from symsos.groups import (ClosureError, RealIrrep, catalog,
-                           character_orthogonality, close_group,
+                           character_orthogonality, close_group, invariant_form,
                            verify_representation)
 from symsos.linalg import mat_identity
 from symsos.poly import Polynomial, monomial_vector, substitute_linear
-from symsos.scalars import Quad
 from symsos.fixtures import choi_group_generators
 
 CATALOG_SPECS = ["trivial:1", "c2n:1", "c2n:3", "cyclic:1", "cyclic:2", "cyclic:3",
                  "cyclic:4", "cyclic:4:permutation", "cyclic:5", "cyclic:6",
-                 "cyclic:8", "cyclic:12", "dihedral:1", "dihedral:1:planar",
+                 "cyclic:8", "cyclic:9", "cyclic:12", "dihedral:1", "dihedral:1:planar",
                  "dihedral:2", "dihedral:2:planar", "dihedral:4",
                  "dihedral:4:permutation", "dihedral:5", "dihedral:6",
-                 "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5"]
+                 "dihedral:8", "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5"]
 
 
 class TestClosure:
@@ -104,34 +104,68 @@ class TestCatalogs:
         assert theta5.matrix(dsd) == theta5.matrix(s_idx)
 
     def test_symmetric3_planar_table_entries(self):
+        # the planar irrep in the basis (e1, sqrt(3) e2)
         cat = catalog("symmetric:3")
         theta3 = cat.irrep("theta3")
         g12, g23 = cat.action.generators
-        a, b = Fraction(1, 2), Quad.root(3, Fraction(1, 2))
-        assert theta3.matrix(g12) == [[-a, b], [b, a]]
+        assert theta3.matrix(g12) == [[Fraction(-1, 2), Fraction(3, 2)],
+                                      [Fraction(1, 2), Fraction(1, 2)]]
         assert theta3.matrix(g23) == [[1, 0], [0, -1]]
+        assert theta3.copy_weights == [1, 3]
+
+    def test_symmetric4_seminormal_entries(self):
+        # the standard irrep on the tableaux 123/4, 124/3, 134/2: (3 4) has
+        # axial distances -3 and 3 on the first two, so the pair gets 8/9 and 1
+        cat = catalog("symmetric:4")
+        theta2 = cat.irrep("theta2")
+        g34 = cat.action.generators[2]
+        assert theta2.matrix(g34) == [[Fraction(-1, 3), Fraction(8, 9), 0],
+                                      [Fraction(1), Fraction(1, 3), 0],
+                                      [0, 0, 1]]
+        assert theta2.copy_weights == [1, Fraction(8, 9), Fraction(2, 3)]
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_irreps_are_rational_with_diagonal_invariant_form(self, spec):
+        cat = catalog(spec)
+        for r in cat.irreps:
+            if r.generator_images is None:
+                continue
+            assert all(type(v) is Fraction for m in r.generator_images
+                       for row in m for v in row), (spec, r.label)
+            q = invariant_form(r.matrix, cat.action.order)
+            assert all(q[i][j] == 0 for i in range(r.dim) for j in range(r.dim)
+                       if i != j), (spec, r.label)
+            assert r.copy_weights == [q[j][j] / q[0][0] for j in range(r.dim)]
 
     @pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:7", "cyclic:9",
-                                      "dihedral:10", "cyclic:11"])
+                                      "dihedral:10", "cyclic:11", "cyclic:8",
+                                      "cyclic:12", "dihedral:12"])
     def test_rotation_outside_the_tower_has_no_matrices(self, spec):
+        # the rotation by 2 pi j/m of order d = m/gcd(m, j) has a rational
+        # realization only for d in {1, 2, 3, 4, 6}
         cat = catalog(spec)
         m = int(spec.split(":")[1])
-        rotations = [r for r in cat.irreps if r.dim == 2]
-        assert rotations and all(r.generator_images is None for r in rotations)
         assert all(r.generator_images is not None for r in cat.irreps if r.dim == 1)
         assert cat.check_sum_of_squares()
-        for r in rotations:
+        for r in cat.irreps:
+            if r.dim == 1:
+                continue
             j = r.molien_meta[2]
+            if m // math.gcd(m, j) in (1, 2, 3, 4, 6):
+                assert r.generator_images is not None, (spec, r.label)
+                continue
+            assert r.generator_images is None, (spec, r.label)
             with pytest.raises(ValueError, match=rf"rotation by 2\*pi\*{j}/{m}"):
                 r.matrix(1)
-        exact_cat = catalog("cyclic:12")
-        assert all(r.generator_images is not None for r in exact_cat.irreps)
 
     def test_unsupported(self):
         with pytest.raises(ValueError):
             catalog("icosahedral:1")
         with pytest.raises(ValueError):
             catalog("cyclic:5:planar")
+        for spec in ("trivial:0", "trivial:-2"):
+            with pytest.raises(ValueError, match="trivial catalog supports n >= 1"):
+                catalog(spec)
 
     @pytest.mark.parametrize("spec", ["symmetric", "dihedral", "cyclic", "c2n",
                                       "symmetric:4:foo", "c2n:2:planar",
@@ -221,10 +255,19 @@ class TestRealify:
         assert rot.matrix(gen) == [[0, -1], [1, 0]]
 
     def test_c3_pair_gives_rotation_by_120(self):
+        # [[cos, -sin], [sin, cos]] in the basis (e1, sqrt(3) e2)
         cat = catalog("cyclic:3")
         rot = [r for r in cat.irreps if r.dim == 2][0]
         gen = cat.action.generators[0]
-        m = rot.matrix(gen)
-        assert m[0][0] == Fraction(-1, 2)
-        assert m[1][0] == Quad.root(3, Fraction(1, 2))
+        assert rot.matrix(gen) == [[Fraction(-1, 2), Fraction(-3, 2)],
+                                   [Fraction(1, 2), Fraction(-1, 2)]]
+        assert rot.copy_weights == [1, 3]
         assert verify_representation(rot, cat.action).ok
+
+    def test_non_diagonal_invariant_form_detected(self):
+        # a homomorphism conjugated by a shear: its invariant form is not diagonal
+        cat = catalog("cyclic:4")
+        sheared = RealIrrep("sheared", 2, "complex-type", cat.action,
+                            [((Fraction(-1), Fraction(-2)), (Fraction(1), Fraction(1)))])
+        report = verify_representation(sheared, cat.action)
+        assert report.violations == ["invariant form is not diagonal"]

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from symsos.groups import ClosureError, IrrepCatalog, RealIrrep, catalog, \
-    close_group, rotation_matrix, verify_representation
+    close_group, verify_representation
 from symsos.isotypic import (action_rep, block_diagonalize,
                              fixed_point_project, induced_representation,
                              symmetry_adapted_basis)
 from symsos.linalg import mat_mul, mat_transpose
 from symsos.molien import molien_series, series_coefficients
-from symsos.scalars import Quad
 
 
 def gram_diagonal(sab):
@@ -23,14 +22,15 @@ def gram_diagonal(sab):
 
 
 def assert_adapted_gram(sab):
-    """T^T T is diagonal, equal across a segment's copies and within 2^-11 of I."""
+    """T^T T is exactly diagonal; the columns of a first copy or a whole
+    segment are within 2^-11 of unit length; copy j is w_j times the first."""
     diag = gram_diagonal(sab)
-    assert all(abs(float(v) - 1) <= 2 ** -11 for v in diag)
     for seg in sab.layout:
-        # a real segment holds n_i copies of m_i columns; a complex one its
-        # m_i vectors u, then their images J u
-        cols = diag[seg.col_start:seg.col_start + seg.width]
-        assert all(v == cols[k % seg.m_i] for k, v in enumerate(cols)), seg.label
+        first = diag[seg.col_start:seg.col_start + seg.m_i]
+        assert all(abs(float(v) - 1) <= 2 ** -11 for v in first), seg.label
+        for j, w in enumerate(seg.weights):
+            o = seg.col_start + j * seg.m_i
+            assert diag[o:o + seg.m_i] == [w * v for v in first], (seg.label, j)
 
 
 def random_invariant(rep, n, seed=0):
@@ -110,11 +110,11 @@ class TestOrbitSum:
             if v != 0}
 
     def test_general_matrices_are_refused(self):
-        # a reflection {I, R} with R^2 = I, and a 60-degree rotation with
-        # entries 1/2 and sqrt(3)/2: orthogonal, but no signed permutations
+        # a reflection {I, R} with R^2 = I, orthogonal but no signed
+        # permutation, and the 60-degree rotation in the basis (e1, sqrt(3) e2)
         refl = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
-        rot = rotation_matrix(6, 1)
-        assert isinstance(rot[1][0], Quad)
+        rot = catalog("cyclic:6").irrep("theta3").matrix(1)
+        assert rot == [[Fraction(1, 2), Fraction(-3, 2)], [Fraction(1, 2), Fraction(1, 2)]]
         for g in (refl, rot):
             with pytest.raises(ClosureError, match="orthogonal signed permutation"):
                 close_group([g])
@@ -175,7 +175,8 @@ class TestSymmetryAdaptedBasis:
 
     def test_multiplicities_match_molien(self):
         for spec, d in [("dihedral:4", 3), ("cyclic:4", 3), ("symmetric:3", 3),
-                        ("c2n:2", 4), ("symmetric:4", 2), ("dihedral:6", 2)]:
+                        ("c2n:2", 4), ("symmetric:4", 2), ("dihedral:6", 2),
+                        ("cyclic:5", 2), ("dihedral:9", 2), ("cyclic:12", 2)]:
             cat = catalog(spec)
             rep = induced_representation(cat.action, d)
             sab = symmetry_adapted_basis(rep, cat)
@@ -188,17 +189,21 @@ class TestSymmetryAdaptedBasis:
                                         ("cyclic:6", 2), ("cyclic:12", 1),
                                         ("symmetric:4", 2), ("c2n:3", 2)])
     def test_gram_is_diagonal_and_near_identity(self, spec, d):
-        # irreps with sqrt(2)/2 or sqrt(3)/2 entries give irrational columns
+        # seminormal S_n irreps, rotations in the basis (e1, sqrt(3) e2) and
+        # Galois orbits of irrational rotations
         cat = catalog(spec)
         sab = symmetry_adapted_basis(induced_representation(cat.action, d), cat)
         assert_adapted_gram(sab)
 
-    @pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:5"])
-    def test_rotation_outside_the_tower_is_refused(self, spec):
-        cat = catalog(spec)
-        rep = induced_representation(cat.action, 2)
-        with pytest.raises(ValueError, match=r"rotation by 2\*pi\*1/5"):
-            symmetry_adapted_basis(rep, cat)
+    def test_galois_orbit_is_one_whole_segment(self):
+        # the rotations of order 8 of dihedral:8 have characters 2 cos(pi/4 k)
+        # and 2 cos(3 pi/4 k); together they give one 20-column block
+        cat = catalog("dihedral:8")
+        sab = symmetry_adapted_basis(induced_representation(cat.action, 2), cat)
+        seg = next(s for s in sab.layout if "+" in s.label)
+        assert (seg.label, seg.kind, seg.m_i, seg.n_i) == \
+            ("theta5+theta7", "whole", 20, 1)
+        assert sab.multiplicities["theta5"] == sab.multiplicities["theta7"] == 5
 
 
 class TestBlockDiagonalize:
@@ -213,6 +218,7 @@ class TestBlockDiagonalize:
         for seg, blk in zip(bd.segments, bd.blocks):
             size = len(blk)
             a = seg.col_start
+            assert size == seg.m_i
             assert blk == [[diag[a + i] if i == j else Fraction(0)
                             for j in range(size)] for i in range(size)]
 
@@ -234,11 +240,20 @@ class TestBlockDiagonalize:
         bd = block_diagonalize(x, sab)
         widths = [len(b) for b in bd.blocks]
         assert widths == [2, 2, 6]
-        # coupled block has equal diagonal subblocks (realified structure)
-        cplx = bd.blocks[2]
-        for r in range(3):
-            for c in range(3):
-                assert cplx[r][c] == cplx[3 + r][3 + c]
+        assert [seg.kind for seg in bd.segments] == ["real", "real", "whole"]
+
+    def test_copies_scale_by_the_invariant_form(self):
+        # symmetric:4's standard irrep has copy weights 1, 8/9, 2/3
+        cat = catalog("symmetric:4")
+        rep = induced_representation(cat.action, 2)
+        sab = symmetry_adapted_basis(rep, cat)
+        seg = next(s for s in sab.layout if s.label == "theta2")
+        assert seg.weights == (1, Fraction(8, 9), Fraction(2, 3))
+        x = random_invariant(rep, rep.size, seed=2)
+        bd = block_diagonalize(x, sab)
+        # the float path checks the same scaled copies
+        block_diagonalize([[float(v) for v in row] for row in x], sab)
+        assert [len(b) for b in bd.blocks] == [seg.m_i for seg in sab.layout]
 
     def test_non_invariant_matrix_rejected(self):
         cat = catalog("dihedral:4")

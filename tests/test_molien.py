@@ -8,7 +8,6 @@ from symsos.molien import (RationalFunction, _pmul, det_one_minus_xi,
                            dimension_table, even_form_block_census,
                            hilbert_consistency, hilbert_series, molien_series,
                            ramanujan_sum, series_coefficients)
-from symsos.scalars import Quad, exact
 
 S4_TABLE = {
     "theta1": [1, 1, 2, 3, 5, 6, 9, 11, 15, 18, 23, 27, 34, 39, 47, 54],
@@ -47,16 +46,16 @@ def element_sum_series(cat, irrep) -> RationalFunction:
     """The Molien formula as defined, one term per group element.
 
     Terms with equal denominators are added before the rational functions
-    are, which keeps the reference fast for groups with irrational characters.
+    are, which keeps the reference fast.
     """
     action = cat.action
-    chi_sums: dict[tuple, Quad] = {}
+    chi_sums: dict[tuple, Fraction] = {}
     for i in range(action.order):
         det = tuple(det_one_minus_xi(action, i))
-        chi_sums[det] = chi_sums.get(det, Quad(0)) + Quad.of(irrep.character(i))
+        chi_sums[det] = chi_sums.get(det, Fraction(0)) + irrep.character(i)
     total = RationalFunction.of([0], [1])
     for det, chi_sum in chi_sums.items():
-        total = total + RationalFunction.of([exact(chi_sum)], list(det))
+        total = total + RationalFunction.of([chi_sum], list(det))
     halve = 2 if irrep.kind == "complex-type" else 1
     return total.scale(Fraction(1, action.order * halve))
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symsos.scalars import Quad
 from symsos.poly import (MINUS_INFINITY, Polynomial, PolynomialSyntaxError,
                          compose, evaluate, monomial_vector, parse_polynomial,
                          render_polynomial, substitute_linear)
@@ -230,8 +229,8 @@ class TestKernels:
             (x.scale(Fraction(1, 2)) - y.scale(Fraction(1, 3)))
         assert p.terms == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
 
-    def test_quad_coefficient_refused(self):
-        root = Quad.root(2, Fraction(1, 2))
+    def test_non_rational_coefficient_refused(self):
+        root = complex(0, 1)
         with pytest.raises(TypeError, match="rational"):
             Polynomial(2, {(1, 0): root, (0, 1): Fraction(1, 3)})
         p = parse_polynomial("x - 1/3*y + 2", ["x", "y"])

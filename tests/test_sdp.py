@@ -11,7 +11,6 @@ from symsos.fixtures import robinson_dihedral, symmetric_quartic
 from symsos.linalg import RowBasis, mat_mul, mat_transpose
 from symsos.poly import (Polynomial, monomial_vector, parse_polynomial,
                          substitute_linear)
-from symsos.scalars import Quad, exact
 from symsos.sdp import (BlockSDP, BlockSpec, InvarianceError,
                         LinearConstraint, assemble_gram, check_invariance,
                         restrict_invariant, with_interior_variable)
@@ -123,16 +122,22 @@ def _coeffs_of(mat):
     return out
 
 
-def _random_invariant_sdp(rep, rng):
+def _random_invariant_sdp(rep, rng, definite=False):
     """Invariant cost and constraints from Reynolds-averaged random functionals.
 
     Feasibility is anchored at an invariant PD point x0 and the cost is dual
     feasible, so the instance is feasible and bounded by construction.
+    With ``definite`` x0 and the dual slack are Reynolds averages of
+    M M^T + I, which are positive definite at every size.
     Returns the program and its cost matrix.
     """
     n = rep.size
 
     def rnd_sym(shift=0):
+        if definite and shift:
+            m = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+            return [[sum((a * b for a, b in zip(m[i], m[j])), Fraction(i == j))
+                     for j in range(n)] for i in range(n)]
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         return [[m[i][j] + m[j][i] + (Fraction(shift) if i == j else 0)
                  for j in range(n)] for i in range(n)]
@@ -147,6 +152,26 @@ def _random_invariant_sdp(rep, rng):
                              sum(a[i][j] * x0[i][j] for i in range(n)
                                  for j in range(n))) for a in amats]
     return BlockSDP([BlockSpec("x", n, 1)], [], _coeffs_of(cmat), cons), cmat
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:5", "cyclic:9", "dihedral:8"])
+def test_galois_orbit_matches_unreduced(spec):
+    """Groups with irrational rotation characters reduce through whole blocks."""
+    cat = catalog(spec)
+    rep = induced_representation(cat.action, 2 if spec.endswith(":5") else 1)
+    sab = symmetry_adapted_basis(rep, cat)
+    assert any("+" in seg.label for seg in sab.layout)
+    rng = random.Random(spec)
+    for trial in range(3):
+        sdp, cmat = _random_invariant_sdp(rep, rng, definite=True)
+        red, rmap = restrict_invariant(sdp, rep, sab)
+        full, reduced = solve(sdp), solve(red)
+        assert full.status == reduced.status == "optimal", (spec, trial)
+        assert abs(full.objective - reduced.objective) <= 1e-6 * \
+            (1 + abs(full.objective)), (spec, trial)
+        cfloat = np.array([[float(v) for v in row] for row in cmat])
+        assert abs(float(np.tensordot(cfloat, rmap.lift(reduced.blocks))) -
+                   reduced.objective) <= 1e-6 * (1 + abs(reduced.objective))
 
 
 @pytest.mark.parametrize("spec,d", [("dihedral:4", 2), ("cyclic:4", 2),
@@ -203,7 +228,8 @@ def _dense_restriction(sdp, rep, sab):
 
     Every functional A becomes R = sum_g rho(g)^T A rho(g) / |G| through
     ``MatrixRep.conjugate`` on dense exact matrices; all of T^T R T is formed
-    and the diagonal copy blocks of each real segment are summed.
+    and the diagonal copy blocks of each segment are summed, copy j weighted
+    by 1/w_j: the lifted copy j is the reduced block over w_j.
     """
     n = sdp.blocks[0].size
     order = rep.action.order
@@ -220,32 +246,24 @@ def _dense_restriction(sdp, rep, sab):
         for i in range(order):
             conj = rep.conjugate(i, a)
             avg = [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(avg, conj)]
-        avg = [[exact(x / order) for x in row] for row in avg]
+        avg = [[x / order for x in row] for row in avg]
         t = sab.t_matrix()
         full = mat_mul(mat_transpose(t), mat_mul(avg, t))
         out = {k: v for k, v in coeffs.items() if k[0] == "free"}
         for bi, seg in enumerate(sab.layout):
-            a0 = seg.col_start
-            if seg.kind == "complex":
-                blk = [[full[a0 + r][a0 + c] for c in range(seg.width)]
-                       for r in range(seg.width)]
-            else:
-                m = seg.m_i
-                copies = [np.array([[full[a0 + j * m + r][a0 + j * m + c]
-                                     for c in range(m)] for r in range(m)],
-                                   dtype=object)
-                          for j in range(seg.n_i)]
-                blk = sum(copies).tolist()
+            a0, m = seg.col_start, seg.m_i
+            copies = [np.array([[full[a0 + j * m + r][a0 + j * m + c] / w
+                                 for c in range(m)] for r in range(m)], dtype=object)
+                      for j, w in enumerate(seg.weights)]
+            blk = sum(copies).tolist()
             for r in range(len(blk)):
                 for c in range(r, len(blk)):
-                    v = exact(blk[r][c] if r == c else blk[r][c] + blk[c][r])
+                    v = blk[r][c] if r == c else blk[r][c] + blk[c][r]
                     if v != 0:
                         out[("blk", bi, r, c)] = v
         return out
 
-    blocks = [BlockSpec(seg.label, seg.width if seg.kind == "complex" else seg.m_i,
-                        1 if seg.kind == "complex" else seg.n_i)
-              for seg in sab.layout]
+    blocks = [BlockSpec(seg.label, seg.m_i, seg.n_i) for seg in sab.layout]
     cons = [LinearConstraint(reduce(con.coeffs), con.rhs) for con in sdp.constraints]
     red = BlockSDP(blocks, list(sdp.free_vars), reduce(sdp.cost), cons)
     red.constraints = [cons[i] for i in red.solution_set.sources]
@@ -275,11 +293,13 @@ def test_restriction_matches_dense_definition(name):
     cat = catalog(spec)
     rep = induced_representation(cat.action, d)
     sab = symmetry_adapted_basis(rep, cat)
-    if name == "dihedral:8 sdp":
-        # sqrt(2)/2 in the irreps: columns with irrational entries
-        assert any(isinstance(v, Quad) for col in sab.columns for v in col)
-    if name.startswith(("cyclic:3", "cyclic:4")):
-        assert any(seg.kind == "complex" for seg in sab.layout)
+    if name.startswith(("cyclic:3", "cyclic:4", "dihedral:8")):
+        # complex-type irreps, and the Galois orbit of dihedral:8's rotations
+        # of order 8, give whole segments
+        assert any(seg.kind == "whole" for seg in sab.layout)
+    if name in ("s3-quartic", "s4 degree 4"):
+        # copies of unequal weight
+        assert any(set(seg.weights) != {1} for seg in sab.layout)
     got, _ = restrict_invariant(sdp, rep, sab)
     ref = _dense_restriction(sdp, rep, sab)
     assert got.blocks == ref.blocks
